@@ -383,15 +383,27 @@ def _softmax_rows(W: np.ndarray) -> np.ndarray:
     return P / P.sum(axis=1, keepdims=True)
 
 
-def _prox_kernel(geom: GeometrySpec, g: np.ndarray, anchor_outer: np.ndarray,
+def _outer_term(geom: GeometrySpec, anchor_outer: np.ndarray,
+                beta: float) -> np.ndarray:
+    """The outer anchor's share of the prox argument: ``beta * a_out`` for
+    squared euclidean, ``beta * log a_out`` (clipped) for negative entropy.
+    Constant over an outer iteration, so the solver computes it once there."""
+    if geom.dgf == SQUARED_EUCLIDEAN:
+        return beta * anchor_outer
+    return beta * np.log(np.maximum(anchor_outer, ENTROPY_CLIP))
+
+
+def _prox_kernel(geom: GeometrySpec, g: np.ndarray, outer: np.ndarray,
                  beta: float, anchor_inner: np.ndarray, eta: float) -> np.ndarray:
-    """Unchecked two-anchor prox; callers guarantee feasible finite inputs."""
+    """Unchecked two-anchor prox; callers guarantee feasible finite inputs.
+
+    ``outer`` is ``_outer_term(geom, anchor_outer, beta)``.
+    """
     w = beta + eta
     if geom.dgf == SQUARED_EUCLIDEAN:
-        v = (beta * anchor_outer + eta * anchor_inner - g) / w
+        v = (outer + eta * anchor_inner - g) / w
         return geom.feasible_set._project_vec(v)
-    logs = (beta * np.log(np.maximum(anchor_outer, ENTROPY_CLIP))
-            + eta * np.log(np.maximum(anchor_inner, ENTROPY_CLIP)) - g) / w
+    logs = (outer + eta * np.log(np.maximum(anchor_inner, ENTROPY_CLIP)) - g) / w
     out = np.empty_like(logs)
     for a, b in geom._simplex_groups:
         d = b - a
@@ -429,7 +441,7 @@ def prox_two_anchor(geom: GeometrySpec, g, anchor_outer, beta: float,
         raise DomainError("inner anchor lies outside the feasible set")
     if geom.dgf == NEGATIVE_ENTROPY and (np.any(ao <= 0.0) or np.any(ai <= 0.0)):
         raise DomainError("entropy prox needs strictly positive anchors")
-    return _prox_kernel(geom, vg, ao, beta, ai, eta)
+    return _prox_kernel(geom, vg, _outer_term(geom, ao, beta), beta, ai, eta)
 
 
 def _omega_sq_one(dgf: str, f: FeasibleSet, z0: np.ndarray) -> float:

@@ -35,6 +35,15 @@ from .network import NetworkModel
 from .penalty import StackedSPP, sample_operator_bound
 from .sliding import VIProblem
 
+try:
+    # np.einsum without optimize forwards its arguments to this C function
+    # unchanged; calling it directly skips about 1 us of Python dispatch per
+    # call, which over its three calls is a sixth of a single-point l1 H.
+    # Older numpy keeps the public function.
+    from numpy._core.multiarray import c_einsum as _einsum
+except ImportError:
+    _einsum = np.einsum
+
 MATCHING_PENNIES = np.array([[1.0, -1.0], [-1.0, 1.0]])
 
 
@@ -87,10 +96,11 @@ def make_matrix_game(A_list, m: int) -> StackedSPP:
         B_op[ys, xs] = -A3[i]
 
     def batched_H(X: np.ndarray, Y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        return (np.einsum("nji,nj->ni", A3, Y), -np.einsum("nij,nj->ni", A3, X))
+        return (np.einsum("nji,...nj->...ni", A3, Y),
+                -np.einsum("nij,...nj->...ni", A3, X))
 
     def batched_value(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
-        return np.einsum("nj,nji,ni->n", Y, A3, X)
+        return np.einsum("...nj,nji,...ni->...n", Y, A3, X)
 
     return StackedSPP(
         locals=[_BilinearLocal(A3[i]) for i in range(m)],
@@ -186,16 +196,25 @@ def make_l1_saddle(B_list, c_list, C_list, box_radius: float) -> StackedSPP:
     bx = sig_B * math.sqrt(p) + sig_C * r * math.sqrt(d_y)
     by = math.sqrt(d_y) + sig_C * r * math.sqrt(d_x)
 
+    # Leading axes of X and Y are independent points. The einsums keep the
+    # single-point subscripts behind a "...", which sums each point in the
+    # same order as a single-point call; optimize=True or matmul may not.
+    # B x and C x are one contraction over the stacked rows of [B; C]: each
+    # entry is still its own sum over x, so splitting it gives both exactly.
+    BC3 = np.concatenate([B3, C3], axis=1)
+
     def batched_H(X: np.ndarray, Y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        S = np.sign(np.einsum("npi,ni->np", B3, X) - c2)
-        Hx = np.einsum("npi,np->ni", B3, S) + np.einsum("nji,nj->ni", C3, Y)
-        Hy = np.sign(Y) - np.einsum("nij,nj->ni", C3, X)
+        BCX = _einsum("nki,...ni->...nk", BC3, X)
+        S = np.sign(BCX[..., :p] - c2)
+        Hx = (_einsum("npi,...np->...ni", B3, S)
+              + _einsum("nji,...nj->...ni", C3, Y))
+        Hy = np.sign(Y) - BCX[..., p:]
         return Hx, Hy
 
     def batched_value(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
-        R = np.einsum("npi,ni->np", B3, X) - c2
-        return (np.abs(R).sum(axis=1) + np.einsum("nj,nji,ni->n", Y, C3, X)
-                - np.abs(Y).sum(axis=1))
+        R = np.einsum("npi,...ni->...np", B3, X) - c2
+        return (np.abs(R).sum(axis=-1) + np.einsum("...nj,nji,...ni->...n", Y, C3, X)
+                - np.abs(Y).sum(axis=-1))
 
     return StackedSPP(
         locals=[_L1Local(B3[i], c2[i], C3[i]) for i in range(m)],
@@ -304,9 +323,12 @@ def certify_inexact_oracle(H: Callable[[np.ndarray], np.ndarray],
 
     <H(z1) - H(z2), z1 - z3> <= M/2 ||z1-z2||^2 + M/2 ||z1-z3||^2 + delta,
 
-    with 1e-9 additive slack for float noise. Returns the report with the
-    worst (smallest) observed slack; a violated triple raises
-    CertificationError carrying the witness on the exception.
+    with 1e-9 additive slack for float noise. ``H`` acts row-wise along the
+    last axis: it is called once on all first points and once on all second
+    points, each an array of shape (triples, dim), and must return an array
+    of that shape whose row i is the operator at row i (``StackedSPP.H`` does).
+    Returns the report with the worst (smallest) observed slack; a violated
+    triple raises CertificationError carrying the witness on the exception.
     """
     if triples < 1:
         raise ParameterError("triples must be >= 1")
@@ -316,11 +338,11 @@ def certify_inexact_oracle(H: Callable[[np.ndarray], np.ndarray],
     Z1 = feasible_set.sample(rng, triples)
     Z2 = feasible_set.sample(rng, triples)
     Z3 = feasible_set.sample(rng, triples)
-    H1 = np.empty_like(Z1)
-    H2 = np.empty_like(Z2)
-    for i in range(triples):
-        H1[i] = H(Z1[i])
-        H2[i] = H(Z2[i])
+    H1 = H(Z1)
+    H2 = H(Z2)
+    if np.shape(H1) != Z1.shape or np.shape(H2) != Z2.shape:
+        raise ParameterError("H must act row-wise along the last axis and "
+                             "return an array of its input's shape")
     d13 = Z1 - Z3
     lhs = np.einsum("ij,ij->i", H1 - H2, d13)
     rhs = (0.5 * M * np.einsum("ij,ij->i", Z1 - Z2, Z1 - Z2)

@@ -38,17 +38,18 @@ class StackedSPP:
 
     ``locals`` holds one oracle per node; each exposes ``value(x, y)`` and
     ``h(x, y)`` returning the pair (subgradient of f_i in x, subgradient of
-    -f_i in y), which are the two blocks of the monotone operator H.
+    -f_i in y), which are the two blocks of the monotone operator H. They are
+    the per-node reference; the solver evaluates the stacked operator through
+    ``batched_H`` / ``batched_value``, which take (X, Y) with node rows on the
+    last two axes, any leading axes being independent points.
     ``set_x`` / ``set_y`` are the per-node feasible sets, shared by all nodes.
 
-    ``batched_H`` / ``batched_value`` are optional vectorized equivalents
-    taking (X, Y) with node rows; instance factories provide them so the
-    solver hot loop avoids a per-node Python loop. ``linear_H``, when set, is
-    the dense matrix of the stacked operator for families where H is linear
-    (bilinear saddles), letting the hot loop evaluate H as one matvec.
-    ``operator_bound`` is a uniform bound on ||H(z)|| over the stacked set
-    when known analytically, and ``operator_lipschitz`` the exact Lipschitz
-    constant of H when H is smooth (bilinear instances); all default to None.
+    ``linear_H``, when set, is the dense matrix of the stacked operator for
+    families where H is linear (bilinear saddles), letting the hot loop
+    evaluate H as one matvec. ``operator_bound`` is a uniform bound on
+    ||H(z)|| over the stacked set when known analytically, and
+    ``operator_lipschitz`` the exact Lipschitz constant of H when H is smooth
+    (bilinear instances); all default to None.
     """
 
     locals: list
@@ -56,9 +57,9 @@ class StackedSPP:
     d_y: int
     set_x: FeasibleSet
     set_y: FeasibleSet
+    batched_H: Callable[[np.ndarray, np.ndarray], tuple]
+    batched_value: Callable[[np.ndarray, np.ndarray], np.ndarray]
     dgf: str = SQUARED_EUCLIDEAN
-    batched_H: Optional[Callable[[np.ndarray, np.ndarray], tuple]] = None
-    batched_value: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = None
     linear_H: Optional[np.ndarray] = None
     subgrad_bound_x: Optional[float] = None
     subgrad_bound_y: Optional[float] = None
@@ -81,34 +82,36 @@ class StackedSPP:
         return self.m * (self.d_x + self.d_y)
 
     def split(self, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Stacked vector -> (X, Y) with one node per row."""
-        m, dx = self.m, self.d_x
-        cut = m * dx
-        return z[:cut].reshape(m, dx), z[cut:].reshape(m, self.d_y)
+        """Stacked points (..., dim) -> (X, Y) with one node per row,
+        shapes (..., m, d_x) and (..., m, d_y)."""
+        lead, m = z.shape[:-1], len(self.locals)
+        cut = m * self.d_x
+        return (z[..., :cut].reshape(lead + (m, self.d_x)),
+                z[..., cut:].reshape(lead + (m, self.d_y)))
 
     def join(self, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
-        return np.concatenate([np.ravel(X), np.ravel(Y)])
+        """Inverse of :meth:`split`."""
+        lead = X.shape[:-2]
+        return np.concatenate((X.reshape(lead + (-1,)), Y.reshape(lead + (-1,))), -1)
 
     def H(self, z: np.ndarray) -> np.ndarray:
-        """Stacked operator (subgrad_x f_i; subgrad_y(-f_i)) over all nodes."""
+        """Stacked operator (subgrad_x f_i; subgrad_y(-f_i)) over all nodes.
+
+        Acts row-wise along the last axis: ``z`` is one point of shape
+        (dim,) or a batch of shape (..., dim), and the result has the shape
+        of ``z``. Rows of a batch are evaluated independently; for families
+        without ``linear_H`` each row is bitwise equal to the single-point
+        call on it.
+        """
         if self.linear_H is not None:
-            return self.linear_H @ z
-        X, Y = self.split(z)
-        if self.batched_H is not None:
-            Hx, Hy = self.batched_H(X, Y)
-        else:
-            Hx = np.empty_like(X)
-            Hy = np.empty_like(Y)
-            for i, loc in enumerate(self.locals):
-                Hx[i], Hy[i] = loc.h(X[i], Y[i])
-        return np.concatenate([Hx.ravel(), Hy.ravel()])
+            if z.ndim == 1:
+                return self.linear_H @ z
+            return (self.linear_H @ z.reshape(-1, z.shape[-1]).T).T.reshape(z.shape)
+        return self.join(*self.batched_H(*self.split(z)))
 
     def value(self, z: np.ndarray) -> float:
         """F(x, y) = sum_i f_i(x_i, y_i)."""
-        X, Y = self.split(z)
-        if self.batched_value is not None:
-            return float(np.sum(self.batched_value(X, Y)))
-        return float(sum(loc.value(X[i], Y[i]) for i, loc in enumerate(self.locals)))
+        return float(np.sum(self.batched_value(*self.split(z))))
 
     def stacked_set(self) -> ProductSet:
         return ProductSet([self.set_x] * self.m + [self.set_y] * self.m)
@@ -169,14 +172,18 @@ def penalty_coefficients(spp: StackedSPP, net_x: NetworkModel,
 def sample_operator_bound(spp: StackedSPP, samples: int, seed,
                           inflate: float = 1.1) -> float:
     """Empirical uniform bound on ||H||: max over sampled feasible stacked
-    points, inflated by a safety factor."""
+    points, inflated by a safety factor.
+
+    H is evaluated on all sampled points in one call (``spp.H`` acts row-wise
+    along the last axis), and the norms are taken per point.
+    """
     if samples < 1:
         raise ParameterError("samples must be >= 1")
     rng = np.random.default_rng(seed)
     pts = spp.stacked_set().sample(rng, samples)
-    worst = 0.0
-    for row in pts:
-        worst = max(worst, float(np.linalg.norm(spp.H(row))))
+    # one batched H call; the norm stays per row, because a norm along
+    # axis 1 sums in another order than the single-vector norm
+    worst = max(float(np.linalg.norm(h)) for h in spp.H(pts))
     return inflate * worst
 
 

@@ -108,9 +108,12 @@ def test_criterion_2_delta_non_accumulation():
         a = delta / (2.0 * diam)
 
         def biased(z, _a=a):
+            # row-wise along the last axis; the norm is taken per point, so a
+            # single point gets exactly the value of float(np.linalg.norm(d))
             d = z - center
-            n = float(np.linalg.norm(d))
-            return spp.H(z) + (_a / n) * d if n > 0 else spp.H(z)
+            n = np.apply_along_axis(np.linalg.norm, -1, d)[..., None]
+            h = spp.H(z)
+            return np.where(n > 0, h + (_a / np.where(n > 0, n, 1.0)) * d, h)
 
         certify_inexact_oracle(biased, fset, M=2.0, delta=delta,
                                triples=2000, seed=1)

@@ -212,6 +212,36 @@ def test_stochastic_outputs_match_pinned_bytes(tmp_path, seed):
     assert hashlib.sha256(data).hexdigest() == trace_sha
 
 
+# Golden outputs of a deterministic l1 ring run (m = 5, d_x = 3, d_y = 2,
+# N = 12): every summary line and the sha256 of trace.csv. L0, and with it
+# M, L, the schedule and every iterate, comes from H sampled on 2000 points,
+# so a one-ulp drift in a batched H shows here.
+PINNED_L1 = (
+    ["saddleslide-summary 1", "family l1_saddle_random", "mode deterministic",
+     "m 5", "epsilon 0.4", "N 12", "L 636.1151180699474",
+     "M 52.78951338636292", "delta 0.8", "L0 6.498585285205569", "sigma 0.0",
+     "omega_sq 12.5", "R_alpha_sq 35.163578896600605",
+     "R_beta_sq 21.376048051046308", "final_gap 0.07492931680565418",
+     "consensus_x 0.016207696768611835", "consensus_y 0.0033695463772035754",
+     "communication_rounds 12", "grad_G_calls 12", "H_calls_per_node 24",
+     "predicted_gap_bound 332.1099573280976", "predicted_rounds 12",
+     "predicted_H_calls 36.94602793478503",
+     "predicted_consensus_x 0.26981957097703174",
+     "predicted_consensus_y 0.34606388114522957", "wall_time_s 0.0"],
+    "628ec241cb3f8a711d540d7b1445cca14cd4cb7f52045ebfedd026f664839a30",
+)
+
+
+def test_l1_outputs_match_pinned_bytes(tmp_path):
+    lines, trace_sha = PINNED_L1
+    rep = run_experiment(small_config(family="l1_saddle_random", m=5, d_x=3,
+                                      d_y=2, epsilon=0.4, N_override=12))
+    assert rep.summary_lines() == lines
+    emit_outputs(rep, rep.trace, tmp_path)
+    data = (tmp_path / "trace.csv").read_bytes()
+    assert hashlib.sha256(data).hexdigest() == trace_sha
+
+
 class TestCLI:
     def _write_config(self, tmp_path, **overrides):
         cfg = small_config(**overrides)
@@ -267,3 +297,4 @@ class TestCLI:
         assert "lambda_max" in text and "chi" in text
         assert (out / "laplacian.csv").exists()
         assert (out / "sqrt.csv").exists()
+

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.optimize import linprog
 
 from saddleslide import (
@@ -23,6 +25,7 @@ from saddleslide import (
     make_matrix_game,
     make_stochastic_oracle,
     NetworkModel,
+    ParameterError,
     operator_bound_L0,
     random_l1_saddle,
     random_matrix_game,
@@ -226,7 +229,7 @@ class TestCertification:
 
     def test_zero_oracle_certifies_at_zero_constants(self):
         box = Box(-np.ones(3), np.ones(3))
-        report = certify_inexact_oracle(lambda z: np.zeros(3), box, M=0.0,
+        report = certify_inexact_oracle(lambda z: np.zeros_like(z), box, M=0.0,
                                         delta=0.0, triples=100, seed=0)
         assert report.worst_slack == pytest.approx(0.0, abs=1e-15)
 
@@ -242,6 +245,37 @@ class TestCertification:
         z1, z2, z3 = exc_info.value.witness
         lhs = float((jumpy(z1) - jumpy(z2)) @ (z1 - z3))
         assert lhs > 0.0
+
+    @settings(max_examples=25, deadline=None)
+    @given(m=st.integers(1, 5), d_x=st.integers(1, 5), d_y=st.integers(1, 5),
+           triples=st.integers(1, 400), seed=st.integers(0, 2 ** 16))
+    def test_batched_certificate_equals_row_by_row_reference(
+            self, m, d_x, d_y, triples, seed):
+        # the certificate calls H once per batch; the loop below is the
+        # per-point reference it must reproduce bit for bit
+        spp = random_l1_saddle(m, d_x, d_y, seed=seed)
+        fset = spp.stacked_set()
+        eps = 0.1  # the bounded-operator constants, which certify by theory
+        M, delta = spp.operator_bound ** 2 / (2 * eps), 2 * eps
+        rng_ref = np.random.default_rng(seed)
+        Z1, Z2, Z3 = (fset.sample(rng_ref, triples) for _ in range(3))
+        H1 = np.array([spp.H(z) for z in Z1])
+        H2 = np.array([spp.H(z) for z in Z2])
+        d12, d13 = Z1 - Z2, Z1 - Z3
+        lhs = np.einsum("ij,ij->i", H1 - H2, d13)
+        rhs = (0.5 * M * np.einsum("ij,ij->i", d12, d12)
+               + 0.5 * M * np.einsum("ij,ij->i", d13, d13) + delta)
+        slack = rhs - lhs
+        report = certify_inexact_oracle(spp.H, fset, M=M, delta=delta,
+                                        triples=triples, seed=seed)
+        assert report.worst_slack == float(slack.min())
+        assert report.mean_slack == float(slack.mean())
+
+    def test_oracle_that_cannot_take_a_batch_is_rejected(self):
+        box = Box(-np.ones(3), np.ones(3))
+        with pytest.raises(ParameterError):
+            certify_inexact_oracle(lambda z: np.zeros(3), box, M=0.0,
+                                   delta=0.0, triples=10, seed=0)
 
     def test_rejects_bad_parameters(self):
         box = Box(np.zeros(2), np.ones(2))

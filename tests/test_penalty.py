@@ -1,7 +1,11 @@
 """Tests for the consensus penalty: coefficients, penalized VI, reductions."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from saddleslide import (
     MATCHING_PENNIES,
@@ -13,9 +17,12 @@ from saddleslide import (
     build_penalized_vi,
     build_topology,
     deterministic_schedule,
+    make_l1_saddle,
     make_matrix_game,
     mps_run,
     penalty_coefficients,
+    random_l1_saddle,
+    random_matrix_game,
     sample_operator_bound,
 )
 
@@ -206,3 +213,92 @@ class TestStackedSPP:
         worst = max(float(np.linalg.norm(spp.H(p))) for p in pts)
         assert bound == pytest.approx(worst)
         assert sample_operator_bound(spp, 200, seed=5) == pytest.approx(1.1 * worst)
+
+
+# Leading shapes of a batch of points: one point, a row of points, a grid.
+lead_shapes = st.one_of(st.just(()), st.tuples(st.integers(1, 6)),
+                        st.tuples(st.integers(1, 3), st.integers(1, 3)))
+dims = st.integers(1, 5)
+
+
+def batch_of_points(spp, lead, seed):
+    pts = spp.stacked_set().sample(np.random.default_rng(seed), math.prod(lead))
+    return pts.reshape(*lead, spp.dim)
+
+
+def per_point_H(spp, Z):
+    """Reference: spp.H called once per point of the batch."""
+    rows = Z.reshape(-1, Z.shape[-1])
+    return np.array([spp.H(z) for z in rows]).reshape(Z.shape)
+
+
+def per_node_H(spp, z):
+    """Reference: the per-node oracles ``locals``, stacked."""
+    X, Y = spp.split(z)
+    pairs = [loc.h(X[i], Y[i]) for i, loc in enumerate(spp.locals)]
+    return np.concatenate([np.concatenate([hx for hx, _ in pairs]),
+                           np.concatenate([hy for _, hy in pairs])])
+
+
+class TestRowWiseH:
+    @settings(max_examples=60, deadline=None)
+    @given(m=dims, p=dims, d_x=dims, d_y=dims, lead=lead_shapes,
+           seed=st.integers(0, 2 ** 16))
+    def test_l1_batch_rows_equal_single_point_calls_bitwise(
+            self, m, p, d_x, d_y, lead, seed):
+        # dense p x d_x sensing matrices, unlike the diagonal random family
+        g = np.random.default_rng(seed)
+        spp = make_l1_saddle(list(g.uniform(-1.5, 1.5, (m, p, d_x))),
+                             list(g.uniform(-1.0, 1.0, (m, p))),
+                             list(g.uniform(-0.5, 0.5, (m, d_y, d_x))), 1.0)
+        Z = batch_of_points(spp, lead, seed + 1)
+        out = spp.H(Z)
+        assert out.shape == Z.shape
+        assert np.array_equal(out, per_point_H(spp, Z))
+
+    @settings(max_examples=60, deadline=None)
+    @given(m=dims, d_x=dims, d_y=dims, lead=lead_shapes,
+           seed=st.integers(0, 2 ** 16))
+    def test_matrix_game_batch_rows_match_single_point_calls(
+            self, m, d_x, d_y, lead, seed):
+        # a batch runs the dense operator as one matrix product and a point
+        # as a matvec, which may round differently
+        spp = random_matrix_game(m, d_x, d_y, seed=seed)
+        Z = batch_of_points(spp, lead, seed + 1)
+        out = spp.H(Z)
+        assert out.shape == Z.shape
+        assert np.allclose(out, per_point_H(spp, Z), rtol=0.0, atol=1e-12)
+
+    @settings(max_examples=30, deadline=None)
+    @given(m=dims, d_x=dims, d_y=dims, seed=st.integers(0, 2 ** 16))
+    def test_l1_H_matches_per_node_oracles(self, m, d_x, d_y, seed):
+        # the l1 counterpart of test_linear_H_fast_path_matches_per_node_oracles
+        spp = random_l1_saddle(m, d_x, d_y, seed=seed)
+        z = batch_of_points(spp, (), seed + 1)
+        assert np.allclose(spp.H(z), per_node_H(spp, z), rtol=0.0, atol=1e-12)
+
+    @settings(max_examples=30, deadline=None)
+    @given(m=dims, d_x=dims, d_y=dims, lead=lead_shapes,
+           seed=st.integers(0, 2 ** 16))
+    def test_batched_value_rows_match_single_point_calls(self, m, d_x, d_y, lead, seed):
+        # the three-operand einsum may sum a batch in another order than a
+        # point; no output depends on batched values, so a tolerance suffices
+        for spp in (random_l1_saddle(m, d_x, d_y, seed=seed),
+                    random_matrix_game(m, d_x, d_y, seed=seed)):
+            Z = batch_of_points(spp, lead, seed + 1)
+            rows = Z.reshape(-1, spp.dim)
+            ref = np.array([spp.batched_value(*spp.split(z)) for z in rows])
+            out = spp.batched_value(*spp.split(Z))
+            assert out.shape == (*lead, spp.m)
+            assert np.allclose(out, ref.reshape(out.shape), rtol=1e-12, atol=1e-12)
+
+    @settings(max_examples=30, deadline=None)
+    @given(m=dims, d_x=dims, d_y=dims, samples=st.integers(1, 300),
+           seed=st.integers(0, 2 ** 16),
+           inflate=st.sampled_from([1.0, 1.1, 1.7]))
+    def test_sample_operator_bound_equals_row_by_row_max_bitwise(
+            self, m, d_x, d_y, samples, seed, inflate):
+        spp = random_l1_saddle(m, d_x, d_y, seed=seed)
+        pts = spp.stacked_set().sample(np.random.default_rng(seed), samples)
+        worst = max(float(np.linalg.norm(spp.H(row))) for row in pts)
+        assert sample_operator_bound(spp, samples, seed, inflate) == inflate * worst

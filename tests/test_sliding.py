@@ -107,6 +107,14 @@ class TestDeterministicSchedule:
         with pytest.raises(ConfigurationError):
             s.validate()
 
+    def test_validate_accepts_huge_inner_step_weights(self):
+        # eta_k^t - eta_k^{t-1} = beta_k by construction, but at M / L ~ 4.5e6
+        # the weights reach ~1e8, where rounding alone exceeds an absolute
+        # 1e-9; the schedule is valid and must pass
+        sched = deterministic_schedule(7.3, 3.3e7, 40)
+        sched.validate()
+        assert sched.T[-1] == 180821918
+
     def test_validate_agrees_with_per_k_reference(self):
         # validate checks every condition as one array expression; the
         # per-k loop below is the reference it must agree with
@@ -122,14 +130,11 @@ class TestDeterministicSchedule:
                 if abs(s.Gamma[k - 1] - expected) > 1e-12 * max(1.0, abs(expected)):
                     return False
             for k in range(1, n + 1):
-                tk, bk, e1 = int(s.T[k - 1]), s.beta[k - 1], s.eta(k, 1)
+                bk, e1 = s.beta[k - 1], s.eta(k, 1)
                 if not (e1 > 0 and np.isfinite(e1)):
                     return False
                 if s.M > bk + e1 + 1e-9 * max(1.0, s.M):
                     return False
-                for t in (2, tk):
-                    if t >= 2 and s.eta(k, t) > bk + s.eta(k, t - 1) + 1e-9:
-                        return False
             for k in range(2, n + 1):
                 tkm = int(s.T[k - 2])
                 lhs = s.gamma[k - 1] / s.Gamma[k - 1] \
