@@ -32,17 +32,8 @@ from .errors import (
 )
 from .geometry import SQUARED_EUCLIDEAN, Box, FeasibleSet, Simplex
 from .network import NetworkModel
-from .penalty import StackedSPP, sample_operator_bound
+from .penalty import StackedSPP, _einsum, sample_operator_bound
 from .sliding import VIProblem
-
-try:
-    # np.einsum without optimize forwards its arguments to this C function
-    # unchanged; calling it directly skips about 1 us of Python dispatch per
-    # call, which over its three calls is a sixth of a single-point l1 H.
-    # Older numpy keeps the public function.
-    from numpy._core.multiarray import c_einsum as _einsum
-except ImportError:
-    _einsum = np.einsum
 
 MATCHING_PENNIES = np.array([[1.0, -1.0], [-1.0, 1.0]])
 
@@ -71,8 +62,9 @@ def make_matrix_game(A_list, m: int) -> StackedSPP:
     Subgradient and operator bounds are exact: over the simplices,
     sup ||A^T y|| is the largest row norm and sup ||A x|| the largest column
     norm, both attained at vertices; H is linear with Lipschitz constant
-    max_i sigma_max(A_i) and the dense stacked matrix is retained so the
-    solver evaluates H as a single matvec.
+    max_i sigma_max(A_i). H is stored row-sparse (see ``StackedSPP``): the
+    x rows of node i hold the columns of A_i against y_i, the y rows the
+    negated rows of A_i against x_i, so k = max(d_x, d_y) entries per row.
     """
     if m < 1 or len(A_list) != m:
         raise DimensionError(f"need exactly m = {m} payoff matrices, got {len(A_list)}")
@@ -87,17 +79,18 @@ def make_matrix_game(A_list, m: int) -> StackedSPP:
     maxrow_sq = (A3 ** 2).sum(axis=2).max(axis=1)   # sup ||A_i^T y||^2 over simplex
     maxcol_sq = (A3 ** 2).sum(axis=1).max(axis=1)   # sup ||A_i x||^2 over simplex
 
-    dim = m * (d_x + d_y)
-    B_op = np.zeros((dim, dim))
-    for i in range(m):
-        xs = slice(i * d_x, (i + 1) * d_x)
-        ys = slice(m * d_x + i * d_y, m * d_x + (i + 1) * d_y)
-        B_op[xs, ys] = A3[i].T
-        B_op[ys, xs] = -A3[i]
-
-    def batched_H(X: np.ndarray, Y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        return (np.einsum("nji,...nj->...ni", A3, Y),
-                -np.einsum("nij,...nj->...ni", A3, X))
+    cut = m * d_x
+    dim = cut + m * d_y
+    nodes = np.arange(m)[:, None, None]
+    vals = np.zeros((dim, max(d_x, d_y)))
+    cols = np.zeros(vals.shape, dtype=np.intp)
+    # x row (i, a): sum_j A_i[j, a] y_i[j]; y row (i, b): -sum_a A_i[b, a] x_i[a]
+    vals[:cut, :d_y] = A3.transpose(0, 2, 1).reshape(cut, d_y)
+    cols[:cut, :d_y] = np.broadcast_to(cut + d_y * nodes + np.arange(d_y),
+                                       (m, d_x, d_y)).reshape(cut, d_y)
+    vals[cut:, :d_x] = -A3.reshape(m * d_y, d_x)
+    cols[cut:, :d_x] = np.broadcast_to(d_x * nodes + np.arange(d_x),
+                                       (m, d_y, d_x)).reshape(m * d_y, d_x)
 
     def batched_value(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
         return np.einsum("...nj,nji,...ni->...n", Y, A3, X)
@@ -109,13 +102,13 @@ def make_matrix_game(A_list, m: int) -> StackedSPP:
         set_x=Simplex(d_x),
         set_y=Simplex(d_y),
         dgf=SQUARED_EUCLIDEAN,
-        batched_H=batched_H,
         batched_value=batched_value,
-        linear_H=B_op,
+        linear_H=vals,
+        linear_H_cols=cols,
         subgrad_bound_x=math.sqrt(float(maxrow_sq.sum())),
         subgrad_bound_y=math.sqrt(float(maxcol_sq.sum())),
         operator_bound=math.sqrt(float(maxrow_sq.sum() + maxcol_sq.sum())),
-        operator_lipschitz=float(max(np.linalg.norm(A, 2) for A in mats)),
+        operator_lipschitz=float(np.linalg.norm(A3, 2, axis=(1, 2)).max()),
         meta={"family": "matrix_game", "A": A3, "A_bar": A3.mean(axis=0)},
     )
 

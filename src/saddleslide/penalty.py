@@ -31,6 +31,15 @@ from .geometry import SQUARED_EUCLIDEAN, FeasibleSet, GeometrySpec, ProductSet
 from .network import NetworkModel
 from .sliding import VIProblem
 
+try:
+    # np.einsum without optimize forwards its arguments to this C function
+    # unchanged; calling it directly skips about 1 us of Python dispatch per
+    # call, which matters for H on small problems called tens of thousands
+    # of times per solve. Older numpy keeps the public function.
+    from numpy._core.multiarray import c_einsum as _einsum
+except ImportError:
+    _einsum = np.einsum
+
 
 @dataclass
 class StackedSPP:
@@ -40,16 +49,24 @@ class StackedSPP:
     ``h(x, y)`` returning the pair (subgradient of f_i in x, subgradient of
     -f_i in y), which are the two blocks of the monotone operator H. They are
     the per-node reference; the solver evaluates the stacked operator through
-    ``batched_H`` / ``batched_value``, which take (X, Y) with node rows on the
-    last two axes, any leading axes being independent points.
-    ``set_x`` / ``set_y`` are the per-node feasible sets, shared by all nodes.
+    ``batched_H`` or ``linear_H`` (exactly one is set) and the objective
+    through ``batched_value``. ``batched_H`` / ``batched_value`` take (X, Y)
+    with node rows on the last two axes, any leading axes being independent
+    points. ``set_x`` / ``set_y`` are the per-node feasible sets, shared by
+    all nodes.
 
-    ``linear_H``, when set, is the dense matrix of the stacked operator for
-    families where H is linear (bilinear saddles), letting the hot loop
-    evaluate H as one matvec. ``operator_bound`` is a uniform bound on
-    ||H(z)|| over the stacked set when known analytically, and
-    ``operator_lipschitz`` the exact Lipschitz constant of H when H is smooth
-    (bilinear instances); all default to None.
+    ``linear_H`` / ``linear_H_cols`` store a linear H (bilinear saddles)
+    row-sparse, k entries per row (ELL form): both have shape (dim, k), and
+    row r of H(z) is sum_j linear_H[r, j] * z[linear_H_cols[r, j]]. Each
+    row lists its entries in ascending column order, short rows padded with
+    column 0 and value 0.0. Node i's operator depends only on node i's
+    block, so k is a per-node size and an H call costs O(dim k), never
+    O(dim^2). The benchmark in ``perfbench/`` reports ``linear_H.nbytes``
+    (the value array only) as ``penalty.linear_H_bytes``.
+
+    ``operator_bound`` is a uniform bound on ||H(z)|| over the stacked set
+    when known analytically, and ``operator_lipschitz`` the exact Lipschitz
+    constant of H when H is smooth (bilinear instances); all default to None.
     """
 
     locals: list
@@ -57,10 +74,11 @@ class StackedSPP:
     d_y: int
     set_x: FeasibleSet
     set_y: FeasibleSet
-    batched_H: Callable[[np.ndarray, np.ndarray], tuple]
     batched_value: Callable[[np.ndarray, np.ndarray], np.ndarray]
+    batched_H: Optional[Callable[[np.ndarray, np.ndarray], tuple]] = None
     dgf: str = SQUARED_EUCLIDEAN
     linear_H: Optional[np.ndarray] = None
+    linear_H_cols: Optional[np.ndarray] = None
     subgrad_bound_x: Optional[float] = None
     subgrad_bound_y: Optional[float] = None
     operator_bound: Optional[float] = None
@@ -72,6 +90,17 @@ class StackedSPP:
             raise ParameterError("StackedSPP needs at least one local oracle")
         if self.set_x.dim != self.d_x or self.set_y.dim != self.d_y:
             raise DimensionError("per-node set dimensions must match d_x / d_y")
+        if (self.batched_H is None) == (self.linear_H is None):
+            raise ParameterError("StackedSPP needs exactly one of batched_H "
+                                 "and linear_H")
+        if self.linear_H is not None:
+            vals, cols = self.linear_H, self.linear_H_cols
+            if vals.ndim != 2 or vals.shape[0] != self.dim:
+                raise DimensionError("linear_H must have shape (dim, k)")
+            if cols is None or cols.shape != vals.shape:
+                raise DimensionError("linear_H_cols must have the shape of linear_H")
+            if not (0 <= cols.min() and cols.max() < self.dim):
+                raise DimensionError("linear_H_cols must index into [0, dim)")
 
     @property
     def m(self) -> int:
@@ -99,14 +128,12 @@ class StackedSPP:
 
         Acts row-wise along the last axis: ``z`` is one point of shape
         (dim,) or a batch of shape (..., dim), and the result has the shape
-        of ``z``. Rows of a batch are evaluated independently; for families
-        without ``linear_H`` each row is bitwise equal to the single-point
-        call on it.
+        of ``z``. Rows of a batch are evaluated independently, and each row
+        is bitwise equal to the single-point call on it.
         """
         if self.linear_H is not None:
-            if z.ndim == 1:
-                return self.linear_H @ z
-            return (self.linear_H @ z.reshape(-1, z.shape[-1]).T).T.reshape(z.shape)
+            return _einsum("rk,...rk->...r", self.linear_H,
+                           z.take(self.linear_H_cols, axis=-1))
         return self.join(*self.batched_H(*self.split(z)))
 
     def value(self, z: np.ndarray) -> float:

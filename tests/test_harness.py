@@ -242,6 +242,37 @@ def test_l1_outputs_match_pinned_bytes(tmp_path):
     assert hashlib.sha256(data).hexdigest() == trace_sha
 
 
+# Golden outputs of a deterministic random-game ring run (m = 6, d_x = 3,
+# d_y = 2, N = 12). Unlike pennies, the uniform entries round in every
+# product. Scaling H by 1 + 4e-15 changes these bytes; a one-ulp change
+# of single entries of H (another summation order) is lost in the prox
+# step, which divides H by a step weight of the order of L.
+PINNED_GAME = (
+    ["saddleslide-summary 1", "family matrix_game_random", "mode deterministic",
+     "m 6", "epsilon 0.05", "N 12", "L 1391.6414879355605",
+     "M 153.49165147772248", "delta 0.1", "L0 3.917801060259728",
+     "sigma 0.0", "omega_sq 3.5", "R_alpha_sq 8.697759299597255",
+     "R_beta_sq 6.651405848175011", "final_gap 0.2309915372616363",
+     "consensus_x 0.002471593148195186", "consensus_y 0.0010709060796341167",
+     "communication_rounds 12", "grad_G_calls 12", "H_calls_per_node 30",
+     "predicted_gap_bound 203.04771699060254", "predicted_rounds 12",
+     "predicted_H_calls 41.206082053536385",
+     "predicted_consensus_x 0.06781508387190653",
+     "predicted_consensus_y 0.07754847676954861", "wall_time_s 0.0"],
+    "cd8953feb5d10cd68f20c33c60be74be22870beb652d6ed3c1269f4d3b3fd466",
+)
+
+
+def test_game_outputs_match_pinned_bytes(tmp_path):
+    lines, trace_sha = PINNED_GAME
+    rep = run_experiment(small_config(family="matrix_game_random", m=6, d_x=3,
+                                      d_y=2, N_override=12))
+    assert rep.summary_lines() == lines
+    emit_outputs(rep, rep.trace, tmp_path)
+    data = (tmp_path / "trace.csv").read_bytes()
+    assert hashlib.sha256(data).hexdigest() == trace_sha
+
+
 class TestCLI:
     def _write_config(self, tmp_path, **overrides):
         cfg = small_config(**overrides)

@@ -122,6 +122,14 @@ class TestMatrixGames:
         per_node = sum(loc.value(X[i], Y[i]) for i, loc in enumerate(spp.locals))
         assert spp.value(z) == pytest.approx(per_node, rel=1e-12)
 
+    @settings(max_examples=40, deadline=None)
+    @given(m=st.integers(1, 6), d_x=st.integers(1, 5), d_y=st.integers(1, 5),
+           seed=st.integers(0, 2 ** 16))
+    def test_operator_lipschitz_is_per_matrix_max_bitwise(self, m, d_x, d_y, seed):
+        spp = random_matrix_game(m, d_x, d_y, seed=seed)
+        ref = float(max(np.linalg.norm(A, 2) for A in spp.meta["A"]))
+        assert spp.operator_lipschitz == ref
+
 
 class TestL1Saddle:
     def _small(self, seed=3):

@@ -1,6 +1,7 @@
 """Tests for the consensus penalty: coefficients, penalized VI, reductions."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from saddleslide import (
     MATCHING_PENNIES,
     ConfigurationError,
     DegenerateNetworkError,
+    DimensionError,
     NetworkModel,
     ParameterError,
     PenaltyCoefficients,
@@ -187,17 +189,55 @@ class TestStackedSPP:
         assert X.shape == (4, 2) and Y.shape == (4, 2)
         assert np.array_equal(spp.join(X, Y), z)
 
-    def test_linear_H_fast_path_matches_per_node_oracles(self):
-        spp = pennies_stack(3)
-        assert spp.linear_H is not None
-        for _ in range(5):
-            z = spp.stacked_set().sample(rng, 1)[0]
-            fast = spp.H(z)
-            X, Y = spp.split(z)
-            slow = np.concatenate(
-                [np.concatenate([loc.h(X[i], Y[i])[0] for i, loc in enumerate(spp.locals)]),
-                 np.concatenate([loc.h(X[i], Y[i])[1] for i, loc in enumerate(spp.locals)])])
-            assert np.allclose(fast, slow, atol=1e-12)
+    @settings(max_examples=30, deadline=None)
+    @given(m=st.integers(1, 5), d_x=st.integers(1, 5), d_y=st.integers(1, 5),
+           seed=st.integers(0, 2 ** 16))
+    def test_linear_H_fast_path_matches_per_node_oracles(self, m, d_x, d_y, seed):
+        for spp in (pennies_stack(m), random_matrix_game(m, d_x, d_y, seed=seed)):
+            assert spp.linear_H is not None and spp.batched_H is None
+            for z in spp.stacked_set().sample(np.random.default_rng(seed), 5):
+                assert np.allclose(spp.H(z), per_node_H(spp, z), rtol=0.0, atol=1e-12)
+
+    def test_game_operator_is_row_sparse(self):
+        # k = max(d_x, d_y) entries per row: a dim x dim operator cannot
+        # come back unnoticed
+        for m, d_x, d_y in ((1, 2, 2), (3, 1, 4), (64, 3, 2)):
+            spp = random_matrix_game(m, d_x, d_y, seed=m)
+            assert spp.linear_H.shape == (spp.dim, max(d_x, d_y))
+            assert spp.linear_H_cols.shape == (spp.dim, max(d_x, d_y))
+            assert spp.linear_H_cols.dtype == np.intp
+
+    def test_neither_H_path_rejected(self):
+        with pytest.raises(ParameterError):
+            replace(random_l1_saddle(2, 2, 2, seed=0), batched_H=None)
+
+    def test_both_H_paths_rejected(self):
+        l1 = random_l1_saddle(2, 2, 2, seed=0)
+        with pytest.raises(ParameterError):
+            replace(pennies_stack(2), batched_H=l1.batched_H)
+
+    def test_linear_H_without_dim_rows_rejected(self):
+        game = pennies_stack(2)
+        with pytest.raises(DimensionError):
+            replace(game, linear_H=game.linear_H[:-1],
+                    linear_H_cols=game.linear_H_cols[:-1])
+
+    def test_linear_H_without_columns_rejected(self):
+        with pytest.raises(DimensionError):
+            replace(pennies_stack(2), linear_H_cols=None)
+
+    def test_linear_H_columns_of_another_shape_rejected(self):
+        game = pennies_stack(2)
+        with pytest.raises(DimensionError):
+            replace(game, linear_H_cols=game.linear_H_cols[:, :1])
+
+    @pytest.mark.parametrize("bad", [-1, 8])
+    def test_linear_H_columns_outside_dim_rejected(self, bad):
+        game = pennies_stack(2)
+        cols = game.linear_H_cols.copy()
+        cols[3, 1] = bad
+        with pytest.raises(DimensionError):
+            replace(game, linear_H_cols=cols)
 
     def test_center_is_feasible_consensus(self):
         spp = pennies_stack(3)
@@ -240,6 +280,19 @@ def per_node_H(spp, z):
                            np.concatenate([hy for _, hy in pairs])])
 
 
+def dense_game_operator(A3):
+    """Reference: the dim x dim matrix of a stacked game's H, block by block."""
+    m, d_y, d_x = A3.shape
+    dim = m * (d_x + d_y)
+    B_op = np.zeros((dim, dim))
+    for i in range(m):
+        xs = slice(i * d_x, (i + 1) * d_x)
+        ys = slice(m * d_x + i * d_y, m * d_x + (i + 1) * d_y)
+        B_op[xs, ys] = A3[i].T
+        B_op[ys, xs] = -A3[i]
+    return B_op
+
+
 class TestRowWiseH:
     @settings(max_examples=60, deadline=None)
     @given(m=dims, p=dims, d_x=dims, d_y=dims, lead=lead_shapes,
@@ -261,13 +314,22 @@ class TestRowWiseH:
            seed=st.integers(0, 2 ** 16))
     def test_matrix_game_batch_rows_match_single_point_calls(
             self, m, d_x, d_y, lead, seed):
-        # a batch runs the dense operator as one matrix product and a point
-        # as a matvec, which may round differently
+        # the row-sparse einsum sums the k entries of each row in the same
+        # inner loop for a batch as for a point, so rows are bitwise equal
         spp = random_matrix_game(m, d_x, d_y, seed=seed)
         Z = batch_of_points(spp, lead, seed + 1)
         out = spp.H(Z)
         assert out.shape == Z.shape
-        assert np.allclose(out, per_point_H(spp, Z), rtol=0.0, atol=1e-12)
+        assert np.array_equal(out, per_point_H(spp, Z))
+
+    @settings(max_examples=60, deadline=None)
+    @given(m=dims, d_x=dims, d_y=dims, lead=lead_shapes,
+           seed=st.integers(0, 2 ** 16))
+    def test_matrix_game_H_matches_dense_operator(self, m, d_x, d_y, lead, seed):
+        spp = random_matrix_game(m, d_x, d_y, seed=seed)
+        Z = batch_of_points(spp, lead, seed + 1)
+        ref = Z @ dense_game_operator(spp.meta["A"]).T
+        assert np.allclose(spp.H(Z), ref, rtol=0.0, atol=1e-12)
 
     @settings(max_examples=30, deadline=None)
     @given(m=dims, d_x=dims, d_y=dims, seed=st.integers(0, 2 ** 16))
