@@ -162,6 +162,33 @@ def _project_simplex_rows(V: np.ndarray) -> np.ndarray:
     return np.maximum(V - theta[:, None], 0.0)
 
 
+def _project_three_columns(x0, x1, x2, o0, o1, o2) -> None:
+    # _project_simplex_rows for d = 3, one array per coordinate: rows
+    # (x0[i], x1[i], x2[i]) are projected into (o0[i], o1[i], o2[i]).
+    # A 3-comparator network sorts each row in descending order (an exact
+    # permutation), and the cumulative sums, divisions and comparisons run
+    # in the reference's order, so the result is bitwise the same.
+    hi = np.maximum(x0, x1)
+    lo = np.minimum(x0, x1)
+    u1 = np.maximum(hi, x2)
+    np.minimum(hi, x2, out=hi)
+    u2 = np.maximum(lo, hi)
+    u3 = np.minimum(lo, hi, out=lo)
+    # q_k = (u_1 + ... + u_k - 1) / k; theta = q_k for the last k with u_k > q_k
+    c = np.add(u1, u2)
+    theta = np.subtract(u1, 1.0, out=u1)
+    q = np.subtract(c, 1.0)
+    np.divide(q, 2.0, out=q)
+    np.copyto(theta, q, where=u2 > q)
+    np.add(c, u3, out=c)
+    np.subtract(c, 1.0, out=c)
+    np.divide(c, 3.0, out=c)
+    np.copyto(theta, c, where=u3 > c)
+    for x, o in ((x0, o0), (x1, o1), (x2, o2)):
+        np.subtract(x, theta, out=o)
+        np.maximum(o, 0.0, out=o)
+
+
 class Simplex(FeasibleSet):
     """Probability simplex {p >= 0, sum(p) = 1} in the given dimension."""
 
@@ -272,6 +299,13 @@ class ProductSet(FeasibleSet):
         return self._project_vec(_as_vector(p, self.dim))
 
     def _project_vec(self, v: np.ndarray) -> np.ndarray:
+        """Project flat ``v`` group by group, bitwise equal to
+        ``_project_simplex_rows`` on every simplex group.
+
+        Groups of 2- and 3-simplices run on the strided column views of the
+        group (one array per coordinate, one entry per block); groups of
+        1-simplices and of d >= 4 call ``_project_simplex_rows``.
+        """
         out = np.empty_like(v)
         for g in self._groups:
             if g[0] == "simplex":
@@ -286,6 +320,9 @@ class ProductSet(FeasibleSet):
                     np.maximum(t, 0.0, out=t)
                     np.minimum(t, 1.0, out=t)
                     np.subtract(1.0, t, out=out[a + 1:b:2])
+                elif d == 3:
+                    _project_three_columns(v[a:b:3], v[a + 1:b:3], v[a + 2:b:3],
+                                           out[a:b:3], out[a + 1:b:3], out[a + 2:b:3])
                 else:
                     out[a:b] = _project_simplex_rows(v[a:b].reshape(nb, d)).ravel()
             elif g[0] == "box":

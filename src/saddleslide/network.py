@@ -72,13 +72,17 @@ class NetworkModel:
     _edge_j: np.ndarray = field(repr=False, default=None)
     _edge_w: np.ndarray = field(repr=False, default=None)
     _degree: np.ndarray = field(repr=False, default=None)
+    # block width -> (flat destination indices, flat source indices, weights)
+    # of the per-edge exchanges, built by the first block_product of that width
+    _flat_exchanges: dict = field(init=False, repr=False, compare=False,
+                                  default_factory=dict)
 
     @staticmethod
     def from_matrix(W_tilde: np.ndarray, edges: Optional[list] = None) -> "NetworkModel":
         Wt = np.asarray(W_tilde, dtype=float)
-        m = Wt.shape[0]
-        if Wt.ndim != 2 or Wt.shape != (m, m):
+        if Wt.ndim != 2 or Wt.shape[0] != Wt.shape[1]:
             raise DimensionError("gossip matrix must be square")
+        m = Wt.shape[0]
         if m > 512:
             raise ParameterError("dense network storage is limited to m <= 512")
         scale = max(1.0, float(np.max(np.abs(Wt))))
@@ -117,12 +121,39 @@ class NetworkModel:
         return NetworkModel.from_matrix(np.zeros((1, 1)), edges=[])
 
     def block_product(self, V: np.ndarray) -> np.ndarray:
-        """W_tilde applied to an (m, block_dim) matrix via per-edge exchanges."""
+        """W_tilde applied to an (m, block_dim) matrix via per-edge exchanges.
+
+        Row i starts as ``degree[i] * V[i]``. Then every edge (i, j), in
+        ``edges`` order, subtracts ``w_ij * V[j]`` from row i, and after that
+        pass every edge subtracts ``w_ij * V[i]`` from row j. All of it runs as
+        one flat ``np.subtract.at`` on ``out.reshape(-1)``, which applies the
+        subtractions to each entry in that order, so the result is bitwise
+        fixed by the edge order. The flat index and weight arrays are built on
+        the first call for a block width and cached on the model.
+        Raises DimensionError unless V is 2-D with m rows.
+        """
+        V = np.asarray(V)
+        if V.ndim != 2 or V.shape[0] != self.m:
+            raise DimensionError(
+                f"block_product needs an (m, block_dim) matrix with m = {self.m}, "
+                f"got shape {V.shape}")
         out = self._degree[:, None] * V
         if self._edge_i.size:
-            np.subtract.at(out, self._edge_i, self._edge_w[:, None] * V[self._edge_j])
-            np.subtract.at(out, self._edge_j, self._edge_w[:, None] * V[self._edge_i])
+            dst, src, w = self._flat_exchange(V.shape[1])
+            np.subtract.at(out.reshape(-1), dst, w * V.reshape(-1).take(src))
         return out
+
+    def _flat_exchange(self, bd: int):
+        cached = self._flat_exchanges.get(bd)
+        if cached is None:
+            cols = np.arange(bd, dtype=np.intp)
+            dst = np.concatenate((self._edge_i, self._edge_j))
+            src = np.concatenate((self._edge_j, self._edge_i))
+            cached = ((dst[:, None] * bd + cols).ravel(),
+                      (src[:, None] * bd + cols).ravel(),
+                      np.repeat(np.concatenate((self._edge_w, self._edge_w)), bd))
+            self._flat_exchanges[bd] = cached
+        return cached
 
 
 def _topology_edges(kind: str, m: int, p: Optional[float],

@@ -176,6 +176,7 @@ def test_criterion_4_end_to_end_decentralized():
           f"({elapsed:.1f}s)")
 
 
+@pytest.mark.slow
 def test_criterion_5_stochastic_markov_bound(tmp_path):
     """40 noisy seeds at target p * eps; failure fraction <= p + slack;
     sigma = 0 bitwise reproduces the deterministic trace."""

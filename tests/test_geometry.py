@@ -177,6 +177,57 @@ def test_two_simplex_fast_path_in_mixed_product():
     assert s.contains(out)
 
 
+# rows for the d = 3 column-wise path: free rows at magnitudes 1e-8 to 1e8,
+# rows made of a few repeated values (ties, signed zeros), rows already on the
+# simplex, and rows whose projection is a vertex
+_TIE_VALUES = [0.0, -0.0, 1.0 / 3.0, 0.5, 1.0, -1.0, 2.0, 1e-8, -1e8]
+_free_rows = st.tuples(st.lists(st.floats(-1.0, 1.0), min_size=3, max_size=3),
+                       st.integers(-8, 8)).map(
+    lambda t: [x * 10.0 ** t[1] for x in t[0]])
+_tie_rows = st.lists(st.sampled_from(_TIE_VALUES), min_size=3, max_size=3)
+_simplex_rows = st.one_of(
+    st.permutations([1.0, 0.0, 0.0]),
+    st.permutations([0.5, 0.5, 0.0]),
+    st.permutations([0.25, 0.25, 0.5]),
+    st.permutations([1.0, -0.0, 0.0]),
+    st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)).map(
+        lambda t: [t[0] * t[1], t[0] * (1.0 - t[1]), 1.0 - t[0]]))
+_vertex_rows = st.tuples(st.floats(-1e3, 1e3), st.floats(1.0, 1e3),
+                         st.floats(1.0, 1e3)).flatmap(
+    lambda t: st.permutations([t[0], t[0] - t[1], t[0] - t[2]]))
+three_rows = st.one_of(_free_rows, _tie_rows, _simplex_rows, _vertex_rows)
+
+
+def assert_same_bits(a, b):
+    # signed zeros count: compare the bit patterns, not the values
+    assert np.array_equal(np.asarray(a).view(np.int64), np.asarray(b).view(np.int64))
+
+
+@given(st.lists(three_rows, min_size=1, max_size=64))
+@settings(max_examples=200, deadline=None)
+def test_three_simplex_column_path_is_bitwise_reference(rows):
+    V = np.array(rows, dtype=float).reshape(-1, 3)
+    s = ProductSet([Simplex(3)] * len(V))
+    assert s._groups[0][3:] == (3, len(V))
+    assert_same_bits(s.project(V.ravel()), _project_simplex_rows(V).ravel())
+
+
+@given(st.lists(three_rows, min_size=3, max_size=3), st.lists(st.floats(-5, 5),
+                                                             min_size=6, max_size=6))
+@settings(max_examples=100, deadline=None)
+def test_three_simplex_column_path_in_mixed_product(rows, rest):
+    box = Box([-1.0, 0.0], [1.0, 2.0])
+    s = ProductSet([Simplex(3), Simplex(2), box, Simplex(3), Simplex(3), Simplex(2)])
+    V = np.array(rows, dtype=float)
+    p = np.concatenate([V[0], rest[:2], rest[2:4], V[1], V[2], rest[4:]])
+    out = s.project(p)
+    assert_same_bits(out[0:3], _project_simplex_rows(V[:1])[0])
+    assert_same_bits(out[3:5], _project_simplex_rows(p[None, 3:5])[0])
+    assert_same_bits(out[5:7], box.project(p[5:7]))
+    assert_same_bits(out[7:13], _project_simplex_rows(V[1:]).ravel())
+    assert_same_bits(out[13:], _project_simplex_rows(p[None, 13:])[0])
+
+
 @given(st.lists(st.floats(-50, 50), min_size=2, max_size=8))
 @settings(max_examples=150, deadline=None)
 def test_projection_idempotent_and_feasible(vals):

@@ -32,6 +32,27 @@ def sorted_eigs(net):
     return np.sort(np.linalg.eigvalsh(net.W_tilde))
 
 
+def topology(kind, m):
+    if kind == "single":
+        return NetworkModel.single_node()
+    return build_topology(kind, m, p=0.4 if kind == "erdos_renyi" else None, seed=3)
+
+
+def two_pass_block_product(net, V):
+    # the per-edge exchange as two 2-D np.subtract.at passes, first into the
+    # edge_i rows and then into the edge_j rows
+    out = net._degree[:, None] * V
+    if net._edge_i.size:
+        np.subtract.at(out, net._edge_i, net._edge_w[:, None] * V[net._edge_j])
+        np.subtract.at(out, net._edge_j, net._edge_w[:, None] * V[net._edge_i])
+    return out
+
+
+def assert_same_bits(a, b):
+    assert a.shape == b.shape
+    assert np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
 class TestSpectra:
     @pytest.mark.parametrize("m", [2, 3, 5, 8])
     def test_complete_graph_closed_form(self, m):
@@ -106,6 +127,28 @@ class TestCommunication:
         net = build_topology(kind, m)
         V = rng.normal(size=(m, 3))
         assert np.max(np.abs(net.block_product(V) - net.W_tilde @ V)) <= 1e-12
+
+    @pytest.mark.parametrize("kind,m", [("ring", 2), ("ring", 7), ("path", 5),
+                                        ("star", 6), ("complete", 5),
+                                        ("erdos_renyi", 9), ("single", 1)])
+    @pytest.mark.parametrize("width", [1, 2, 3, 4, 5, 6])
+    def test_flat_exchange_is_bitwise_two_pass_product(self, kind, m, width):
+        net = topology(kind, m)
+        V = rng.normal(size=(m, width)) * 10.0 ** rng.uniform(-8, 8, size=(m, width))
+        assert_same_bits(net.block_product(V), two_pass_block_product(net, V))
+
+    def test_exchange_cache_is_keyed_by_width(self):
+        net = build_topology("erdos_renyi", 8, p=0.5, seed=4)
+        for width in [3, 1, 6, 3, 2, 1, 6]:
+            V = rng.normal(size=(8, width))
+            assert_same_bits(net.block_product(V), two_pass_block_product(net, V))
+        assert sorted(net._flat_exchanges) == [1, 2, 3, 6]
+
+    @pytest.mark.parametrize("shape", [(4,), (3, 2), (5, 2), (4, 2, 2)])
+    def test_block_product_rejects_other_shapes(self, shape):
+        net = build_topology("ring", 4)
+        with pytest.raises(DimensionError):
+            net.block_product(np.ones(shape))
 
     def test_round_counter_and_flattening(self):
         net = build_topology("ring", 4)
@@ -202,6 +245,10 @@ class TestTopologyBuilding:
             NetworkModel.from_matrix(shifted)
         with pytest.raises(DomainError):
             NetworkModel.from_matrix(np.array([[-1.0, 1.0], [1.0, -1.0]]))
+        with pytest.raises(DimensionError):
+            NetworkModel.from_matrix(np.array(1.0))
+        with pytest.raises(DimensionError):
+            NetworkModel.from_matrix(np.zeros((2, 3)))
 
     def test_complete_graph_edge_count(self):
         net = build_topology("complete", 6)
