@@ -381,11 +381,6 @@ class GeometrySpec:
         return self.feasible_set.dim
 
 
-def project(feasible_set: FeasibleSet, p) -> np.ndarray:
-    """Euclidean projection of ``p`` onto the set."""
-    return feasible_set.project(p)
-
-
 def _entropy_divergence(a: np.ndarray, b: np.ndarray) -> float:
     if np.any(b <= 0.0):
         raise DomainError("entropy divergence needs a strictly interior anchor")

@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 import os
 import time
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
 import numpy as np
@@ -52,6 +52,43 @@ NOISE_KINDS = ("uniform", "gaussian")
 SCHEMA_VERSION = 1
 
 
+# The config file schema, one row per key: (RunConfig field, section, key).
+# to_dict and from_dict both follow it; a key absent from a file takes the
+# field's default.
+_SCHEMA = (
+    ("family", "problem", "family"),
+    ("d_x", "problem", "d_x"),
+    ("d_y", "problem", "d_y"),
+    ("instance_seed", "problem", "seed"),
+    ("box_radius", "problem", "box_radius"),
+    ("network_kind", "network", "kind"),
+    ("m", "network", "m"),
+    ("network_p", "network", "p"),
+    ("network_seed", "network", "seed"),
+    ("epsilon", "run", "epsilon"),
+    ("mode", "run", "mode"),
+    ("sigma", "run", "sigma"),
+    ("noise_kind", "run", "noise_kind"),
+    ("p_confidence", "run", "p_confidence"),
+    ("N_override", "run", "N_override"),
+    ("seed", "run", "seed"),
+    ("out_dir", "run", "out_dir"),
+)
+_SECTION_KEYS = {section: {key: fld for fld, sec, key in _SCHEMA if sec == section}
+                 for section in ("problem", "network", "run")}
+_KEY_NAMES = {fld: f"{section}.{key}" for fld, section, key in _SCHEMA}
+
+
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _is_real(v) -> bool:
+    """A finite real number; YAML's true and false are not numbers."""
+    return (isinstance(v, (int, float, np.integer, np.floating))
+            and not isinstance(v, bool) and bool(np.isfinite(v)))
+
+
 @dataclass
 class RunConfig:
     """One experiment: problem family + network + accuracy target + mode."""
@@ -77,106 +114,83 @@ class RunConfig:
 
     def validate(self) -> None:
         def bad(fld: str, why: str):
-            return ConfigurationError(f"config field {fld!r} {why}")
+            return ConfigurationError(
+                f"config field {_KEY_NAMES.get(fld, fld)!r} {why}")
 
-        if self.schema_version != SCHEMA_VERSION:
+        if not (_is_int(self.schema_version) and self.schema_version == SCHEMA_VERSION):
             raise bad("schema_version", f"must be {SCHEMA_VERSION}")
         if self.family not in FAMILIES:
-            raise bad("problem.family", f"must be one of {FAMILIES}")
-        if not (isinstance(self.d_x, int) and self.d_x >= 1
-                and isinstance(self.d_y, int) and self.d_y >= 1):
-            raise bad("problem.d_x/d_y", "must be integers >= 1")
-        if self.family == "matching_pennies" and (self.d_x, self.d_y) != (2, 2):
-            raise bad("problem.d_x/d_y", "must both be 2 for matching_pennies")
-        if not (np.isfinite(self.box_radius) and self.box_radius > 0):
-            raise bad("problem.box_radius", "must be positive")
-        if not (isinstance(self.m, int) and self.m >= 1):
-            raise bad("network.m", "must be an integer >= 1")
+            raise bad("family", f"must be one of {FAMILIES}")
+        for fld in ("d_x", "d_y"):
+            dim = getattr(self, fld)
+            if not (_is_int(dim) and dim >= 1):
+                raise bad(fld, "must be an integer >= 1")
+            if self.family == "matching_pennies" and dim != 2:
+                raise bad(fld, "must be 2 for matching_pennies")
+        if not (_is_int(self.instance_seed) and self.instance_seed >= 0):
+            raise bad("instance_seed", "must be an integer >= 0")
+        if not (_is_real(self.box_radius) and self.box_radius > 0):
+            raise bad("box_radius", "must be a positive real")
+        if not (_is_int(self.m) and self.m >= 1):
+            raise bad("m", "must be an integer >= 1")
         if self.m == 1:
             if self.network_kind != "single":
-                raise bad("network.kind", "must be 'single' when m = 1")
+                raise bad("network_kind", "must be 'single' when m = 1")
         elif self.network_kind not in TOPOLOGY_KINDS:
-            raise bad("network.kind", f"must be one of {TOPOLOGY_KINDS} when m >= 2")
-        if not (np.isfinite(self.epsilon) and self.epsilon > 0):
-            raise bad("run.epsilon", "must be positive")
+            raise bad("network_kind", f"must be one of {TOPOLOGY_KINDS} when m >= 2")
+        if not (self.network_p is None or _is_real(self.network_p)):
+            raise bad("network_p", "must be a real or null")
+        if not (self.network_seed is None
+                or (_is_int(self.network_seed) and self.network_seed >= 0)):
+            raise bad("network_seed", "must be an integer >= 0 or null")
+        if not (_is_real(self.epsilon) and self.epsilon > 0):
+            raise bad("epsilon", "must be a positive real")
         if self.mode not in ("deterministic", "stochastic"):
-            raise bad("run.mode", "must be 'deterministic' or 'stochastic'")
-        if not (np.isfinite(self.sigma) and self.sigma >= 0):
-            raise bad("run.sigma", "must be a nonnegative real")
+            raise bad("mode", "must be 'deterministic' or 'stochastic'")
+        if not (_is_real(self.sigma) and self.sigma >= 0):
+            raise bad("sigma", "must be a nonnegative real")
         if self.mode == "deterministic" and self.sigma != 0.0:
-            raise bad("run.sigma", "must be 0 in deterministic mode")
+            raise bad("sigma", "must be 0 in deterministic mode")
         if self.noise_kind not in NOISE_KINDS:
-            raise bad("run.noise_kind", f"must be one of {NOISE_KINDS}")
+            raise bad("noise_kind", f"must be one of {NOISE_KINDS}")
+        if not _is_real(self.p_confidence):
+            raise bad("p_confidence", "must be a real")
         if self.mode == "stochastic" and not (0.0 < self.p_confidence < 1.0):
-            raise bad("run.p_confidence", "must lie in (0, 1) in stochastic mode")
+            raise bad("p_confidence", "must lie in (0, 1) in stochastic mode")
         if self.N_override is not None and not (
-                isinstance(self.N_override, int) and self.N_override >= 1):
-            raise bad("run.N_override", "must be an integer >= 1 or null")
-        if not isinstance(self.seed, int):
-            raise bad("run.seed", "must be an integer")
+                _is_int(self.N_override) and self.N_override >= 1):
+            raise bad("N_override", "must be an integer >= 1 or null")
+        if not (_is_int(self.seed) and self.seed >= 0):
+            raise bad("seed", "must be an integer >= 0")
+        if not (self.out_dir is None or isinstance(self.out_dir, (str, os.PathLike))):
+            raise bad("out_dir", "must be a path or null")
 
     def to_dict(self) -> dict:
-        return {
-            "schema_version": self.schema_version,
-            "problem": {
-                "family": self.family,
-                "d_x": self.d_x,
-                "d_y": self.d_y,
-                "seed": self.instance_seed,
-                "box_radius": self.box_radius,
-            },
-            "network": {
-                "kind": self.network_kind,
-                "m": self.m,
-                "p": self.network_p,
-                "seed": self.network_seed,
-            },
-            "run": {
-                "epsilon": self.epsilon,
-                "mode": self.mode,
-                "sigma": self.sigma,
-                "noise_kind": self.noise_kind,
-                "p_confidence": self.p_confidence,
-                "N_override": self.N_override,
-                "seed": self.seed,
-                "out_dir": self.out_dir,
-            },
-        }
+        data = {"schema_version": self.schema_version}
+        for fld, section, key in _SCHEMA:
+            data.setdefault(section, {})[key] = getattr(self, fld)
+        return data
 
     @staticmethod
     def from_dict(data: dict) -> "RunConfig":
         if not isinstance(data, dict):
             raise ConfigurationError("config root must be a mapping")
-        known = {"schema_version", "problem", "network", "run"}
-        extra = set(data) - known
+        extra = set(data) - {"schema_version", *_SECTION_KEYS}
         if extra:
             raise ConfigurationError(f"config has unknown top-level keys {sorted(extra)}")
-        prob = data.get("problem") or {}
-        net = data.get("network") or {}
-        run = data.get("run") or {}
-        for name, blk in (("problem", prob), ("network", net), ("run", run)):
+        kwargs = {}
+        if "schema_version" in data:
+            kwargs["schema_version"] = data["schema_version"]
+        for section, keys in _SECTION_KEYS.items():
+            blk = data.get(section) or {}
             if not isinstance(blk, dict):
-                raise ConfigurationError(f"config section {name!r} must be a mapping")
-        cfg = RunConfig(
-            schema_version=data.get("schema_version", SCHEMA_VERSION),
-            family=prob.get("family", "matching_pennies"),
-            d_x=prob.get("d_x", 2),
-            d_y=prob.get("d_y", 2),
-            instance_seed=prob.get("seed", 0),
-            box_radius=prob.get("box_radius", 1.0),
-            network_kind=net.get("kind", "single"),
-            m=net.get("m", 1),
-            network_p=net.get("p"),
-            network_seed=net.get("seed"),
-            epsilon=run.get("epsilon", 0.05),
-            mode=run.get("mode", "deterministic"),
-            sigma=run.get("sigma", 0.0),
-            noise_kind=run.get("noise_kind", "uniform"),
-            p_confidence=run.get("p_confidence", 0.25),
-            N_override=run.get("N_override"),
-            seed=run.get("seed", 0),
-            out_dir=run.get("out_dir"),
-        )
+                raise ConfigurationError(f"config section {section!r} must be a mapping")
+            extra = set(blk) - set(keys)
+            if extra:
+                raise ConfigurationError(
+                    f"config section {section!r} has unknown keys {sorted(extra)}")
+            kwargs.update((keys[k], v) for k, v in blk.items())
+        cfg = RunConfig(**kwargs)
         cfg.validate()
         return cfg
 

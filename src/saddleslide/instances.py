@@ -547,111 +547,3 @@ def accelerated_projected_gradient(grad: Callable[[np.ndarray], np.ndarray],
                           f"within {max_iter} iterations")
     return (x, path) if return_path else x
 
-
-# -- instance files -------------------------------------------------------------
-
-def _write_matrix(fh, label: str, A: np.ndarray) -> None:
-    fh.write(f"matrix {label} {A.shape[0]} {A.shape[1]}\n")
-    for row in A:
-        fh.write(" ".join(repr(float(v)) for v in row) + "\n")
-
-
-def _write_vector(fh, label: str, v: np.ndarray) -> None:
-    fh.write(f"vector {label} {v.shape[0]}\n")
-    fh.write(" ".join(repr(float(x)) for x in v) + "\n")
-
-
-def save_instance(spp: StackedSPP, path) -> None:
-    """Write the instance as structured text (dimensions header, matrices
-    row-major). The format round-trips exactly: write -> read -> write yields
-    identical bytes."""
-    family = spp.meta.get("family")
-    with open(path, "w") as fh:
-        fh.write("saddleslide-instance 1\n")
-        fh.write(f"family {family}\n")
-        fh.write(f"m {spp.m}\nd_x {spp.d_x}\nd_y {spp.d_y}\n")
-        if family == "matrix_game":
-            for i in range(spp.m):
-                _write_matrix(fh, f"A[{i}]", spp.meta["A"][i])
-        elif family == "l1_saddle":
-            fh.write(f"p {spp.meta['B'].shape[1]}\n")
-            fh.write(f"box_radius {repr(float(spp.meta['box_radius']))}\n")
-            for i in range(spp.m):
-                _write_matrix(fh, f"B[{i}]", spp.meta["B"][i])
-                _write_vector(fh, f"c[{i}]", spp.meta["c"][i])
-                _write_matrix(fh, f"C[{i}]", spp.meta["C"][i])
-        else:
-            raise ParameterError(f"cannot serialize instance family {family!r}")
-
-
-class _LineReader:
-    def __init__(self, text: str):
-        self.lines = [ln.rstrip("\n") for ln in text.splitlines()]
-        self.pos = 0
-
-    def next(self) -> str:
-        if self.pos >= len(self.lines):
-            raise ConfigurationError("instance file ended early")
-        line = self.lines[self.pos]
-        self.pos += 1
-        return line
-
-    def expect_kv(self, key: str) -> str:
-        parts = self.next().split()
-        if len(parts) != 2 or parts[0] != key:
-            raise ConfigurationError(f"instance file: expected '{key} <value>'")
-        return parts[1]
-
-
-def _read_matrix(rd: _LineReader, label: str) -> np.ndarray:
-    parts = rd.next().split()
-    if len(parts) != 4 or parts[0] != "matrix" or parts[1] != label:
-        raise ConfigurationError(f"instance file: expected matrix {label}")
-    rows, cols = int(parts[2]), int(parts[3])
-    data = [[float(v) for v in rd.next().split()] for _ in range(rows)]
-    A = np.array(data, dtype=float)
-    if A.shape != (rows, cols):
-        raise ConfigurationError(f"matrix {label} has inconsistent shape")
-    return A
-
-
-def _read_vector(rd: _LineReader, label: str) -> np.ndarray:
-    parts = rd.next().split()
-    if len(parts) != 3 or parts[0] != "vector" or parts[1] != label:
-        raise ConfigurationError(f"instance file: expected vector {label}")
-    n = int(parts[2])
-    v = np.array([float(x) for x in rd.next().split()], dtype=float)
-    if v.shape != (n,):
-        raise ConfigurationError(f"vector {label} has inconsistent length")
-    return v
-
-
-def load_instance(path) -> StackedSPP:
-    """Read an instance file written by :func:`save_instance`."""
-    with open(path) as fh:
-        rd = _LineReader(fh.read())
-    header = rd.next().split()
-    if header[:1] != ["saddleslide-instance"]:
-        raise ConfigurationError(f"{path} is not an instance file")
-    family = rd.expect_kv("family")
-    m = int(rd.expect_kv("m"))
-    d_x = int(rd.expect_kv("d_x"))
-    d_y = int(rd.expect_kv("d_y"))
-    if family == "matrix_game":
-        A_list = [_read_matrix(rd, f"A[{i}]") for i in range(m)]
-        for A in A_list:
-            if A.shape != (d_y, d_x):
-                raise ConfigurationError("payoff matrix shape mismatch in file")
-        return make_matrix_game(A_list, m)
-    if family == "l1_saddle":
-        p = int(rd.expect_kv("p"))
-        r = float(rd.expect_kv("box_radius"))
-        B_list, c_list, C_list = [], [], []
-        for i in range(m):
-            B_list.append(_read_matrix(rd, f"B[{i}]"))
-            c_list.append(_read_vector(rd, f"c[{i}]"))
-            C_list.append(_read_matrix(rd, f"C[{i}]"))
-            if B_list[-1].shape != (p, d_x) or C_list[-1].shape != (d_y, d_x):
-                raise ConfigurationError("l1 matrix shape mismatch in file")
-        return make_l1_saddle(B_list, c_list, C_list, r)
-    raise ConfigurationError(f"unknown instance family {family!r} in {path}")

@@ -1,4 +1,4 @@
-"""Gossip topologies, Laplacian spectra and communication accounting.
+"""Gossip topologies and Laplacian spectra.
 
 A network holds the gossip matrix W_tilde (a graph Laplacian for the shipped
 topologies: symmetric PSD, kernel containing the all-ones consensus
@@ -17,10 +17,8 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
-import yaml
 
 from .errors import (
-    ConfigurationError,
     DegenerateNetworkError,
     DimensionError,
     DomainError,
@@ -217,21 +215,6 @@ def build_topology(kind: str, m: int, p: Optional[float] = None,
     return NetworkModel.from_matrix(Wt, edges=edges)
 
 
-def communication_round(net: NetworkModel, stacked, counter) -> np.ndarray:
-    """One synchronous gossip round: blockwise W_tilde product on a stacked
-    vector of dimension m * block_dim; increments
-    ``counter.communication_rounds`` by exactly 1.
-    """
-    v = np.asarray(stacked, dtype=float).ravel()
-    if v.size % net.m != 0:
-        raise DimensionError(
-            f"stacked dimension {v.size} is not a multiple of m = {net.m}")
-    bd = v.size // net.m
-    out = net.block_product(v.reshape(net.m, bd)).ravel()
-    counter.communication_rounds += 1
-    return out
-
-
 def consensus_violation(net: NetworkModel, stacked) -> float:
     """||W . stacked||_2 with the square-root matrix W applied blockwise."""
     v = np.asarray(stacked, dtype=float).ravel()
@@ -242,25 +225,7 @@ def consensus_violation(net: NetworkModel, stacked) -> float:
     return float(np.linalg.norm(net.W @ V))
 
 
-# -- description files and matrix export --------------------------------------
-
-def save_network_spec(path, kind: str, m: int, p: Optional[float] = None,
-                      seed: Optional[int] = None) -> None:
-    """Write the {kind, m, p, seed} description file."""
-    with open(path, "w") as fh:
-        yaml.safe_dump({"kind": kind, "m": int(m), "p": p, "seed": seed},
-                       fh, sort_keys=True)
-
-
-def load_network_spec(path) -> NetworkModel:
-    """Build the network a description file describes."""
-    with open(path) as fh:
-        data = yaml.safe_load(fh)
-    if not isinstance(data, dict) or "kind" not in data or "m" not in data:
-        raise ConfigurationError(f"network file {path} must define kind and m")
-    return build_topology(data["kind"], int(data["m"]),
-                          p=data.get("p"), seed=data.get("seed"))
-
+# -- matrix export ------------------------------------------------------------
 
 def export_matrix_csv(net: NetworkModel, which: str, path) -> None:
     """Dump W_tilde ("laplacian") or W ("sqrt") as dense CSV for external checks."""

@@ -265,34 +265,7 @@ def build_penalized_vi(spp: StackedSPP, net_x: NetworkModel,
             return 0.0
 
         rounds = 0
-    elif shared:
-        def grad_G(z: np.ndarray) -> np.ndarray:
-            V = np.empty((m, dx + dy))
-            V[:, :dx] = z[:cut].reshape(m, dx)
-            V[:, dx:] = z[cut:].reshape(m, dy)
-            P = net_x.block_product(V)
-            out = np.empty_like(z)
-            out[:cut] = (cx * P[:, :dx]).ravel()
-            out[cut:] = (cy * P[:, dx:]).ravel()
-            return out
-
-        def value_G(z: np.ndarray) -> float:
-            X = z[:cut].reshape(m, dx)
-            Y = z[cut:].reshape(m, dy)
-            qx = float(np.sum(X * net_x.block_product(X)))
-            qy = float(np.sum(Y * net_y.block_product(Y)))
-            return 0.5 * (cx * qx + cy * qy)
-
-        rounds = 1
     else:
-        def grad_G(z: np.ndarray) -> np.ndarray:
-            X = z[:cut].reshape(m, dx)
-            Y = z[cut:].reshape(m, dy)
-            out = np.empty_like(z)
-            out[:cut] = (cx * net_x.block_product(X)).ravel()
-            out[cut:] = (cy * net_y.block_product(Y)).ravel()
-            return out
-
         def value_G(z: np.ndarray) -> float:
             X = z[:cut].reshape(m, dx)
             Y = z[cut:].reshape(m, dy)
@@ -300,7 +273,28 @@ def build_penalized_vi(spp: StackedSPP, net_x: NetworkModel,
             qy = float(np.sum(Y * net_y.block_product(Y)))
             return 0.5 * (cx * qx + cy * qy)
 
-        rounds = 2
+        if shared:
+            def grad_G(z: np.ndarray) -> np.ndarray:
+                V = np.empty((m, dx + dy))
+                V[:, :dx] = z[:cut].reshape(m, dx)
+                V[:, dx:] = z[cut:].reshape(m, dy)
+                P = net_x.block_product(V)
+                out = np.empty_like(z)
+                out[:cut] = (cx * P[:, :dx]).ravel()
+                out[cut:] = (cy * P[:, dx:]).ravel()
+                return out
+
+            rounds = 1
+        else:
+            def grad_G(z: np.ndarray) -> np.ndarray:
+                X = z[:cut].reshape(m, dx)
+                Y = z[cut:].reshape(m, dy)
+                out = np.empty_like(z)
+                out[:cut] = (cx * net_x.block_product(X)).ravel()
+                out[cut:] = (cy * net_y.block_product(Y)).ravel()
+                return out
+
+            rounds = 2
 
     return VIProblem(
         set_geometry=spp.stacked_geometry(),

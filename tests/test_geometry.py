@@ -18,7 +18,6 @@ from saddleslide import (
     Simplex,
     bregman_divergence,
     omega_sq_bound,
-    project,
     prox_two_anchor,
 )
 from saddleslide.geometry import _project_simplex_rows
@@ -101,7 +100,7 @@ def test_euclidean_divergence_strong_convexity_lower_bound():
 # -- projection ---------------------------------------------------------------
 
 def test_simplex_projection_frozen_example():
-    np.testing.assert_allclose(project(Simplex(2), [0.3, 0.3]), [0.5, 0.5], atol=1e-12)
+    np.testing.assert_allclose(Simplex(2).project([0.3, 0.3]), [0.5, 0.5], atol=1e-12)
 
 
 @pytest.mark.parametrize("d", [2, 3, 7])
@@ -109,7 +108,7 @@ def test_simplex_projection_matches_slsqp_oracle(d):
     s = Simplex(d)
     for _ in range(10):
         p = rng.standard_normal(d) * 2.0
-        ours = project(s, p)
+        ours = s.project(p)
         res = minimize(
             lambda z: 0.5 * np.sum((z - p) ** 2),
             np.full(d, 1.0 / d),
@@ -126,18 +125,18 @@ def test_simplex_projection_matches_slsqp_oracle(d):
 
 def test_box_and_ball_projection():
     b = Box([-1.0, 0.0], [1.0, 2.0])
-    np.testing.assert_allclose(project(b, [3.0, -1.0]), [1.0, 0.0])
+    np.testing.assert_allclose(b.project([3.0, -1.0]), [1.0, 0.0])
     ball = Ball(np.zeros(2), 1.0)
-    np.testing.assert_allclose(project(ball, [3.0, 4.0]), [0.6, 0.8], atol=1e-15)
-    np.testing.assert_allclose(project(ball, [0.1, 0.2]), [0.1, 0.2])
+    np.testing.assert_allclose(ball.project([3.0, 4.0]), [0.6, 0.8], atol=1e-15)
+    np.testing.assert_allclose(ball.project([0.1, 0.2]), [0.1, 0.2])
 
 
 def test_product_projection_is_blockwise():
     s = ProductSet([Simplex(2), Simplex(2), Box(np.zeros(1), np.ones(1))])
     p = np.array([0.3, 0.3, 2.0, -1.0, 5.0])
-    out = project(s, p)
+    out = s.project(p)
     np.testing.assert_allclose(out[:2], [0.5, 0.5], atol=1e-12)
-    np.testing.assert_allclose(out[2:4], project(Simplex(2), [2.0, -1.0]), atol=1e-12)
+    np.testing.assert_allclose(out[2:4], Simplex(2).project([2.0, -1.0]), atol=1e-12)
     assert out[4] == 1.0
 
 
@@ -233,9 +232,9 @@ def test_three_simplex_column_path_in_mixed_product(rows, rest):
 def test_projection_idempotent_and_feasible(vals):
     d = len(vals)
     s = Simplex(d)
-    q = project(s, np.array(vals))
+    q = s.project(np.array(vals))
     assert s.contains(q)
-    np.testing.assert_allclose(project(s, q), q, atol=1e-12)
+    np.testing.assert_allclose(s.project(q), q, atol=1e-12)
 
 
 @given(st.lists(st.floats(-10, 10), min_size=1, max_size=6),
@@ -244,7 +243,7 @@ def test_projection_idempotent_and_feasible(vals):
 def test_ball_projection_never_leaves_ball(vals, r):
     d = len(vals)
     ball = Ball(np.zeros(d), r)
-    q = project(ball, np.array(vals))
+    q = ball.project(np.array(vals))
     assert np.linalg.norm(q) <= r + 1e-9
 
 
@@ -360,4 +359,4 @@ def test_non_finite_points_rejected():
     with pytest.raises(DomainError):
         bregman_divergence(geom, [np.nan, 0.0], [0.0, 0.0])
     with pytest.raises(DomainError):
-        project(geom.feasible_set, [np.inf, 0.0])
+        geom.feasible_set.project([np.inf, 0.0])

@@ -53,12 +53,36 @@ class TestRunConfig:
         (dict(mode="stochastic", sigma=0.1, p_confidence=1.5), "run.p_confidence"),
         (dict(N_override=0), "run.N_override"),
         (dict(family="matching_pennies", d_x=3), "problem.d_x"),
+        (dict(epsilon="0.1"), "run.epsilon"),
+        (dict(sigma=None), "run.sigma"),
+        (dict(box_radius="2"), "problem.box_radius"),
+        (dict(m=True), "network.m"),
+        (dict(epsilon=True), "run.epsilon"),
+        (dict(instance_seed="abc"), "problem.seed"),
+        (dict(network_seed="x"), "network.seed"),
+        (dict(network_kind="erdos_renyi", network_p="0.5"), "network.p"),
+        (dict(instance_seed=-1), "problem.seed"),
+        (dict(N_override=True), "run.N_override"),
+        (dict(mode="stochastic", sigma=0.1, p_confidence="0.3"), "run.p_confidence"),
+        (dict(out_dir=5), "run.out_dir"),
     ])
     def test_validation_names_the_failing_field(self, overrides, needle):
         cfg = small_config(**overrides)
         with pytest.raises(ConfigurationError) as exc_info:
             cfg.validate()
         assert needle in str(exc_info.value)
+
+    @pytest.mark.parametrize("section", ["problem", "network", "run"])
+    def test_unknown_key_in_a_section_is_rejected(self, section):
+        with pytest.raises(ConfigurationError) as exc_info:
+            RunConfig.from_yaml(f"{section}:\n  N_overide: 3\n")
+        assert section in str(exc_info.value)
+        assert "N_overide" in str(exc_info.value)
+
+    def test_missing_keys_take_field_defaults(self):
+        assert RunConfig.from_yaml("{}") == RunConfig()
+        assert RunConfig.from_yaml("network:\n  kind: ring\n  m: 4\n") == \
+            RunConfig(network_kind="ring", m=4)
 
     def test_missing_file_and_bad_yaml(self, tmp_path):
         with pytest.raises(ConfigurationError):
@@ -307,6 +331,18 @@ class TestCLI:
         bad.write_text("run:\n  epsilon: -3\n")
         assert cli.main(["run", "--config", str(bad)]) == 2
         assert "configuration error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text,needle", [
+        ("run:\n  epsilon: '0.1'\n", "run.epsilon"),
+        ("run:\n  sigma: null\n", "run.sigma"),
+        ("problem:\n  box_radius: '2'\n", "problem.box_radius"),
+        ("run:\n  N_overide: 3\n", "N_overide"),
+    ], ids=["epsilon-string", "sigma-null", "box-radius-string", "unknown-key"])
+    def test_wrong_typed_or_unknown_key_exits_two(self, tmp_path, capsys, text, needle):
+        path = tmp_path / "cfg.yaml"
+        path.write_text(text)
+        assert cli.main(["run", "--config", str(path)]) == 2
+        assert needle in capsys.readouterr().err
 
     def test_certify_exit_codes(self, tmp_path, capsys, monkeypatch):
         path = self._write_config(tmp_path)

@@ -10,7 +10,6 @@ from saddleslide import (
     MATCHING_PENNIES,
     Box,
     CertificationError,
-    ConfigurationError,
     DomainError,
     PenaltyCoefficients,
     accelerated_projected_gradient,
@@ -19,7 +18,6 @@ from saddleslide import (
     certify_inexact_oracle,
     exact_gap_matrix_game,
     l1_saddle_gap,
-    load_instance,
     make_consensus_qp,
     make_l1_saddle,
     make_matrix_game,
@@ -29,7 +27,6 @@ from saddleslide import (
     operator_bound_L0,
     random_l1_saddle,
     random_matrix_game,
-    save_instance,
     sample_operator_bound,
     sup_gap_skew_linear,
 )
@@ -383,40 +380,6 @@ class TestConsensusQP:
             accelerated_projected_gradient(lambda x: 0.01 * x, lambda x: x,
                                            np.ones(2) * 100, 1.0, 0.01,
                                            tol=1e-300, max_iter=5)
-
-
-class TestInstanceFiles:
-    def test_matrix_game_roundtrip_bytes(self, tmp_path):
-        spp = random_matrix_game(3, 2, 4, seed=12)
-        p1 = tmp_path / "game.txt"
-        p2 = tmp_path / "game2.txt"
-        save_instance(spp, p1)
-        loaded = load_instance(p1)
-        save_instance(loaded, p2)
-        assert p1.read_bytes() == p2.read_bytes()
-        assert np.array_equal(loaded.meta["A"], spp.meta["A"])
-
-    def test_l1_roundtrip_bytes(self, tmp_path):
-        spp = random_l1_saddle(2, 3, 2, seed=4, box_radius=1.5)
-        p1 = tmp_path / "l1.txt"
-        p2 = tmp_path / "l1b.txt"
-        save_instance(spp, p1)
-        loaded = load_instance(p1)
-        save_instance(loaded, p2)
-        assert p1.read_bytes() == p2.read_bytes()
-        assert np.array_equal(loaded.meta["B"], spp.meta["B"])
-        z = spp.stacked_set().sample(rng, 1)[0]
-        assert np.allclose(loaded.H(z), spp.H(z))
-
-    def test_malformed_file_rejected(self, tmp_path):
-        bad = tmp_path / "bad.txt"
-        bad.write_text("saddleslide-instance 1\nfamily unknown_family\n")
-        with pytest.raises(ConfigurationError):
-            load_instance(bad)
-        bad2 = tmp_path / "bad2.txt"
-        bad2.write_text("not an instance file\n")
-        with pytest.raises(ConfigurationError):
-            load_instance(bad2)
 
 
 class TestStochasticOracleModels:

@@ -1,4 +1,4 @@
-"""Tests for network topologies, spectra and communication accounting."""
+"""Tests for network topologies, spectra and gossip products."""
 
 import numpy as np
 import pytest
@@ -12,20 +12,12 @@ from saddleslide import (
     NetworkModel,
     ParameterError,
     build_topology,
-    communication_round,
     consensus_violation,
     export_matrix_csv,
-    load_network_spec,
     matrix_sqrt_psd,
-    save_network_spec,
 )
 
 rng = np.random.default_rng(1207)
-
-
-class Counter:
-    def __init__(self):
-        self.communication_rounds = 0
 
 
 def sorted_eigs(net):
@@ -150,21 +142,6 @@ class TestCommunication:
         with pytest.raises(DimensionError):
             net.block_product(np.ones(shape))
 
-    def test_round_counter_and_flattening(self):
-        net = build_topology("ring", 4)
-        counter = Counter()
-        v = rng.normal(size=4 * 3)
-        out = communication_round(net, v, counter)
-        assert counter.communication_rounds == 1
-        assert np.allclose(out, (net.W_tilde @ v.reshape(4, 3)).ravel())
-        communication_round(net, v, counter)
-        assert counter.communication_rounds == 2
-
-    def test_round_rejects_misaligned_dimension(self):
-        net = build_topology("ring", 4)
-        with pytest.raises(DimensionError):
-            communication_round(net, np.ones(5), Counter())
-
     def test_consensus_vector_is_annihilated(self):
         net = build_topology("complete", 5)
         V = np.tile(rng.normal(size=3), (5, 1))
@@ -257,13 +234,6 @@ class TestTopologyBuilding:
 
 
 class TestNetworkFiles:
-    def test_spec_roundtrip(self, tmp_path):
-        path = tmp_path / "net.yaml"
-        save_network_spec(path, "erdos_renyi", 7, p=0.5, seed=11)
-        net = load_network_spec(path)
-        direct = build_topology("erdos_renyi", 7, p=0.5, seed=11)
-        assert np.array_equal(net.W_tilde, direct.W_tilde)
-
     def test_matrix_export_readback(self, tmp_path):
         net = build_topology("ring", 4)
         lap = tmp_path / "lap.csv"
