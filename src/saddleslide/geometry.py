@@ -1,10 +1,9 @@
 """Feasible sets, Bregman geometry and the two-anchor prox mapping.
 
 Points are dense float64 vectors; block structure lives in the feasible set.
-Supported set kinds are boxes, euclidean balls, probability simplexes and
-finite products of those. A geometry pairs a set with a distance generating
-function: squared euclidean distance (any set) or negative entropy (simplex
-blocks only).
+Supported set kinds are boxes, probability simplexes and finite products of
+those. A geometry pairs a set with a distance generating function: squared
+euclidean distance (any set) or negative entropy (simplex blocks only).
 
 The divergence convention is ``bregman_divergence(geom, a, b)`` = divergence
 of ``a`` relative to the anchor ``b``; for entropy that is KL(a || b). The
@@ -14,7 +13,7 @@ anchor)``, which is the quantity the two-anchor prox penalizes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -103,45 +102,6 @@ class Box(FeasibleSet):
         return rng.uniform(self.lower, self.upper, size=(n, self.dim))
 
 
-class Ball(FeasibleSet):
-    """Euclidean ball {p : ||p - center|| <= radius}."""
-
-    kind = "ball"
-
-    def __init__(self, center, radius: float):
-        self._center = np.asarray(center, dtype=float).ravel()
-        if not np.all(np.isfinite(self._center)):
-            raise DomainError("ball center must be finite")
-        if not (np.isfinite(radius) and radius > 0):
-            raise ParameterError("ball radius must be positive")
-        self.radius = float(radius)
-        self.dim = self._center.shape[0]
-
-    def contains(self, p, tol: float = TAU_FEAS) -> bool:
-        v = _as_vector(p, self.dim)
-        return bool(np.linalg.norm(v - self._center) <= self.radius + tol)
-
-    def project(self, p) -> np.ndarray:
-        v = _as_vector(p, self.dim)
-        d = v - self._center
-        n = np.linalg.norm(d)
-        if n <= self.radius:
-            return v
-        return self._center + d * (self.radius / n)
-
-    def center(self) -> np.ndarray:
-        return self._center.copy()
-
-    def diameter_sq(self) -> float:
-        return (2.0 * self.radius) ** 2
-
-    def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
-        dirs = rng.standard_normal((n, self.dim))
-        dirs /= np.maximum(np.linalg.norm(dirs, axis=1, keepdims=True), 1e-300)
-        radii = self.radius * rng.random(n) ** (1.0 / self.dim)
-        return self._center + radii[:, None] * dirs
-
-
 def _project_simplex_rows(V: np.ndarray) -> np.ndarray:
     # Euclidean projection of every row onto the probability simplex,
     # by the sorted cumulative-sum threshold rule.
@@ -207,6 +167,11 @@ class Simplex(FeasibleSet):
         v = _as_vector(p, self.dim)
         return _project_simplex_rows(v[None, :])[0]
 
+    # Hot-loop entropy prox hook, defined on simplex-only sets: the softmax
+    # of every simplex block of the validated log-weight vector.
+    def _softmax_vec(self, logs: np.ndarray) -> np.ndarray:
+        return _softmax_rows(logs[None, :])[0]
+
     def center(self) -> np.ndarray:
         return np.full(self.dim, 1.0 / self.dim)
 
@@ -222,8 +187,10 @@ class ProductSet(FeasibleSet):
     """Finite product of sets, stored flat with per-factor slices.
 
     Consecutive equal-dimension simplex factors and consecutive box factors
-    are grouped so that projection and membership run as a handful of array
-    operations regardless of the number of factors.
+    are grouped, so that projection, membership and the entropy prox run as
+    a handful of array operations regardless of the number of factors.
+    ``_groups`` holds one tuple per group: ``("simplex", a, b, d, nb)`` for
+    nb d-simplices on ``[a, b)``, ``("box", a, b, lower, upper)`` for boxes.
     """
 
     kind = "product"
@@ -272,8 +239,7 @@ class ProductSet(FeasibleSet):
                 groups.append(("box", start, stop, np.concatenate(lows), np.concatenate(ups)))
                 i = j + 1
             else:
-                groups.append(("one", start, self.slices[i].stop, f, None))
-                i += 1
+                raise ParameterError(f"unsupported set kind {f.kind!r}")
         return groups
 
     def contains(self, p, tol: float = TAU_FEAS) -> bool:
@@ -284,14 +250,10 @@ class ProductSet(FeasibleSet):
                 V = v[a:b].reshape(nb, d)
                 if not (np.all(V >= -tol) and np.all(np.abs(V.sum(axis=1) - 1.0) <= tol)):
                     return False
-            elif g[0] == "box":
+            else:
                 _, a, b, lo, up = g
                 w = v[a:b]
                 if not (np.all(w >= lo - tol) and np.all(w <= up + tol)):
-                    return False
-            else:
-                _, a, b, f, _ = g
-                if not f.contains(v[a:b], tol):
                     return False
         return True
 
@@ -325,12 +287,17 @@ class ProductSet(FeasibleSet):
                                            out[a:b:3], out[a + 1:b:3], out[a + 2:b:3])
                 else:
                     out[a:b] = _project_simplex_rows(v[a:b].reshape(nb, d)).ravel()
-            elif g[0] == "box":
+            else:
                 _, a, b, lo, up = g
                 out[a:b] = np.clip(v[a:b], lo, up)
-            else:
-                _, a, b, f, _ = g
-                out[a:b] = f.project(v[a:b])
+        return out
+
+    def _softmax_vec(self, logs: np.ndarray) -> np.ndarray:
+        """``Simplex._softmax_vec`` with one ``_softmax_rows`` call per group;
+        every group must be a simplex group, which ``GeometrySpec`` checks."""
+        out = np.empty_like(logs)
+        for _, a, b, d, nb in self._groups:
+            out[a:b] = _softmax_rows(logs[a:b].reshape(nb, d)).ravel()
         return out
 
     def center(self) -> np.ndarray:
@@ -359,22 +326,14 @@ class GeometrySpec:
 
     dgf: str
     feasible_set: FeasibleSet
-    _simplex_groups: tuple = field(init=False, repr=False, compare=False, default=())
 
     def __post_init__(self):
         if self.dgf not in (SQUARED_EUCLIDEAN, NEGATIVE_ENTROPY):
             raise ParameterError(f"unknown distance generating function: {self.dgf!r}")
-        if self.dgf == NEGATIVE_ENTROPY:
-            leaves = self.feasible_set.leaves()
-            if not all(isinstance(f, Simplex) for f in leaves):
-                raise ParameterError(
-                    "negative entropy is only valid on simplex or product-of-simplex sets")
-            groups = []
-            off = 0
-            for f in leaves:
-                groups.append((off, off + f.dim))
-                off += f.dim
-            object.__setattr__(self, "_simplex_groups", tuple(groups))
+        if self.dgf == NEGATIVE_ENTROPY and not all(
+                isinstance(f, Simplex) for f in self.feasible_set.leaves()):
+            raise ParameterError(
+                "negative entropy is only valid on simplex or product-of-simplex sets")
 
     @property
     def dim(self) -> int:
@@ -436,11 +395,7 @@ def _prox_kernel(geom: GeometrySpec, g: np.ndarray, outer: np.ndarray,
         v = (outer + eta * anchor_inner - g) / w
         return geom.feasible_set._project_vec(v)
     logs = (outer + eta * np.log(np.maximum(anchor_inner, ENTROPY_CLIP)) - g) / w
-    out = np.empty_like(logs)
-    for a, b in geom._simplex_groups:
-        d = b - a
-        out[a:b] = _softmax_rows(logs[a:b].reshape(1, d)).ravel()
-    return out
+    return geom.feasible_set._softmax_vec(logs)
 
 
 def prox_two_anchor(geom: GeometrySpec, g, anchor_outer, beta: float,
@@ -483,8 +438,6 @@ def _omega_sq_one(dgf: str, f: FeasibleSet, z0: np.ndarray) -> float:
         return float(np.max(np.log(1.0 / z0)))
     if isinstance(f, Box):
         return 0.5 * float(np.sum(np.maximum((z0 - f.lower) ** 2, (f.upper - z0) ** 2)))
-    if isinstance(f, Ball):
-        return 0.5 * (f.radius + float(np.linalg.norm(z0 - f._center))) ** 2
     if isinstance(f, Simplex):
         # farthest vertex: 0.5 * (||z0||^2 + 1 - 2 min_i z0_i)
         return 0.5 * (float(np.dot(z0, z0)) + 1.0 - 2.0 * float(np.min(z0)))
@@ -494,10 +447,9 @@ def _omega_sq_one(dgf: str, f: FeasibleSet, z0: np.ndarray) -> float:
 def omega_sq_bound(geom: GeometrySpec, z0) -> float:
     """Exact value of ``sup_z V(z, z0)`` over the feasible set.
 
-    Squared euclidean evaluates the farthest corner (box), antipodal point
-    (ball) or farthest vertex (simplex); negative entropy on a simplex gives
-    ``max_i log(1 / z0_i)``, which is ``log d`` at the uniform start. Products
-    sum blockwise.
+    Squared euclidean evaluates the farthest corner (box) or farthest vertex
+    (simplex); negative entropy on a simplex gives ``max_i log(1 / z0_i)``,
+    which is ``log d`` at the uniform start. Products sum blockwise.
     """
     v = _as_vector(z0, geom.dim)
     if not geom.feasible_set.contains(v):

@@ -40,9 +40,11 @@ from .penalty import PenaltyCoefficients, StackedSPP, build_penalized_vi, penalt
 from .sliding import (
     RunTrace,
     VIProblem,
+    deterministic_T_raw,
     deterministic_schedule,
     mps_run,
     smps_run,
+    stochastic_T_raw,
     stochastic_schedule,
     trace_to_csv,
 )
@@ -341,9 +343,8 @@ def build_pipeline(config: RunConfig):
             else spp.operator_bound
         bound_y = spp.subgrad_bound_y if spp.subgrad_bound_y is not None \
             else spp.operator_bound
-        coeffs = penalty_coefficients(spp, net, net, config.epsilon,
-                                      bound_x, bound_y)
-    vi = build_penalized_vi(spp, net, net, coeffs, config.epsilon)
+        coeffs = penalty_coefficients(spp, net, config.epsilon, bound_x, bound_y)
+    vi = build_penalized_vi(spp, net, coeffs, config.epsilon)
     return net, spp, coeffs, vi
 
 
@@ -373,13 +374,20 @@ def _gap_oracle(spp: StackedSPP) -> Optional[Callable[[np.ndarray], float]]:
 
 
 def pick_N(L: float, omega_sq: float, target: float) -> int:
-    """Smallest N with 6 L omega_sq / N^2 <= target."""
+    """Smallest N with 6 L omega_sq / N^2 <= target, up to N = 2**26: past
+    that, consecutive N^2 stop being exact floats and the search could step
+    through equal values forever, so a larger N is a configuration error."""
     if not (target > 0):
         raise ConfigurationError("accuracy target must be positive")
-    n = math.isqrt(max(0, math.ceil(6.0 * L * omega_sq / target) - 1)) + 1
-    while 6.0 * L * omega_sq / (n * n) > target:
+    num = 6.0 * L * omega_sq
+    if not num / target <= 2.0 ** 52:   # also rejects inf
+        raise ConfigurationError(
+            f"config field 'run.epsilon' is too small: 6 L omega_sq / target = "
+            f"{num / target!r} needs N > 2**26")
+    n = math.isqrt(max(0, math.ceil(num / target) - 1)) + 1
+    while num / (n * n) > target:
         n += 1
-    while n > 1 and 6.0 * L * omega_sq / ((n - 1) * (n - 1)) <= target:
+    while n > 1 and num / ((n - 1) * (n - 1)) <= target:
         n -= 1
     return n
 
@@ -424,15 +432,13 @@ def run_experiment(config: RunConfig) -> RunReport:
     consensus_x = consensus_violation(net, final[:cut]) if m > 1 else 0.0
     consensus_y = consensus_violation(net, final[cut:]) if m > 1 else 0.0
 
-    ks = np.arange(1, N + 1, dtype=float)
     if stochastic:
-        raw_T = (math.sqrt(3.0) * ks * vi.M / vi.L
-                 + N * ks ** 2 * config.sigma ** 2 / (omega_sq * vi.L ** 2))
+        raw_T = stochastic_T_raw(vi.L, vi.M, config.sigma, omega_sq, N)
         predicted_gap = (6.0 * vi.L * omega_sq / N ** 2
                          + 2.5 * config.sigma ** 2 / vi.M + vi.delta) \
             if vi.M > 0 else math.inf
     else:
-        raw_T = ks * vi.M / vi.L
+        raw_T = deterministic_T_raw(vi.L, vi.M, N)
         predicted_gap = 6.0 * vi.L * omega_sq / N ** 2 + vi.delta
     predicted_H = float(2.0 * np.sum(raw_T + 1.0))
 

@@ -61,10 +61,10 @@ def make_matrix_game(A_list, m: int) -> StackedSPP:
     The average matrix is kept in ``meta["A_bar"]`` for the exact gap oracle.
     Subgradient and operator bounds are exact: over the simplices,
     sup ||A^T y|| is the largest row norm and sup ||A x|| the largest column
-    norm, both attained at vertices; H is linear with Lipschitz constant
-    max_i sigma_max(A_i). H is stored row-sparse (see ``StackedSPP``): the
-    x rows of node i hold the columns of A_i against y_i, the y rows the
-    negated rows of A_i against x_i, so k = max(d_x, d_y) entries per row.
+    norm, both attained at vertices. H is stored row-sparse (see
+    ``StackedSPP``): the x rows of node i hold the columns of A_i against y_i,
+    the y rows the negated rows of A_i against x_i, so k = max(d_x, d_y)
+    entries per row.
     """
     if m < 1 or len(A_list) != m:
         raise DimensionError(f"need exactly m = {m} payoff matrices, got {len(A_list)}")
@@ -108,7 +108,6 @@ def make_matrix_game(A_list, m: int) -> StackedSPP:
         subgrad_bound_x=math.sqrt(float(maxrow_sq.sum())),
         subgrad_bound_y=math.sqrt(float(maxcol_sq.sum())),
         operator_bound=math.sqrt(float(maxrow_sq.sum() + maxcol_sq.sum())),
-        operator_lipschitz=float(np.linalg.norm(A3, 2, axis=(1, 2)).max()),
         meta={"family": "matrix_game", "A": A3, "A_bar": A3.mean(axis=0)},
     )
 

@@ -1,17 +1,18 @@
 """Penalty reformulation of consensus-constrained saddle problems.
 
 The target problem is min over stacked x, max over stacked y of
-F(x, y) = sum_i f_i(x_i, y_i) subject to consensus (W_x x = 0, W_y y = 0).
+F(x, y) = sum_i f_i(x_i, y_i) subject to consensus (W x = 0, W y = 0), with
+one gossip network W for both blocks.
 The constraints are moved into the objective as quadratic penalties
-(R_alpha^2/eps) ||W_x x||^2 on the x side and a matching term on the y side,
+(R_alpha^2/eps) ||W x||^2 on the x side and a matching term on the y side,
 with R^2 = (subgradient bound)^2 / lambda_min_plus.  Any eps-solution of the
 penalized saddle problem is then an O(eps)-solution of the constrained one,
 and its consensus residual ||W x|| is O(eps / R).
 
 Sign note: the saddle objective subtracts the concave y-penalty, but the VI
 operator stacks (grad_x, -grad_y), so the smooth part enters the solver as
-the convex potential G(z) = (R_alpha^2/eps)||W_x x||^2 +
-(R_beta^2/eps)||W_y y||^2 with gradient positive on both blocks.
+the convex potential G(z) = (R_alpha^2/eps)||W x||^2 +
+(R_beta^2/eps)||W y||^2 with gradient positive on both blocks.
 """
 
 from __future__ import annotations
@@ -65,8 +66,7 @@ class StackedSPP:
     (the value array only) as ``penalty.linear_H_bytes``.
 
     ``operator_bound`` is a uniform bound on ||H(z)|| over the stacked set
-    when known analytically, and ``operator_lipschitz`` the exact Lipschitz
-    constant of H when H is smooth (bilinear instances); all default to None.
+    when known analytically; it and the subgradient bounds default to None.
     """
 
     locals: list
@@ -82,7 +82,6 @@ class StackedSPP:
     subgrad_bound_x: Optional[float] = None
     subgrad_bound_y: Optional[float] = None
     operator_bound: Optional[float] = None
-    operator_lipschitz: Optional[float] = None
     meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
@@ -168,11 +167,10 @@ class PenaltyCoefficients:
                 raise ParameterError(f"{name} must be a finite nonnegative real")
 
 
-def penalty_coefficients(spp: StackedSPP, net_x: NetworkModel,
-                         net_y: NetworkModel, epsilon: float,
-                         subgrad_bound_x: float,
-                         subgrad_bound_y: float) -> PenaltyCoefficients:
-    """R_alpha_sq = subgrad_bound_x^2 / lambda_min_plus(W_tilde_x), same in y.
+def penalty_coefficients(spp: StackedSPP, net: NetworkModel, epsilon: float,
+                         bound_x: float, bound_y: float) -> PenaltyCoefficients:
+    """R_alpha_sq = bound_x^2 / lambda_min_plus(W_tilde), R_beta_sq likewise
+    from bound_y.
 
     The bounds must dominate the stacked subgradient norms over the whole
     feasible set; a uniform over-estimate only strengthens the penalty
@@ -181,18 +179,17 @@ def penalty_coefficients(spp: StackedSPP, net_x: NetworkModel,
     """
     if not (np.isfinite(epsilon) and epsilon > 0):
         raise ParameterError("epsilon must be a positive real")
-    for name, v in (("subgrad_bound_x", subgrad_bound_x),
-                    ("subgrad_bound_y", subgrad_bound_y)):
+    for name, v in (("bound_x", bound_x), ("bound_y", bound_y)):
         if not (np.isfinite(v) and v >= 0):
             raise ParameterError(f"{name} must be a finite nonnegative real")
-    if net_x.m != spp.m or net_y.m != spp.m:
-        raise DimensionError("network node counts must match the stacked problem")
-    if net_x.lambda_min_plus is None or net_y.lambda_min_plus is None:
+    if net.m != spp.m:
+        raise DimensionError("network node count must match the stacked problem")
+    if net.lambda_min_plus is None:
         raise DegenerateNetworkError(
             "penalty coefficients need a network with lambda_min_plus > 0")
     return PenaltyCoefficients(
-        R_alpha_sq=subgrad_bound_x ** 2 / net_x.lambda_min_plus,
-        R_beta_sq=subgrad_bound_y ** 2 / net_y.lambda_min_plus,
+        R_alpha_sq=bound_x ** 2 / net.lambda_min_plus,
+        R_beta_sq=bound_y ** 2 / net.lambda_min_plus,
         epsilon=float(epsilon))
 
 
@@ -214,20 +211,19 @@ def sample_operator_bound(spp: StackedSPP, samples: int, seed,
     return inflate * worst
 
 
-def build_penalized_vi(spp: StackedSPP, net_x: NetworkModel,
-                       net_y: NetworkModel, coeffs: PenaltyCoefficients,
-                       epsilon: float) -> VIProblem:
+def build_penalized_vi(spp: StackedSPP, net: NetworkModel,
+                       coeffs: PenaltyCoefficients, epsilon: float) -> VIProblem:
     """Assemble the penalized VI the sliding solver consumes.
 
-    The smooth part is G(z) = (R_alpha^2/eps)||W_x x||^2 +
-    (R_beta^2/eps)||W_y y||^2 with gradient ((2R_alpha^2/eps) W_tilde_x x,
-    (2R_beta^2/eps) W_tilde_y y) evaluated blockwise through the per-edge
-    product, L = max over blocks of (2R^2/eps) lambda_max. One grad_G
-    evaluation costs one communication round when both blocks share a network
-    (the x and y blocks ride the same exchange), two otherwise, zero when the
-    network is degenerate (G vanishes identically and the problem reduces to
-    the centralized one; L then falls back to max(M, 1) because the step-size
-    schedule divides by L, and any upper bound is valid for a constant G).
+    The smooth part is G(z) = (R_alpha^2/eps)||W x||^2 +
+    (R_beta^2/eps)||W y||^2 with gradient ((2R_alpha^2/eps) W_tilde x,
+    (2R_beta^2/eps) W_tilde y) evaluated through the per-edge product,
+    L = max over blocks of (2R^2/eps) lambda_max. One grad_G evaluation costs
+    one communication round (the x and y blocks ride the same exchange), or
+    zero when the network is degenerate (G vanishes identically and the
+    problem reduces to the centralized one; L then falls back to max(M, 1)
+    because the step-size schedule divides by L, and any upper bound is valid
+    for a constant G).
 
     The nonsmooth part keeps the stacked subgradient operator H with the
     bounded-operator certificate M = L0^2 / (2 eps), delta = 2 eps, where L0
@@ -238,16 +234,15 @@ def build_penalized_vi(spp: StackedSPP, net_x: NetworkModel,
     if abs(coeffs.epsilon - epsilon) > 1e-12 * max(1.0, epsilon):
         raise ConfigurationError(
             f"coefficients were derived for epsilon = {coeffs.epsilon}, got {epsilon}")
-    if net_x.m != spp.m or net_y.m != spp.m:
+    if net.m != spp.m:
         raise ConfigurationError(
-            f"network node counts ({net_x.m}, {net_y.m}) must match m = {spp.m}")
+            f"network node count {net.m} must match m = {spp.m}")
     m, dx, dy = spp.m, spp.d_x, spp.d_y
     cx = 2.0 * coeffs.R_alpha_sq / epsilon
     cy = 2.0 * coeffs.R_beta_sq / epsilon
-    shared = net_x is net_y
     cut = m * dx
 
-    L_pen = max(cx * net_x.lambda_max, cy * net_y.lambda_max)
+    L_pen = max(cx * net.lambda_max, cy * net.lambda_max)
     degenerate = L_pen == 0.0
 
     L0 = spp.operator_bound
@@ -269,32 +264,21 @@ def build_penalized_vi(spp: StackedSPP, net_x: NetworkModel,
         def value_G(z: np.ndarray) -> float:
             X = z[:cut].reshape(m, dx)
             Y = z[cut:].reshape(m, dy)
-            qx = float(np.sum(X * net_x.block_product(X)))
-            qy = float(np.sum(Y * net_y.block_product(Y)))
+            qx = float(np.sum(X * net.block_product(X)))
+            qy = float(np.sum(Y * net.block_product(Y)))
             return 0.5 * (cx * qx + cy * qy)
 
-        if shared:
-            def grad_G(z: np.ndarray) -> np.ndarray:
-                V = np.empty((m, dx + dy))
-                V[:, :dx] = z[:cut].reshape(m, dx)
-                V[:, dx:] = z[cut:].reshape(m, dy)
-                P = net_x.block_product(V)
-                out = np.empty_like(z)
-                out[:cut] = (cx * P[:, :dx]).ravel()
-                out[cut:] = (cy * P[:, dx:]).ravel()
-                return out
+        def grad_G(z: np.ndarray) -> np.ndarray:
+            V = np.empty((m, dx + dy))
+            V[:, :dx] = z[:cut].reshape(m, dx)
+            V[:, dx:] = z[cut:].reshape(m, dy)
+            P = net.block_product(V)
+            out = np.empty_like(z)
+            out[:cut] = (cx * P[:, :dx]).ravel()
+            out[cut:] = (cy * P[:, dx:]).ravel()
+            return out
 
-            rounds = 1
-        else:
-            def grad_G(z: np.ndarray) -> np.ndarray:
-                X = z[:cut].reshape(m, dx)
-                Y = z[cut:].reshape(m, dy)
-                out = np.empty_like(z)
-                out[:cut] = (cx * net_x.block_product(X)).ravel()
-                out[cut:] = (cy * net_y.block_product(Y)).ravel()
-                return out
-
-            rounds = 2
+        rounds = 1
 
     return VIProblem(
         set_geometry=spp.stacked_geometry(),

@@ -147,6 +147,20 @@ def _check_LMN(L: float, M: float, N: int) -> None:
         raise ParameterError("schedule needs integer N >= 1")
 
 
+def deterministic_T_raw(L: float, M: float, N: int) -> np.ndarray:
+    """k M / L for k = 1..N: the deterministic T_k before rounding up."""
+    ks = np.arange(1, N + 1, dtype=float)
+    return ks * M / L
+
+
+def stochastic_T_raw(L: float, M: float, sigma: float, omega_sq: float,
+                     N: int) -> np.ndarray:
+    """sqrt(3) k M / L + N k^2 sigma^2 / (omega_sq L^2) for k = 1..N: the
+    stochastic T_k before rounding up."""
+    ks = np.arange(1, N + 1, dtype=float)
+    return math.sqrt(3.0) * ks * M / L + N * ks ** 2 * sigma ** 2 / (omega_sq * L ** 2)
+
+
 def deterministic_schedule(L: float, M: float, N: int) -> SlidingSchedule:
     """Schedule gamma_k = 2/(k+1), beta_k = 2L/k, T_k = ceil(k M / L),
     eta_k^t = beta_k (t-1) + L T_k / k, with T_k floored at 1.
@@ -155,8 +169,7 @@ def deterministic_schedule(L: float, M: float, N: int) -> SlidingSchedule:
     H-oracle satisfies the (M, delta) inequality.
     """
     _check_LMN(L, M, N)
-    ks = np.arange(1, N + 1, dtype=float)
-    T = np.maximum(1, np.ceil(ks * M / L)).astype(np.int64)
+    T = np.maximum(1, np.ceil(deterministic_T_raw(L, M, N))).astype(np.int64)
     return _schedule_core(L, M, N, T, sigma=0.0)
 
 
@@ -170,8 +183,7 @@ def stochastic_schedule(L: float, M: float, sigma: float, omega_sq: float,
         raise ParameterError("schedule needs sigma >= 0")
     if not (np.isfinite(omega_sq) and omega_sq > 0):
         raise ParameterError("schedule needs omega_sq > 0")
-    ks = np.arange(1, N + 1, dtype=float)
-    raw = math.sqrt(3.0) * ks * M / L + N * ks ** 2 * sigma ** 2 / (omega_sq * L ** 2)
+    raw = stochastic_T_raw(L, M, sigma, omega_sq, N)
     T = np.maximum(1, np.ceil(raw)).astype(np.int64)
     return _schedule_core(L, M, N, T, sigma=sigma)
 

@@ -50,10 +50,10 @@ def test_criterion_1_deterministic_rate():
             coeffs = PenaltyCoefficients(0.0, 0.0, 0.1)
         else:
             net = build_topology("complete", m)
-            coeffs = penalty_coefficients(spp, net, net, 0.1,
+            coeffs = penalty_coefficients(spp, net, 0.1,
                                           spp.subgrad_bound_x,
                                           spp.subgrad_bound_y)
-        vi = build_penalized_vi(spp, net, net, coeffs, 0.1)
+        vi = build_penalized_vi(spp, net, coeffs, 0.1)
         # the exact bilinear oracle is 2-Lipschitz: certificate (M, delta) =
         # (2, 0); for m = 1 the smooth part vanishes and any L > 0 is valid
         vi = replace(vi, M=2.0, delta=0.0)
@@ -221,10 +221,10 @@ def test_criterion_6_oracle_certification():
     for spp in (make_matrix_game([MATCHING_PENNIES.copy() for _ in range(4)], 4),
                 l1):
         coeffs = penalty_coefficients(
-            spp, net, net, eps,
+            spp, net, eps,
             spp.subgrad_bound_x if spp.subgrad_bound_x is not None else spp.operator_bound,
             spp.subgrad_bound_y if spp.subgrad_bound_y is not None else spp.operator_bound)
-        vi = build_penalized_vi(spp, net, net, coeffs, eps)
+        vi = build_penalized_vi(spp, net, coeffs, eps)
         certify_inexact_oracle(vi.H, spp.stacked_set(), vi.M, vi.delta,
                                triples=10_000, seed=0)
         pts = spp.stacked_set().sample(np.random.default_rng(7), 100)

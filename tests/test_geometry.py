@@ -2,14 +2,14 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import minimize
 
 from saddleslide import (
-    Ball,
     Box,
     DomainError,
+    ENTROPY_CLIP,
     GeometrySpec,
     NEGATIVE_ENTROPY,
     ParameterError,
@@ -20,7 +20,7 @@ from saddleslide import (
     omega_sq_bound,
     prox_two_anchor,
 )
-from saddleslide.geometry import _project_simplex_rows
+from saddleslide.geometry import _project_simplex_rows, _softmax_rows
 
 rng = np.random.default_rng(1207)
 
@@ -45,10 +45,6 @@ def random_feasible(s):
     if isinstance(s, Simplex):
         w = rng.random(s.dim) + 1e-3
         return w / w.sum()
-    if isinstance(s, Ball):
-        d = rng.standard_normal(s.dim)
-        d /= np.linalg.norm(d)
-        return s.center() + d * s.radius * rng.random()
     return np.concatenate([random_feasible(f) for f in s.leaves()])
 
 
@@ -123,12 +119,10 @@ def test_simplex_projection_matches_slsqp_oracle(d):
         assert s.contains(ours)
 
 
-def test_box_and_ball_projection():
+def test_box_projection():
     b = Box([-1.0, 0.0], [1.0, 2.0])
     np.testing.assert_allclose(b.project([3.0, -1.0]), [1.0, 0.0])
-    ball = Ball(np.zeros(2), 1.0)
-    np.testing.assert_allclose(ball.project([3.0, 4.0]), [0.6, 0.8], atol=1e-15)
-    np.testing.assert_allclose(ball.project([0.1, 0.2]), [0.1, 0.2])
+    np.testing.assert_allclose(b.project([0.1, 0.2]), [0.1, 0.2])
 
 
 def test_product_projection_is_blockwise():
@@ -237,16 +231,6 @@ def test_projection_idempotent_and_feasible(vals):
     np.testing.assert_allclose(s.project(q), q, atol=1e-12)
 
 
-@given(st.lists(st.floats(-10, 10), min_size=1, max_size=6),
-       st.floats(0.5, 5.0))
-@settings(max_examples=100, deadline=None)
-def test_ball_projection_never_leaves_ball(vals, r):
-    d = len(vals)
-    ball = Ball(np.zeros(d), r)
-    q = ball.project(np.array(vals))
-    assert np.linalg.norm(q) <= r + 1e-9
-
-
 # -- two-anchor prox ----------------------------------------------------------
 
 def test_prox_scalar_frozen_example():
@@ -271,7 +255,8 @@ def test_prox_scalar_grid_search_oracle():
     (lambda: Box(-np.ones(4), np.ones(4)), SQUARED_EUCLIDEAN),
     (lambda: Simplex(5), SQUARED_EUCLIDEAN),
     (lambda: Simplex(5), NEGATIVE_ENTROPY),
-    (lambda: Ball(np.zeros(3), 2.0), SQUARED_EUCLIDEAN),
+    (lambda: ProductSet([Simplex(3), Simplex(3), Box(-np.ones(2), np.ones(2))]),
+     SQUARED_EUCLIDEAN),
     (lambda: ProductSet([Simplex(3), Simplex(3)]), NEGATIVE_ENTROPY),
     (lambda: ProductSet([Simplex(2), Box(np.zeros(2), np.ones(2))]), SQUARED_EUCLIDEAN),
 ])
@@ -311,6 +296,45 @@ def test_entropy_prox_stays_interior_under_extreme_gradients():
     assert abs(z.sum() - 1.0) <= 1e-12
 
 
+# (dimension, count) runs of simplex blocks: runs of equal dimension share a
+# group of ProductSet._groups, and a lone block of a one-run list is also
+# tried as a bare Simplex
+_simplex_runs = st.lists(st.tuples(st.integers(1, 8), st.integers(1, 4)),
+                         min_size=1, max_size=6)
+
+
+@given(_simplex_runs, st.booleans(), st.integers(-2, 5), st.integers(0, 2 ** 32 - 1))
+@example([(3, 2), (1, 1), (8, 3), (2, 4)], False, 5, 0)
+@settings(max_examples=200, deadline=None)
+def test_entropy_prox_is_bitwise_per_block_softmax(runs, bare, scale, seed):
+    dims = [d for d, n in runs for _ in range(n)]
+    if bare and len(dims) == 1:
+        s = Simplex(dims[0])
+    else:
+        s = ProductSet([Simplex(d) for d in dims])
+    geom = entropy_geom(s)
+    r = np.random.default_rng(seed)
+    cuts = np.cumsum(dims)[:-1]
+    ao, ai = (np.concatenate([w / w.sum() for w in np.split(r.uniform(1e-3, 1.0, s.dim), cuts)])
+              for _ in range(2))
+    # scale 5 puts gradient gaps of ~1e5 into the softmax, far past the
+    # log-weight gap of 69 at which entries fall to ENTROPY_CLIP
+    g = r.uniform(-1.0, 1.0, s.dim) * 10.0 ** scale
+    beta, eta = r.uniform(0.0, 3.0), r.uniform(0.1, 3.0)
+    z = prox_two_anchor(geom, g, ao, beta, ai, eta)
+
+    logs = (beta * np.log(np.maximum(ao, ENTROPY_CLIP))
+            + eta * np.log(np.maximum(ai, ENTROPY_CLIP)) - g) / (beta + eta)
+    ref = np.concatenate([_softmax_rows(b.reshape(1, -1)).ravel()
+                          for b in np.split(logs, cuts)])
+    assert_same_bits(z, ref)
+    assert s.contains(z) and np.all(z > 0.0)
+    # a block whose log-weights spread by more than 80 has an entry below
+    # exp(-80) < ENTROPY_CLIP before clipping (the explicit example does)
+    if max(np.ptp(b) for b in np.split(logs, cuts)) > 80.0:
+        assert np.min(z) < 1e-29
+
+
 # -- omega bound --------------------------------------------------------------
 
 def test_omega_frozen_examples():
@@ -318,8 +342,6 @@ def test_omega_frozen_examples():
     assert omega_sq_bound(g1, np.zeros(2)) == pytest.approx(1.0)
     g2 = entropy_geom(Simplex(3))
     assert omega_sq_bound(g2, np.full(3, 1.0 / 3)) == pytest.approx(math.log(3), abs=1e-12)
-    g3 = euclid_geom(Ball(np.zeros(4), 2.0))
-    assert omega_sq_bound(g3, np.zeros(4)) == pytest.approx(2.0)
 
 
 def test_omega_entropy_non_uniform_start():

@@ -1,6 +1,7 @@
 """Tests for the experiment harness: configs, pipelines, outputs, CLI."""
 
 import hashlib
+import time
 
 import numpy as np
 import pytest
@@ -343,6 +344,17 @@ class TestCLI:
         path.write_text(text)
         assert cli.main(["run", "--config", str(path)]) == 2
         assert needle in capsys.readouterr().err
+
+    @pytest.mark.parametrize("epsilon", ["1.0e-300", "1.0e-150"])
+    def test_tiny_epsilon_exits_two_promptly(self, tmp_path, capsys, epsilon):
+        # 1e-300 makes 6 L omega_sq / eps overflow to inf; at 1e-150 N and
+        # N - 1 have equal float squares, so an unbounded search never ends
+        path = tmp_path / "cfg.yaml"
+        path.write_text(f"run:\n  epsilon: {epsilon}\n")
+        t0 = time.perf_counter()
+        assert cli.main(["run", "--config", str(path)]) == 2
+        assert time.perf_counter() - t0 < 5.0
+        assert "run.epsilon" in capsys.readouterr().err
 
     def test_certify_exit_codes(self, tmp_path, capsys, monkeypatch):
         path = self._write_config(tmp_path)

@@ -48,14 +48,14 @@ class TestPenaltyCoefficients:
     def test_frozen_values(self):
         k3 = build_topology("complete", 3)
         spp = pennies_stack(3)
-        coeffs = penalty_coefficients(spp, k3, k3, 0.1, 1.0, 1.0)
+        coeffs = penalty_coefficients(spp, k3, 0.1, 1.0, 1.0)
         assert coeffs.R_alpha_sq == pytest.approx(1.0 / 3.0, rel=1e-9)
         path2 = build_topology("path", 2)
         spp2 = pennies_stack(2)
-        coeffs = penalty_coefficients(spp2, path2, path2, 0.1, 5.0, 1.0)
+        coeffs = penalty_coefficients(spp2, path2, 0.1, 5.0, 1.0)
         assert coeffs.R_alpha_sq == pytest.approx(12.5, rel=1e-9)
         assert coeffs.R_beta_sq == pytest.approx(0.5, rel=1e-9)
-        coeffs = penalty_coefficients(spp2, path2, path2, 0.1, 0.0, 0.0)
+        coeffs = penalty_coefficients(spp2, path2, 0.1, 0.0, 0.0)
         assert coeffs.R_alpha_sq == 0.0
         assert coeffs.R_beta_sq == 0.0
 
@@ -63,21 +63,21 @@ class TestPenaltyCoefficients:
         spp = pennies_stack(1)
         single = NetworkModel.single_node()
         with pytest.raises(DegenerateNetworkError):
-            penalty_coefficients(spp, single, single, 0.1, 1.0, 1.0)
+            penalty_coefficients(spp, single, 0.1, 1.0, 1.0)
 
     def test_node_count_mismatch_rejected(self):
         spp = pennies_stack(3)
         net = build_topology("ring", 4)
         with pytest.raises(Exception):
-            penalty_coefficients(spp, net, net, 0.1, 1.0, 1.0)
+            penalty_coefficients(spp, net, 0.1, 1.0, 1.0)
 
     def test_invalid_inputs_rejected(self):
         spp = pennies_stack(2)
         net = build_topology("path", 2)
         with pytest.raises(ParameterError):
-            penalty_coefficients(spp, net, net, 0.0, 1.0, 1.0)
+            penalty_coefficients(spp, net, 0.0, 1.0, 1.0)
         with pytest.raises(ParameterError):
-            penalty_coefficients(spp, net, net, 0.1, -1.0, 1.0)
+            penalty_coefficients(spp, net, 0.1, -1.0, 1.0)
         with pytest.raises(ParameterError):
             PenaltyCoefficients(1.0, 1.0, -0.5)
 
@@ -86,9 +86,9 @@ class TestBuildPenalizedVI:
     def _vi(self, m=3, eps=0.1, kind="complete"):
         spp = pennies_stack(m)
         net = build_topology(kind, m)
-        coeffs = penalty_coefficients(spp, net, net, eps,
+        coeffs = penalty_coefficients(spp, net, eps,
                                       spp.subgrad_bound_x, spp.subgrad_bound_y)
-        return spp, net, coeffs, build_penalized_vi(spp, net, net, coeffs, eps)
+        return spp, net, coeffs, build_penalized_vi(spp, net, coeffs, eps)
 
     def test_smoothness_constant_formula(self):
         spp, net, coeffs, vi = self._vi()
@@ -127,25 +127,18 @@ class TestBuildPenalizedVI:
         if np.max(np.abs(X - X.mean(axis=0))) > 1e-8:
             assert vi.value_G(z) > 0.0
 
-    def test_rounds_per_grad_shared_vs_distinct(self):
+    def test_one_round_per_grad_G(self):
         spp = pennies_stack(3)
         net = build_topology("complete", 3)
-        net_y = build_topology("ring", 3)
-        coeffs = penalty_coefficients(spp, net, net, 0.1, 1.0, 1.0)
-        vi_shared = build_penalized_vi(spp, net, net, coeffs, 0.1)
-        assert vi_shared.rounds_per_grad_G == 1
-        coeffs2 = penalty_coefficients(spp, net, net_y, 0.1, 1.0, 1.0)
-        vi_two = build_penalized_vi(spp, net, net_y, coeffs2, 0.1)
-        assert vi_two.rounds_per_grad_G == 2
-        # distinct y-network changes the y-block gradient scale
-        z = spp.stacked_set().sample(rng, 1)[0]
-        assert vi_two.value_G(z) >= 0.0
+        coeffs = penalty_coefficients(spp, net, 0.1, 1.0, 1.0)
+        vi = build_penalized_vi(spp, net, coeffs, 0.1)
+        assert vi.rounds_per_grad_G == 1
 
     def test_single_node_reduces_to_centralized(self):
         spp = pennies_stack(1)
         single = NetworkModel.single_node()
         coeffs = PenaltyCoefficients(0.0, 0.0, 0.1)
-        vi = build_penalized_vi(spp, single, single, coeffs, 0.1)
+        vi = build_penalized_vi(spp, single, coeffs, 0.1)
         assert vi.rounds_per_grad_G == 0
         z = spp.stacked_set().sample(rng, 1)[0]
         assert np.max(np.abs(vi.grad_G(z))) == 0.0
@@ -169,16 +162,16 @@ class TestBuildPenalizedVI:
     def test_epsilon_mismatch_rejected(self):
         spp = pennies_stack(3)
         net = build_topology("complete", 3)
-        coeffs = penalty_coefficients(spp, net, net, 0.1, 1.0, 1.0)
+        coeffs = penalty_coefficients(spp, net, 0.1, 1.0, 1.0)
         with pytest.raises(ConfigurationError):
-            build_penalized_vi(spp, net, net, coeffs, 0.2)
+            build_penalized_vi(spp, net, coeffs, 0.2)
 
     def test_node_count_mismatch_rejected(self):
         spp = pennies_stack(3)
         net4 = build_topology("ring", 4)
         coeffs = PenaltyCoefficients(1.0, 1.0, 0.1)
         with pytest.raises(ConfigurationError):
-            build_penalized_vi(spp, net4, net4, coeffs, 0.1)
+            build_penalized_vi(spp, net4, coeffs, 0.1)
 
 
 class TestStackedSPP:

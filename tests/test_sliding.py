@@ -367,7 +367,7 @@ class TestTrace:
     def test_entropy_geometry_runs_on_simplex_product(self):
         spp_set = ProductSet([Simplex(3), Simplex(3)])
         geom = GeometrySpec("negative_entropy", spp_set)
-        B = rng.normal(size=(3, 3))
+        B = np.random.default_rng(367).normal(size=(3, 3))
 
         def H(z):
             x, y = z[:3], z[3:]
@@ -380,3 +380,7 @@ class TestTrace:
         final, trace = mps_run(prob, sched, z0)
         assert prob.set_geometry.feasible_set.contains(final)
         assert trace.N == 12
+        # recorded from the per-block softmax loop the grouped prox replaced
+        assert [float.hex(v) for v in final] == [
+            "0x1.4168dd270aad0p-4", "0x1.80a574ac77b52p-1", "0x1.5cb5beba9bd4ep-3",
+            "0x1.e5f2377e3e72bp-2", "0x1.7ffe9a9c3596ep-2", "0x1.341e5bcb17ecdp-3"]
