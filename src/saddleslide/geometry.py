@@ -1,9 +1,12 @@
 """Feasible sets, Bregman geometry and the two-anchor prox mapping.
 
 Points are dense float64 vectors; block structure lives in the feasible set.
-Supported set kinds are boxes, probability simplexes and finite products of
-those. A geometry pairs a set with a distance generating function: squared
-euclidean distance (any set) or negative entropy (simplex blocks only).
+There is one feasible-set class, ``ProductSet``: a finite product of boxes
+and probability simplexes, described only by its groups of equal-width
+blocks (see its docstring). ``Box`` and ``Simplex`` are its one-group
+constructors. A geometry pairs a set with a distance generating function:
+squared euclidean distance (any set) or negative entropy (simplex blocks
+only).
 
 The divergence convention is ``bregman_divergence(geom, a, b)`` = divergence
 of ``a`` relative to the anchor ``b``; for entropy that is KL(a || b). The
@@ -35,71 +38,6 @@ def _as_vector(p, dim: int) -> np.ndarray:
     if not np.all(np.isfinite(v)):
         raise DomainError("point contains non-finite entries")
     return v
-
-
-class FeasibleSet:
-    """Base class; subclasses implement contains/project over their own kind."""
-
-    dim: int = 0
-    kind: str = "abstract"
-
-    def contains(self, p, tol: float = TAU_FEAS) -> bool:
-        raise NotImplementedError
-
-    def project(self, p) -> np.ndarray:
-        raise NotImplementedError
-
-    # Interior point used as a generic reference/start.
-    def center(self) -> np.ndarray:
-        raise NotImplementedError
-
-    # Squared euclidean diameter, exact for every supported kind.
-    def diameter_sq(self) -> float:
-        raise NotImplementedError
-
-    # n independent uniform-ish feasible points, one per row.
-    def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
-        raise NotImplementedError
-
-    # Hot-loop projection hook: v is already a validated float vector.
-    def _project_vec(self, v: np.ndarray) -> np.ndarray:
-        return self.project(v)
-
-    def leaves(self) -> list["FeasibleSet"]:
-        return [self]
-
-
-class Box(FeasibleSet):
-    """Axis-aligned box {p : lower <= p <= upper}."""
-
-    kind = "box"
-
-    def __init__(self, lower, upper):
-        self.lower = np.asarray(lower, dtype=float).ravel()
-        self.upper = np.asarray(upper, dtype=float).ravel()
-        if self.lower.shape != self.upper.shape:
-            raise DimensionError("box bounds must have equal length")
-        if not (np.all(np.isfinite(self.lower)) and np.all(np.isfinite(self.upper))):
-            raise DomainError("box bounds must be finite")
-        if np.any(self.lower > self.upper):
-            raise DomainError("box has empty intervals (lower > upper)")
-        self.dim = self.lower.shape[0]
-
-    def contains(self, p, tol: float = TAU_FEAS) -> bool:
-        v = _as_vector(p, self.dim)
-        return bool(np.all(v >= self.lower - tol) and np.all(v <= self.upper + tol))
-
-    def project(self, p) -> np.ndarray:
-        return np.clip(_as_vector(p, self.dim), self.lower, self.upper)
-
-    def center(self) -> np.ndarray:
-        return 0.5 * (self.lower + self.upper)
-
-    def diameter_sq(self) -> float:
-        return float(np.sum((self.upper - self.lower) ** 2))
-
-    def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
-        return rng.uniform(self.lower, self.upper, size=(n, self.dim))
 
 
 def _project_simplex_rows(V: np.ndarray) -> np.ndarray:
@@ -149,98 +87,58 @@ def _project_three_columns(x0, x1, x2, o0, o1, o2) -> None:
         np.maximum(o, 0.0, out=o)
 
 
-class Simplex(FeasibleSet):
-    """Probability simplex {p >= 0, sum(p) = 1} in the given dimension."""
+class ProductSet:
+    """Finite product of boxes and probability simplices, stored flat.
 
-    kind = "simplex"
-
-    def __init__(self, dim: int):
-        if dim < 1:
-            raise ParameterError("simplex dimension must be >= 1")
-        self.dim = int(dim)
-
-    def contains(self, p, tol: float = TAU_FEAS) -> bool:
-        v = _as_vector(p, self.dim)
-        return bool(np.all(v >= -tol) and abs(float(np.sum(v)) - 1.0) <= tol)
-
-    def project(self, p) -> np.ndarray:
-        v = _as_vector(p, self.dim)
-        return _project_simplex_rows(v[None, :])[0]
-
-    # Hot-loop entropy prox hook, defined on simplex-only sets: the softmax
-    # of every simplex block of the validated log-weight vector.
-    def _softmax_vec(self, logs: np.ndarray) -> np.ndarray:
-        return _softmax_rows(logs[None, :])[0]
-
-    def center(self) -> np.ndarray:
-        return np.full(self.dim, 1.0 / self.dim)
-
-    def diameter_sq(self) -> float:
-        # distance between two vertices, or 0 in dimension 1
-        return 2.0 if self.dim > 1 else 0.0
-
-    def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
-        return rng.dirichlet(np.ones(self.dim), size=n)
-
-
-class ProductSet(FeasibleSet):
-    """Finite product of sets, stored flat with per-factor slices.
-
-    Consecutive equal-dimension simplex factors and consecutive box factors
-    are grouped, so that projection, membership and the entropy prox run as
-    a handful of array operations regardless of the number of factors.
-    ``_groups`` holds one tuple per group: ``("simplex", a, b, d, nb)`` for
-    nb d-simplices on ``[a, b)``, ``("box", a, b, lower, upper)`` for boxes.
+    This is the only feasible-set class, and ``_groups`` is its only
+    description of the block layout: one tuple per run of consecutive blocks
+    of one kind and one width d, either ``("simplex", a, b, d, nb)`` for nb
+    d-simplices on ``[a, b)`` or ``("box", a, b, d, nb, lower, upper)`` for nb
+    boxes of width d whose bounds are the flat arrays ``lower`` and ``upper``
+    on ``[a, b)``. Projection, membership and the entropy prox run a handful
+    of array operations per group, whatever the number of blocks; ``center``,
+    ``sample``, ``diameter_sq`` and ``omega_sq_bound`` treat each block on
+    its own, in order. ``Box`` and ``Simplex`` construct one-group sets. A
+    product appends its factors' groups at their offsets and merges a group
+    into the previous one when kind and d match.
     """
 
-    kind = "product"
-
     def __init__(self, factors):
-        leaf_list: list[FeasibleSet] = []
+        runs = []  # [kind, a, b, d, nb, lower pieces, upper pieces]
+        dim = 0
         for f in factors:
-            leaf_list.extend(f.leaves())
-        if not leaf_list:
+            if not isinstance(f, ProductSet):
+                raise ParameterError(f"unsupported factor type {type(f).__name__!r}")
+            for kind, a, b, d, nb, *bounds in f._groups:
+                run = runs[-1] if runs else None
+                if run is not None and run[0] == kind and run[3] == d:
+                    run[2] = dim + b
+                    run[4] += nb
+                else:
+                    run = [kind, dim + a, dim + b, d, nb, [], []]
+                    runs.append(run)
+                if bounds:
+                    run[5].append(bounds[0])
+                    run[6].append(bounds[1])
+            dim += f.dim
+        if not runs:
             raise ParameterError("product set needs at least one factor")
-        self.factors = leaf_list
-        self.dim = sum(f.dim for f in leaf_list)
-        self.slices: list[slice] = []
-        off = 0
-        for f in leaf_list:
-            self.slices.append(slice(off, off + f.dim))
-            off += f.dim
-        self._groups = self._build_groups()
+        self.dim = dim
+        self._groups = [tuple(run[:5]) if run[0] == "simplex" else
+                        (*run[:5], np.concatenate(run[5]), np.concatenate(run[6]))
+                        for run in runs]
 
-    def leaves(self) -> list[FeasibleSet]:
-        return list(self.factors)
-
-    def _build_groups(self):
-        groups = []
-        i = 0
-        n = len(self.factors)
-        while i < n:
-            f = self.factors[i]
-            start = self.slices[i].start
-            if isinstance(f, Simplex):
-                j = i
-                while j + 1 < n and isinstance(self.factors[j + 1], Simplex) \
-                        and self.factors[j + 1].dim == f.dim:
-                    j += 1
-                stop = self.slices[j].stop
-                groups.append(("simplex", start, stop, f.dim, j - i + 1))
-                i = j + 1
-            elif isinstance(f, Box):
-                j = i
-                lows, ups = [f.lower], [f.upper]
-                while j + 1 < n and isinstance(self.factors[j + 1], Box):
-                    j += 1
-                    lows.append(self.factors[j].lower)
-                    ups.append(self.factors[j].upper)
-                stop = self.slices[j].stop
-                groups.append(("box", start, stop, np.concatenate(lows), np.concatenate(ups)))
-                i = j + 1
+    def _blocks(self):
+        """``(a, b, lower, upper)`` for every block on ``[a, b)``, in order;
+        ``lower`` and ``upper`` are the box bounds, None for a simplex."""
+        for _, a, b, d, _, *bounds in self._groups:
+            if bounds:
+                lower, upper = bounds
+                for s in range(0, b - a, d):
+                    yield a + s, a + s + d, lower[s:s + d], upper[s:s + d]
             else:
-                raise ParameterError(f"unsupported set kind {f.kind!r}")
-        return groups
+                for s in range(a, b, d):
+                    yield s, s + d, None, None
 
     def contains(self, p, tol: float = TAU_FEAS) -> bool:
         v = _as_vector(p, self.dim)
@@ -251,7 +149,7 @@ class ProductSet(FeasibleSet):
                 if not (np.all(V >= -tol) and np.all(np.abs(V.sum(axis=1) - 1.0) <= tol)):
                     return False
             else:
-                _, a, b, lo, up = g
+                _, a, b, _, _, lo, up = g
                 w = v[a:b]
                 if not (np.all(w >= lo - tol) and np.all(w <= up + tol)):
                     return False
@@ -260,6 +158,7 @@ class ProductSet(FeasibleSet):
     def project(self, p) -> np.ndarray:
         return self._project_vec(_as_vector(p, self.dim))
 
+    # Hot-loop projection hook: v is already a validated float vector.
     def _project_vec(self, v: np.ndarray) -> np.ndarray:
         """Project flat ``v`` group by group, bitwise equal to
         ``_project_simplex_rows`` on every simplex group.
@@ -288,26 +187,66 @@ class ProductSet(FeasibleSet):
                 else:
                     out[a:b] = _project_simplex_rows(v[a:b].reshape(nb, d)).ravel()
             else:
-                _, a, b, lo, up = g
+                _, a, b, _, _, lo, up = g
                 out[a:b] = np.clip(v[a:b], lo, up)
         return out
 
+    # Hot-loop entropy prox hook, on simplex-only sets (GeometrySpec checks):
+    # one _softmax_rows per group of the validated log-weight vector.
     def _softmax_vec(self, logs: np.ndarray) -> np.ndarray:
-        """``Simplex._softmax_vec`` with one ``_softmax_rows`` call per group;
-        every group must be a simplex group, which ``GeometrySpec`` checks."""
         out = np.empty_like(logs)
         for _, a, b, d, nb in self._groups:
             out[a:b] = _softmax_rows(logs[a:b].reshape(nb, d)).ravel()
         return out
 
+    # Interior point used as a generic reference/start: the barycenter of
+    # every simplex, the midpoint of every box.
     def center(self) -> np.ndarray:
-        return np.concatenate([f.center() for f in self.factors])
+        out = np.empty(self.dim)
+        for _, a, b, d, _, *bounds in self._groups:
+            out[a:b] = 0.5 * (bounds[0] + bounds[1]) if bounds else 1.0 / d
+        return out
 
+    # Squared euclidean diameter, exact: the sum over blocks of 2 per simplex
+    # of dimension > 1 (two vertices) and ||upper - lower||^2 per box.
     def diameter_sq(self) -> float:
-        return float(sum(f.diameter_sq() for f in self.factors))
+        total = 0.0
+        for a, b, lo, up in self._blocks():
+            total += (2.0 if b - a > 1 else 0.0) if lo is None else float(np.sum((up - lo) ** 2))
+        return total
 
+    # n independent feasible points, one per row, drawn block by block:
+    # uniform on a box, flat Dirichlet on a simplex.
     def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
-        return np.hstack([f.sample(rng, n) for f in self.factors])
+        return np.hstack([rng.dirichlet(np.ones(b - a), size=n) if lo is None
+                          else rng.uniform(lo, up, size=(n, b - a))
+                          for a, b, lo, up in self._blocks()])
+
+
+class Box(ProductSet):
+    """Axis-aligned box {p : lower <= p <= upper}, one block of width dim."""
+
+    def __init__(self, lower, upper):
+        self.lower = np.asarray(lower, dtype=float).ravel()
+        self.upper = np.asarray(upper, dtype=float).ravel()
+        if self.lower.shape != self.upper.shape or self.lower.size == 0:
+            raise DimensionError("box bounds must have equal nonzero length")
+        if not (np.all(np.isfinite(self.lower)) and np.all(np.isfinite(self.upper))):
+            raise DomainError("box bounds must be finite")
+        if np.any(self.lower > self.upper):
+            raise DomainError("box has empty intervals (lower > upper)")
+        self.dim = self.lower.shape[0]
+        self._groups = [("box", 0, self.dim, self.dim, 1, self.lower, self.upper)]
+
+
+class Simplex(ProductSet):
+    """Probability simplex {p >= 0, sum(p) = 1} in the given dimension."""
+
+    def __init__(self, dim: int):
+        if isinstance(dim, bool) or not isinstance(dim, (int, np.integer)) or dim < 1:
+            raise ParameterError(f"simplex dimension must be an integer >= 1, got {dim!r}")
+        self.dim = int(dim)
+        self._groups = [("simplex", 0, self.dim, self.dim, 1)]
 
 
 @dataclass(frozen=True)
@@ -320,18 +259,18 @@ class GeometrySpec:
         Either ``"squared_euclidean"`` or ``"negative_entropy"``. Negative
         entropy may only be paired with a simplex or a product whose factors
         are all simplexes.
-    feasible_set : FeasibleSet
+    feasible_set : ProductSet
         The constraint set the prox mapping outputs into.
     """
 
     dgf: str
-    feasible_set: FeasibleSet
+    feasible_set: ProductSet
 
     def __post_init__(self):
         if self.dgf not in (SQUARED_EUCLIDEAN, NEGATIVE_ENTROPY):
             raise ParameterError(f"unknown distance generating function: {self.dgf!r}")
-        if self.dgf == NEGATIVE_ENTROPY and not all(
-                isinstance(f, Simplex) for f in self.feasible_set.leaves()):
+        if self.dgf == NEGATIVE_ENTROPY and any(
+                g[0] != "simplex" for g in self.feasible_set._groups):
             raise ParameterError(
                 "negative entropy is only valid on simplex or product-of-simplex sets")
 
@@ -431,19 +370,6 @@ def prox_two_anchor(geom: GeometrySpec, g, anchor_outer, beta: float,
     return _prox_kernel(geom, vg, _outer_term(geom, ao, beta), beta, ai, eta)
 
 
-def _omega_sq_one(dgf: str, f: FeasibleSet, z0: np.ndarray) -> float:
-    if dgf == NEGATIVE_ENTROPY:
-        if np.any(z0 <= 0.0):
-            raise DomainError("entropy omega bound needs a strictly interior start")
-        return float(np.max(np.log(1.0 / z0)))
-    if isinstance(f, Box):
-        return 0.5 * float(np.sum(np.maximum((z0 - f.lower) ** 2, (f.upper - z0) ** 2)))
-    if isinstance(f, Simplex):
-        # farthest vertex: 0.5 * (||z0||^2 + 1 - 2 min_i z0_i)
-        return 0.5 * (float(np.dot(z0, z0)) + 1.0 - 2.0 * float(np.min(z0)))
-    raise ParameterError(f"unsupported set kind {f.kind!r}")
-
-
 def omega_sq_bound(geom: GeometrySpec, z0) -> float:
     """Exact value of ``sup_z V(z, z0)`` over the feasible set.
 
@@ -454,10 +380,16 @@ def omega_sq_bound(geom: GeometrySpec, z0) -> float:
     v = _as_vector(z0, geom.dim)
     if not geom.feasible_set.contains(v):
         raise DomainError("start point lies outside the feasible set")
-    leaves = geom.feasible_set.leaves()
     total = 0.0
-    off = 0
-    for f in leaves:
-        total += _omega_sq_one(geom.dgf, f, v[off:off + f.dim])
-        off += f.dim
+    for a, b, lo, up in geom.feasible_set._blocks():
+        z = v[a:b]
+        if geom.dgf == NEGATIVE_ENTROPY:
+            if np.any(z <= 0.0):
+                raise DomainError("entropy omega bound needs a strictly interior start")
+            total += float(np.max(np.log(1.0 / z)))
+        elif lo is not None:
+            total += 0.5 * float(np.sum(np.maximum((z - lo) ** 2, (up - z) ** 2)))
+        else:
+            # farthest vertex: 0.5 * (||z||^2 + 1 - 2 min_i z_i)
+            total += 0.5 * (float(np.dot(z, z)) + 1.0 - 2.0 * float(np.min(z)))
     return total

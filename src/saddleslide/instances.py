@@ -30,7 +30,7 @@ from .errors import (
     DomainError,
     ParameterError,
 )
-from .geometry import SQUARED_EUCLIDEAN, Box, FeasibleSet, Simplex
+from .geometry import SQUARED_EUCLIDEAN, Box, ProductSet, Simplex
 from .network import NetworkModel
 from .penalty import StackedSPP, _einsum, sample_operator_bound
 from .sliding import VIProblem
@@ -69,13 +69,13 @@ def make_matrix_game(A_list, m: int) -> StackedSPP:
     if m < 1 or len(A_list) != m:
         raise DimensionError(f"need exactly m = {m} payoff matrices, got {len(A_list)}")
     mats = [np.asarray(A, dtype=float) for A in A_list]
-    d_y, d_x = mats[0].shape
     for A in mats:
-        if A.ndim != 2 or A.shape != (d_y, d_x):
-            raise DimensionError("all payoff matrices must share one shape")
+        if A.ndim != 2 or A.shape != mats[0].shape:
+            raise DimensionError("payoff matrices must be 2-D and share one shape")
         if not np.all(np.isfinite(A)):
             raise DomainError("payoff matrices must be finite")
     A3 = np.stack(mats)
+    d_y, d_x = A3.shape[1:]
     maxrow_sq = (A3 ** 2).sum(axis=2).max(axis=1)   # sup ||A_i^T y||^2 over simplex
     maxcol_sq = (A3 ** 2).sum(axis=1).max(axis=1)   # sup ||A_i x||^2 over simplex
 
@@ -172,9 +172,13 @@ def make_l1_saddle(B_list, c_list, C_list, box_radius: float) -> StackedSPP:
         raise DimensionError("B_list, c_list, C_list must have equal length >= 1")
     if not (np.isfinite(box_radius) and box_radius > 0):
         raise ParameterError("box_radius must be a positive real")
-    B3 = np.stack([np.asarray(B, dtype=float) for B in B_list])
-    c2 = np.stack([np.asarray(c, dtype=float) for c in c_list])
-    C3 = np.stack([np.asarray(C, dtype=float) for C in C_list])
+    stacks = []
+    for name, given, ndim in (("B", B_list, 2), ("c", c_list, 1), ("C", C_list, 2)):
+        arrays = [np.asarray(x, dtype=float) for x in given]
+        if any(x.ndim != ndim or x.shape != arrays[0].shape for x in arrays):
+            raise DimensionError(f"every {name}_i must be {ndim}-D, all of one shape")
+        stacks.append(np.stack(arrays))
+    B3, c2, C3 = stacks
     p, d_x = B3.shape[1], B3.shape[2]
     d_y = C3.shape[1]
     if c2.shape != (m, p) or C3.shape != (m, d_y, d_x):
@@ -309,7 +313,7 @@ class CertificateReport:
 
 
 def certify_inexact_oracle(H: Callable[[np.ndarray], np.ndarray],
-                           feasible_set: FeasibleSet, M: float, delta: float,
+                           feasible_set: ProductSet, M: float, delta: float,
                            triples: int, seed) -> CertificateReport:
     """Sample feasible triples (z1, z2, z3) and check the inexact inequality
 
@@ -384,23 +388,18 @@ def sup_gap_skew_linear(problem: VIProblem, z_bar, restarts: int = 8,
 
     bounds = []
     constraints = []
-    off = 0
-    for leaf in fset.leaves():
-        a, b = off, off + leaf.dim
-        if isinstance(leaf, Simplex):
-            bounds.extend([(0.0, 1.0)] * leaf.dim)
-            grad_row = np.zeros(fset.dim)
-            grad_row[a:b] = 1.0
-            constraints.append({
-                "type": "eq",
-                "fun": (lambda z, a=a, b=b: float(z[a:b].sum()) - 1.0),
-                "jac": (lambda z, row=grad_row: row),
-            })
-        elif isinstance(leaf, Box):
-            bounds.extend(list(zip(leaf.lower, leaf.upper)))
-        else:
-            raise ParameterError("sup-gap oracle supports simplex and box blocks")
-        off += leaf.dim
+    for a, b, lo, up in fset._blocks():
+        if lo is not None:
+            bounds.extend(zip(lo, up))
+            continue
+        bounds.extend([(0.0, 1.0)] * (b - a))
+        grad_row = np.zeros(fset.dim)
+        grad_row[a:b] = 1.0
+        constraints.append({
+            "type": "eq",
+            "fun": (lambda z, a=a, b=b: float(z[a:b].sum()) - 1.0),
+            "jac": (lambda z, row=grad_row: row),
+        })
 
     rng = np.random.default_rng(seed)
     starts = [zb, fset.center()]

@@ -77,6 +77,10 @@ class NetworkModel:
 
     @staticmethod
     def from_matrix(W_tilde: np.ndarray, edges: Optional[list] = None) -> "NetworkModel":
+        """Network of the gossip matrix ``W_tilde``. ``edges``, if given, must
+        name every nonzero off-diagonal pair (i, j) of it exactly once; their
+        order fixes the summation order of ``block_product``. By default the
+        pairs i < j are taken in row-major order."""
         Wt = np.asarray(W_tilde, dtype=float)
         if Wt.ndim != 2 or Wt.shape[0] != Wt.shape[1]:
             raise DimensionError("gossip matrix must be square")
@@ -102,16 +106,14 @@ class NetworkModel:
         lam_min_plus = float(positive.min()) if positive.size else None
         chi = lam_max / lam_min_plus if lam_min_plus else None
         W = matrix_sqrt_psd(Wt, tol=1e-9 * scale) if lam_max > 0 else np.zeros_like(Wt)
-        if edges is None:
-            edges = [(i, j) for i in range(m) for j in range(i + 1, m)
-                     if abs(Wt[i, j]) > 1e-12 * scale]
-        ei = np.array([e[0] for e in edges], dtype=np.intp)
-        ej = np.array([e[1] for e in edges], dtype=np.intp)
-        ew = np.array([-Wt[e[0], e[1]] for e in edges], dtype=float)
+        pattern = np.abs(np.triu(Wt, 1)) > 1e-12 * scale
+        edges = np.argwhere(pattern).tolist() if edges is None else list(edges)
+        ei, ej = _edge_indices(edges, pattern)
         deg = np.diag(Wt).astype(float).copy()
-        return NetworkModel(m=m, edges=list(edges), W_tilde=Wt, W=W,
+        return NetworkModel(m=m, edges=[tuple(e) for e in edges], W_tilde=Wt, W=W,
                             lambda_max=lam_max, lambda_min_plus=lam_min_plus,
-                            chi=chi, _edge_i=ei, _edge_j=ej, _edge_w=ew, _degree=deg)
+                            chi=chi, _edge_i=ei, _edge_j=ej, _edge_w=-Wt[ei, ej],
+                            _degree=deg)
 
     @staticmethod
     def single_node() -> "NetworkModel":
@@ -152,6 +154,32 @@ class NetworkModel:
                       np.repeat(np.concatenate((self._edge_w, self._edge_w)), bd))
             self._flat_exchanges[bd] = cached
         return cached
+
+
+def _edge_indices(edges: list, pattern: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Endpoint index arrays of ``edges``, in the given order, after checking
+    that its unordered pairs are exactly the nonzero off-diagonal entries of
+    the gossip matrix (``pattern``: the upper triangle), each listed once."""
+    m = len(pattern)
+    try:
+        E = np.asarray(edges).reshape(len(edges), 2)
+    except ValueError:
+        E = None
+    if E is None or (E.size and E.dtype.kind not in "iu"):
+        raise DimensionError("edges must be (i, j) pairs of integer node indices")
+    ei, ej = E[:, 0].astype(np.intp), E[:, 1].astype(np.intp)
+    if E.size and (E.min() < 0 or E.max() >= m):
+        raise DimensionError(f"edge endpoints must lie in 0..{m - 1}")
+    if (ei == ej).any():
+        raise DomainError("edges must not contain self-loops")
+    # times each upper-triangle entry is named by an edge
+    named = np.bincount(np.minimum(ei, ej) * m + np.maximum(ei, ej), minlength=m * m)
+    if named.max() > 1:
+        raise DomainError("edges must list each node pair once")
+    if ((named.reshape(m, m) > 0) != pattern).any():
+        raise DomainError("edges must be exactly the nonzero off-diagonal "
+                          "entries of the gossip matrix")
+    return ei, ej
 
 
 def _topology_edges(kind: str, m: int, p: Optional[float],

@@ -28,7 +28,7 @@ from .errors import (
     DimensionError,
     ParameterError,
 )
-from .geometry import SQUARED_EUCLIDEAN, FeasibleSet, GeometrySpec, ProductSet
+from .geometry import SQUARED_EUCLIDEAN, GeometrySpec, ProductSet
 from .network import NetworkModel
 from .sliding import VIProblem
 
@@ -72,8 +72,8 @@ class StackedSPP:
     locals: list
     d_x: int
     d_y: int
-    set_x: FeasibleSet
-    set_y: FeasibleSet
+    set_x: ProductSet
+    set_y: ProductSet
     batched_value: Callable[[np.ndarray, np.ndarray], np.ndarray]
     batched_H: Optional[Callable[[np.ndarray, np.ndarray], tuple]] = None
     dgf: str = SQUARED_EUCLIDEAN

@@ -1,0 +1,40 @@
+"""The library names that the benchmark in ``perfbench/`` patches or reads.
+
+``perfbench/tracer.py`` swaps 22 module and class attributes for timing
+wrappers in ``--trace 1`` mode, and ``perfbench/run.py`` reads the snapshot
+lists of ``RunTrace`` and the ``linear_H`` field of ``StackedSPP``. A rename
+or a method moved to another class breaks the benchmark without failing any
+library test; these tests fail instead.
+"""
+
+import dataclasses
+import importlib
+from pathlib import Path
+
+from saddleslide import RunTrace, StackedSPP
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+PATCHED = 22
+
+
+def test_tracer_patches_every_hook_and_restores_it(monkeypatch):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    tracer = importlib.import_module("tracer").Tracer()
+    try:
+        tracer.install()
+        saved = list(tracer._saved)
+        assert len(saved) == PATCHED
+        assert len({(id(owner), attr) for owner, attr, _ in saved}) == PATCHED
+        for owner, attr, original in saved:
+            assert owner.__dict__[attr] is not original, attr
+    finally:
+        tracer.uninstall()
+    for owner, attr, original in saved:
+        assert owner.__dict__[attr] is original, attr
+
+
+def test_benchmark_reads_snapshot_lists_and_linear_H():
+    trace = RunTrace()
+    for name in ("z_bar_snapshots", "z_snapshots", "z_under_snapshots"):
+        assert getattr(trace, name) == []
+    assert "linear_H" in {f.name for f in dataclasses.fields(StackedSPP)}

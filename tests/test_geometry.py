@@ -40,12 +40,16 @@ def prox_objective(geom, z, g, a_out, beta, a_in, eta):
 
 
 def random_feasible(s):
-    if isinstance(s, Box):
-        return s.lower + rng.random(s.dim) * (s.upper - s.lower)
-    if isinstance(s, Simplex):
-        w = rng.random(s.dim) + 1e-3
-        return w / w.sum()
-    return np.concatenate([random_feasible(f) for f in s.leaves()])
+    # block by block in layout order: uniform in a box, normalized uniform
+    # weights on a simplex
+    parts = []
+    for a, b, lo, up in s._blocks():
+        if lo is not None:
+            parts.append(lo + rng.random(b - a) * (up - lo))
+        else:
+            w = rng.random(b - a) + 1e-3
+            parts.append(w / w.sum())
+    return np.concatenate(parts)
 
 
 # -- bregman divergence -------------------------------------------------------
@@ -374,6 +378,27 @@ def test_entropy_requires_simplex_factors():
     with pytest.raises(ParameterError):
         GeometrySpec(NEGATIVE_ENTROPY, ProductSet([Simplex(2), Box(np.zeros(1), np.ones(1))]))
     GeometrySpec(NEGATIVE_ENTROPY, ProductSet([Simplex(2), Simplex(4)]))
+
+
+@pytest.mark.parametrize("dim", [2.5, True, 0, -1, "3", None])
+def test_simplex_needs_an_integer_dimension(dim):
+    with pytest.raises(ParameterError):
+        Simplex(dim)
+
+
+def test_products_merge_groups_of_one_kind_and_width():
+    s = ProductSet([Simplex(3), ProductSet([Simplex(3), Box([0.0, 1.0], [1.0, 2.0])]),
+                    Box([-1.0, 0.0], [0.0, 3.0]), Box([5.0], [6.0]), Simplex(np.int64(3))])
+    assert [g[:5] for g in s._groups] == [("simplex", 0, 6, 3, 2), ("box", 6, 10, 2, 2),
+                                          ("box", 10, 11, 1, 1), ("simplex", 11, 14, 3, 1)]
+    np.testing.assert_array_equal(s._groups[1][5], [0.0, 1.0, -1.0, 0.0])
+    np.testing.assert_array_equal(s._groups[1][6], [1.0, 2.0, 0.0, 3.0])
+    assert [b[:2] for b in s._blocks()] == [(0, 3), (3, 6), (6, 8), (8, 10), (10, 11),
+                                            (11, 14)]
+    with pytest.raises(ParameterError):
+        ProductSet([])
+    with pytest.raises(ParameterError):
+        ProductSet([Simplex(2), np.ones(2)])
 
 
 def test_non_finite_points_rejected():

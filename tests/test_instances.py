@@ -10,6 +10,7 @@ from saddleslide import (
     MATCHING_PENNIES,
     Box,
     CertificationError,
+    DimensionError,
     DomainError,
     PenaltyCoefficients,
     accelerated_projected_gradient,
@@ -60,6 +61,23 @@ def lp_game_solution(A):
                    method="highs")
     assert res2.success
     return x, res2.x[:dy], value
+
+
+@pytest.mark.parametrize("build", [
+    lambda: make_matrix_game([np.array([1.0, 2.0])], 1),
+    lambda: make_matrix_game([np.ones((2, 2, 2))], 1),
+    lambda: make_matrix_game([np.ones((2, 2)), np.ones((2, 3))], 2),
+    lambda: make_l1_saddle([np.array([1.0, 2.0])], [np.zeros(2)],
+                           [np.ones((2, 2))], 1.0),
+    lambda: make_l1_saddle([np.eye(2), np.eye(3)], [np.zeros(2)] * 2,
+                           [np.ones((2, 2))] * 2, 1.0),
+    lambda: make_l1_saddle([np.eye(2)] * 2, [np.zeros(2), np.zeros(3)],
+                           [np.ones((2, 2))] * 2, 1.0),
+], ids=["game-1d", "game-3d", "game-shapes", "l1-1d-B", "l1-B-shapes",
+        "l1-c-shapes"])
+def test_malformed_instance_data_raises_dimension_error(build):
+    with pytest.raises(DimensionError):
+        build()
 
 
 class TestMatrixGames:

@@ -227,6 +227,32 @@ class TestTopologyBuilding:
         with pytest.raises(DimensionError):
             NetworkModel.from_matrix(np.zeros((2, 3)))
 
+    # ring-4 edges (0,1), (1,2), (2,3), (3,0); each list breaks one rule
+    @pytest.mark.parametrize("edges,error", [
+        ([(0, 1)], DomainError),                                  # missing pairs
+        ([(0, 1), (1, 2), (2, 3), (3, 0), (0, 2)], DomainError),  # extra pair
+        ([(0, 1), (1, 2), (2, 3), (3, 0), (0, 0)], DomainError),  # self-loop
+        ([(0, 1), (1, 2), (2, 3), (3, 0), (1, 0)], DomainError),  # repeat
+        ([(0, 1), (1, 2), (2, 3), (3, 9)], DimensionError),       # out of range
+        ([(0, 1), (1, 2), (2, 3), (3, -1)], DimensionError),      # negative
+        ([(0, 1, 2)], DimensionError),                            # not pairs
+    ], ids=["missing", "extra", "self-loop", "repeat", "out-of-range",
+            "negative", "not-pairs"])
+    def test_from_matrix_rejects_edges_off_the_matrix(self, edges, error):
+        Wt = build_topology("ring", 4).W_tilde
+        with pytest.raises(error):
+            NetworkModel.from_matrix(Wt, edges=edges)
+
+    def test_from_matrix_keeps_the_callers_edge_order(self):
+        Wt = build_topology("ring", 4).W_tilde
+        edges = [(3, 0), (2, 1), (0, 1), (3, 2)]
+        net = NetworkModel.from_matrix(Wt, edges=edges)
+        assert net.edges == edges
+        assert net._edge_i.tolist() == [3, 2, 0, 3]
+        assert net._edge_j.tolist() == [0, 1, 1, 2]
+        V = np.random.default_rng(0).standard_normal((4, 3))
+        np.testing.assert_allclose(net.block_product(V), Wt @ V, atol=1e-12)
+
     def test_complete_graph_edge_count(self):
         net = build_topology("complete", 6)
         assert len(net.edges) == 15
