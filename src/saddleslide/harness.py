@@ -51,6 +51,8 @@ from .sliding import (
 
 FAMILIES = ("matching_pennies", "matrix_game_random", "l1_saddle_random")
 NOISE_KINDS = ("uniform", "gaussian")
+# Floats per noise block of make_stochastic_oracle (32 kB).
+NOISE_BLOCK = 4096
 SCHEMA_VERSION = 1
 
 
@@ -285,6 +287,15 @@ def make_stochastic_oracle(H: Callable[[np.ndarray], np.ndarray], kind: str,
     which meets the variance budget with equality; ``gaussian`` draws
     coordinate std sigma/sqrt(dim) truncated at four stds, keeping the noise
     bounded (slightly under budget). sigma = 0 returns the exact oracle.
+
+    The oracle ``(z, rng)`` owns a noise block: it draws about
+    ``NOISE_BLOCK`` floats at once from ``rng``, as rows of length dim, and
+    serves one row per call. numpy's Generator fills an array in sequence, so
+    each row is bitwise the ``rng.uniform(-a, a, dim)`` (or clipped
+    ``rng.normal``) that a draw per call would give. The oracle must be its
+    generator's only consumer while in use, because draws made elsewhere
+    would not shift its rows; a call with another generator drops the block
+    and starts from that generator's next draw.
     """
     if sigma < 0:
         raise ParameterError("sigma must be nonnegative")
@@ -293,19 +304,28 @@ def make_stochastic_oracle(H: Callable[[np.ndarray], np.ndarray], kind: str,
     if kind == "uniform":
         a = sigma * math.sqrt(3.0 / dim)
 
-        def oracle(z: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-            return H(z) + rng.uniform(-a, a, dim)
-
-        return oracle
-    if kind == "gaussian":
+        def draw(rng: np.random.Generator, rows: int) -> np.ndarray:
+            return rng.uniform(-a, a, (rows, dim))
+    elif kind == "gaussian":
         s = sigma / math.sqrt(dim)
         cap = 4.0 * s
 
-        def oracle(z: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-            return H(z) + np.clip(rng.normal(0.0, s, dim), -cap, cap)
+        def draw(rng: np.random.Generator, rows: int) -> np.ndarray:
+            return np.clip(rng.normal(0.0, s, (rows, dim)), -cap, cap)
+    else:
+        raise ConfigurationError(f"run.noise_kind must be one of {NOISE_KINDS}, got {kind!r}")
+    rows = max(1, NOISE_BLOCK // dim)
+    gen = block = None
+    row = rows
 
-        return oracle
-    raise ConfigurationError(f"run.noise_kind must be one of {NOISE_KINDS}, got {kind!r}")
+    def oracle(z: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+        nonlocal gen, block, row
+        if row == rows or rng is not gen:
+            gen, block, row = rng, draw(rng, rows), 0
+        row += 1
+        return H(z) + block[row - 1]
+
+    return oracle
 
 
 def _build_instance(config: RunConfig) -> StackedSPP:

@@ -20,7 +20,8 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import ConfigurationError, DomainError, ParameterError
-from .geometry import GeometrySpec, _as_vector, _outer_term, _prox_kernel
+from .geometry import (GeometrySpec, _anchor_term, _as_vector, _bind_prox, _outer_term,
+                       _prox_kernel)
 
 TRACE_COLUMNS = ("k", "inner_steps", "grad_G_calls", "H_calls",
                  "gap_estimate", "consensus_x", "consensus_y", "wall_ms")
@@ -38,7 +39,9 @@ class VIProblem:
     on ``||H||`` (then (M, delta) may be synthesized as M = L0^2/(2 eps),
     delta = 2 eps). ``rounds_per_grad_G`` tells the solver how many
     communication rounds one grad_G evaluation costs (0 for centralized
-    problems).
+    problems). ``H`` and ``H_stochastic`` are handed the solver's work
+    buffers, which later inner steps overwrite: they must copy an argument
+    they keep, and must not write into it.
     """
 
     set_geometry: GeometrySpec
@@ -263,8 +266,19 @@ def _sliding_loop(problem: VIProblem, schedule: SlidingSchedule, z0: np.ndarray,
     geom = problem.set_geometry
     fset = geom.feasible_set
     trace = RunTrace()
+    # One workspace per solve. The inner loop writes z_tilde_k^t into z_tilde
+    # and z_k^t into the other buffer of the rotating pair (cur, nxt), each
+    # through a prox map bound to that buffer once here; ``anchor`` holds the
+    # anchor term both prox calls of a step share, ``gh`` holds grad G + H.
+    # eta_k^t and beta_k + eta_k^t are passed as 0-d arrays, which numpy
+    # does not convert on every call as it does Python floats.
+    z_tilde, z_a, z_b, z_tilde_sum, anchor, arg, gh = (np.empty(geom.dim) for _ in range(7))
+    eta, w = np.empty(()), np.empty(())
+    into_tilde = _bind_prox(geom, arg, z_tilde)
+    cur, nxt = (z_a, _bind_prox(geom, arg, z_a)), (z_b, _bind_prox(geom, arg, z_b))
+    np.copyto(z_a, z0)
     z_bar = z0.copy()
-    z_prev = z0.copy()
+    z_prev = z_a
     n_grad = 0
     n_h = 0
     for k in range(1, schedule.N + 1):
@@ -278,21 +292,26 @@ def _sliding_loop(problem: VIProblem, schedule: SlidingSchedule, z0: np.ndarray,
         n_grad += 1
         trace.communication_rounds += problem.rounds_per_grad_G
         outer = _outer_term(geom, z_prev, bk)  # z_prev anchors every inner prox
-        z_t = z_prev.copy()
-        z_tilde_sum = np.zeros_like(z_t)
+        z_tilde_sum.fill(0.0)
         for t in range(1, tk + 1):
             et = bk * (t - 1) + e1  # eta_k^t, as in SlidingSchedule.eta
-            z_tilde_t = _prox_kernel(geom, g_cached + h_oracle(z_t), outer, bk, z_t, et)
-            z_next = _prox_kernel(geom, g_cached + h_oracle(z_tilde_t), outer, bk, z_t, et)
+            eta[()] = et
+            w[()] = bk + et
+            z_t = cur[0]
+            _anchor_term(geom, outer, eta, z_t, anchor)
+            np.add(g_cached, h_oracle(z_t), gh)
+            _prox_kernel(gh, anchor, w, arg, into_tilde)
+            np.add(g_cached, h_oracle(z_tilde), gh)
+            _prox_kernel(gh, anchor, w, arg, nxt[1])
             n_h += 2
-            z_tilde_sum += z_tilde_t
-            z_t = z_next
-        z_tilde = z_tilde_sum / tk
-        z_bar = (1.0 - gk) * z_bar + gk * z_tilde
-        z_prev = z_t
-        if not np.all(np.isfinite(z_bar)):
+            z_tilde_sum += z_tilde
+            cur, nxt = nxt, cur
+        z_bar = (1.0 - gk) * z_bar + gk * (z_tilde_sum / tk)
+        z_prev = cur[0]
+        both = np.stack((z_bar, z_prev))
+        if not np.all(np.isfinite(both)):
             raise DomainError(f"non-finite iterate produced at outer iteration {k}")
-        if not (fset.contains(z_bar) and fset.contains(z_prev)):
+        if not fset.contains(both):
             raise DomainError(f"iterate left the feasible set at outer iteration {k}")
         trace.inner_steps.append(tk)
         trace.grad_G_calls.append(n_grad)

@@ -8,6 +8,7 @@ from scipy.optimize import minimize
 
 from saddleslide import (
     Box,
+    DimensionError,
     DomainError,
     ENTROPY_CLIP,
     GeometrySpec,
@@ -20,9 +21,19 @@ from saddleslide import (
     omega_sq_bound,
     prox_two_anchor,
 )
-from saddleslide.geometry import _project_simplex_rows, _softmax_rows
+from saddleslide.geometry import _project_simplex_rows
 
 rng = np.random.default_rng(1207)
+
+
+def _softmax_rows(W):
+    # reference per-block softmax of the entropy prox: the grouped in-place
+    # kernel must match it bit for bit
+    W = W - W.max(axis=1, keepdims=True)
+    E = np.exp(W)
+    P = E / E.sum(axis=1, keepdims=True)
+    P = np.maximum(P, ENTROPY_CLIP)
+    return P / P.sum(axis=1, keepdims=True)
 
 
 def euclid_geom(s):
@@ -407,3 +418,64 @@ def test_non_finite_points_rejected():
         bregman_divergence(geom, [np.nan, 0.0], [0.0, 0.0])
     with pytest.raises(DomainError):
         geom.feasible_set.project([np.inf, 0.0])
+
+
+# -- batched membership -------------------------------------------------------
+
+def _mixed_set():
+    return ProductSet([Simplex(2), Simplex(3), Box([-1.0, 0.0], [1.0, 2.0]), Simplex(3)])
+
+
+def test_contains_accepts_a_batch_of_rows():
+    s = _mixed_set()
+    rows = s.sample(np.random.default_rng(5), 6)
+    assert s.contains(rows)
+    assert s.contains(rows.reshape(2, 3, s.dim))
+    assert all(s.contains(r) for r in rows)
+
+
+@pytest.mark.parametrize("row", [0, 3, 5])
+@pytest.mark.parametrize("breach", ["negative entry", "row sum", "box bound"])
+def test_contains_rejects_a_batch_with_one_bad_row(row, breach):
+    s = _mixed_set()
+    tol = 1e-9
+    rows = s.sample(np.random.default_rng(6), 6)
+    bad = rows.copy()
+    if breach == "negative entry":
+        # move the mass of entry 2 onto entry 3, then push entry 2 to -2 tol
+        bad[row, 3] += bad[row, 2] + 2 * tol
+        bad[row, 2] = -2 * tol
+    elif breach == "row sum":
+        bad[row, 2] += 2 * tol
+    else:
+        bad[row, 5] = 1.0 + 2 * tol
+    assert s.contains(rows, tol=tol)
+    assert not s.contains(bad, tol=tol)
+    assert not s.contains(bad[row], tol=tol)
+    assert s.contains(np.delete(bad, row, axis=0), tol=tol)
+
+
+def test_contains_checks_the_last_axis_and_finiteness():
+    s = _mixed_set()
+    for shape in [(s.dim + 1,), (3, s.dim - 1), (s.dim, 1), ()]:
+        with pytest.raises(DimensionError):
+            s.contains(np.zeros(shape))
+    rows = s.sample(np.random.default_rng(7), 3)
+    rows[1, 4] = np.nan
+    with pytest.raises(DomainError):
+        s.contains(rows)
+
+
+def test_contains_single_point_behaviour_unchanged():
+    s = Simplex(3)
+    assert s.contains([0.2, 0.3, 0.5])
+    assert s.contains([0.2, 0.3, 0.5 + 5e-10])
+    assert not s.contains([0.2, 0.3, 0.5 + 2e-9])
+    assert not s.contains([-2e-9, 0.5, 0.5 + 2e-9])
+    assert s.contains([-2e-9, 0.5, 0.5 + 2e-9], tol=1e-8)
+    b = Box([0.0, -1.0], [1.0, 1.0])
+    assert b.contains([1.0, -1.0]) and not b.contains([1.0 + 2e-9, 0.0])
+    with pytest.raises(DomainError):
+        s.contains([np.inf, 0.0, 0.0])
+    with pytest.raises(DimensionError):
+        s.contains([0.5, 0.5])

@@ -31,6 +31,7 @@ from saddleslide import (
     sample_operator_bound,
     sup_gap_skew_linear,
 )
+from saddleslide.harness import NOISE_BLOCK
 
 rng = np.random.default_rng(1207)
 
@@ -411,6 +412,35 @@ class TestStochasticOracleModels:
         draws = np.array([oracle(np.zeros(dim), gen) for _ in range(4000)])
         assert np.max(np.abs(draws)) <= 4.0 * sigma / np.sqrt(dim) + 1e-12
         assert np.mean(np.sum(draws ** 2, axis=1)) <= sigma ** 2 * 1.05
+
+    @pytest.mark.parametrize("dim", [1, 16, 5000])
+    @pytest.mark.parametrize("kind", ["uniform", "gaussian"])
+    def test_noise_blocks_equal_per_call_draws(self, kind, dim):
+        sigma = 0.7
+        base = np.linspace(-1.0, 1.0, dim)
+        oracle = make_stochastic_oracle(lambda z: base + z, kind, sigma, dim)
+        rows = max(1, NOISE_BLOCK // dim)
+        gen, ref = np.random.default_rng(11), np.random.default_rng(11)
+        a = sigma * np.sqrt(3.0 / dim)
+        s = sigma / np.sqrt(dim)
+        for i in range(3 * rows + 2):  # crosses three refills
+            z = np.full(dim, 0.001 * i)
+            if kind == "uniform":
+                noise = ref.uniform(-a, a, dim)
+            else:
+                noise = np.clip(ref.normal(0.0, s, dim), -4.0 * s, 4.0 * s)
+            assert np.array_equal(oracle(z, gen), base + z + noise), i
+
+    def test_noise_restarts_from_a_new_generators_first_draw(self):
+        dim, a = 16, 0.5 * np.sqrt(3.0 / 16)
+        oracle = make_stochastic_oracle(lambda z: np.zeros(dim), "uniform", 0.5, dim)
+        first = np.random.default_rng(1)
+        oracle(np.zeros(dim), first)
+        oracle(np.zeros(dim), first)
+        second = np.random.default_rng(2)
+        expected = np.random.default_rng(2).uniform(-a, a, (2, dim))
+        assert np.array_equal(oracle(np.zeros(dim), second), expected[0])
+        assert np.array_equal(oracle(np.zeros(dim), second), expected[1])
 
     def test_zero_sigma_returns_exact_oracle(self):
         dim = 3

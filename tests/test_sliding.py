@@ -1,17 +1,23 @@
 """Tests for the sliding solver: schedules, runs, traces, oracle counts."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from saddleslide import (
+    ENTROPY_CLIP,
     MATCHING_PENNIES,
+    NEGATIVE_ENTROPY,
     Box,
     ConfigurationError,
+    DomainError,
     GeometrySpec,
     ParameterError,
     ProductSet,
+    RunTrace,
     SQUARED_EUCLIDEAN,
     Simplex,
     TRACE_COLUMNS,
@@ -19,6 +25,7 @@ from saddleslide import (
     deterministic_schedule,
     exact_gap_matrix_game,
     make_matrix_game,
+    make_stochastic_oracle,
     mps_run,
     omega_sq_bound,
     q_gap,
@@ -26,6 +33,9 @@ from saddleslide import (
     stochastic_schedule,
     trace_to_csv,
 )
+from saddleslide import sliding
+from saddleslide.geometry import _project_simplex_rows
+from saddleslide.harness import NOISE_BLOCK
 
 rng = np.random.default_rng(1207)
 
@@ -384,3 +394,245 @@ class TestTrace:
         assert [float.hex(v) for v in final] == [
             "0x1.4168dd270aad0p-4", "0x1.80a574ac77b52p-1", "0x1.5cb5beba9bd4ep-3",
             "0x1.e5f2377e3e72bp-2", "0x1.7ffe9a9c3596ep-2", "0x1.341e5bcb17ecdp-3"]
+
+
+# -- reference: the allocating sliding loop -----------------------------------
+# The solver runs its inner loop on one workspace of preallocated buffers. The
+# functions below are the loop it replaced, with a fresh array for every
+# operation. Both run the same float operations in the same order, so their
+# outputs must agree bit for bit.
+
+def _ref_softmax_rows(W):
+    W = W - W.max(axis=1, keepdims=True)
+    E = np.exp(W)
+    P = E / E.sum(axis=1, keepdims=True)
+    P = np.maximum(P, ENTROPY_CLIP)
+    return P / P.sum(axis=1, keepdims=True)
+
+
+def _ref_log(z):
+    return np.log(np.maximum(z, ENTROPY_CLIP))
+
+
+def _ref_prox(geom, g, outer, beta, anchor_inner, eta):
+    euclid = geom.dgf == SQUARED_EUCLIDEAN
+    v = (outer + eta * (anchor_inner if euclid else _ref_log(anchor_inner)) - g) / (beta + eta)
+    out = np.empty_like(v)
+    for _, a, b, d, nb, *bounds in geom.feasible_set._groups:
+        if bounds:
+            out[a:b] = np.clip(v[a:b], *bounds)
+        elif euclid:
+            out[a:b] = _project_simplex_rows(v[a:b].reshape(nb, d)).ravel()
+        else:
+            out[a:b] = _ref_softmax_rows(v[a:b].reshape(nb, d)).ravel()
+    return out
+
+
+def reference_sliding_loop(problem, schedule, z0, h_oracle):
+    geom = problem.set_geometry
+    fset = geom.feasible_set
+    trace = RunTrace()
+    z_bar = z0.copy()
+    z_prev = z0.copy()
+    n_grad = n_h = 0
+    for k in range(1, schedule.N + 1):
+        gk = schedule.gamma[k - 1]
+        bk = float(schedule.beta[k - 1])
+        e1 = float(schedule.eta1[k - 1])
+        tk = int(schedule.T[k - 1])
+        z_under = (1.0 - gk) * z_bar + gk * z_prev
+        g_cached = problem.grad_G(z_under)
+        n_grad += 1
+        trace.communication_rounds += problem.rounds_per_grad_G
+        outer = bk * (z_prev if geom.dgf == SQUARED_EUCLIDEAN else _ref_log(z_prev))
+        z_t = z_prev.copy()
+        z_tilde_sum = np.zeros_like(z_t)
+        for t in range(1, tk + 1):
+            et = bk * (t - 1) + e1
+            z_tilde_t = _ref_prox(geom, g_cached + h_oracle(z_t), outer, bk, z_t, et)
+            z_next = _ref_prox(geom, g_cached + h_oracle(z_tilde_t), outer, bk, z_t, et)
+            n_h += 2
+            z_tilde_sum += z_tilde_t
+            z_t = z_next
+        z_tilde = z_tilde_sum / tk
+        z_bar = (1.0 - gk) * z_bar + gk * z_tilde
+        z_prev = z_t
+        assert fset.contains(z_bar) and fset.contains(z_prev)
+        trace.inner_steps.append(tk)
+        trace.grad_G_calls.append(n_grad)
+        trace.H_calls.append(n_h)
+        for column in (trace.gap_estimate, trace.consensus_x, trace.consensus_y):
+            column.append(math.nan)
+        trace.z_bar_snapshots.append(z_bar.copy())
+        trace.z_snapshots.append(z_prev.copy())
+        trace.z_under_snapshots.append(z_under.copy())
+    trace.final = z_bar.copy()
+    return z_bar, trace
+
+
+def _per_call_oracle(H, kind, sigma, dim):
+    # the noise oracle with one generator draw per call
+    if kind == "uniform":
+        a = sigma * math.sqrt(3.0 / dim)
+        return lambda z, rng: H(z) + rng.uniform(-a, a, dim)
+    s = sigma / math.sqrt(dim)
+    return lambda z, rng: H(z) + np.clip(rng.normal(0.0, s, dim), -4.0 * s, 4.0 * s)
+
+
+def _read_only(a):
+    # oracle results are handed out read-only: the loop must never write
+    # into them, and a write would raise
+    a.flags.writeable = False
+    return a
+
+
+def _bits(a):
+    return np.asarray(a, dtype=float).view(np.int64).tolist()
+
+
+def assert_same_run(got, ref):
+    (z, trace), (z_ref, trace_ref) = got, ref
+    assert _bits(z) == _bits(z_ref)
+    assert _bits(trace.final) == _bits(trace_ref.final)
+    for name in ("inner_steps", "grad_G_calls", "H_calls", "communication_rounds"):
+        assert getattr(trace, name) == getattr(trace_ref, name), name
+    for name in ("gap_estimate", "consensus_x", "consensus_y"):
+        assert _bits(getattr(trace, name)) == _bits(getattr(trace_ref, name)), name
+    for name in ("z_bar_snapshots", "z_snapshots", "z_under_snapshots"):
+        assert _bits(getattr(trace, name)) == _bits(getattr(trace_ref, name)), name
+    assert trace.N == len(trace.wall_ms)
+
+
+# (kind, block width, block count) runs; a run of equal kind and width
+# becomes one group of ProductSet._groups
+_euclid_runs = st.lists(st.one_of(
+    st.tuples(st.just("simplex"), st.sampled_from([1, 2, 3, 5]), st.integers(1, 3)),
+    st.tuples(st.just("box"), st.integers(1, 3), st.integers(1, 3))),
+    min_size=1, max_size=5)
+_simplex_runs = st.lists(st.tuples(st.just("simplex"), st.sampled_from([1, 2, 3, 5]),
+                                   st.integers(1, 3)), min_size=1, max_size=4)
+
+
+def _product(runs, r):
+    factors = []
+    for kind, d, n in runs:
+        for _ in range(n):
+            if kind == "simplex":
+                factors.append(Simplex(d))
+            else:
+                lo = r.uniform(-2.0, 0.0, d)
+                factors.append(Box(lo, lo + r.uniform(0.1, 2.0, d)))
+    return ProductSet(factors)
+
+
+def _affine_problem(fset, dgf, r, scale=1.0, M=2.0):
+    """H(z) = B z + c (scaled) and grad G(z) = z - c2, both read-only."""
+    n = fset.dim
+    B = r.normal(size=(n, n))
+    c = scale * r.uniform(-1.0, 1.0, n)
+    c2 = r.uniform(-1.0, 1.0, n)
+    return VIProblem(set_geometry=GeometrySpec(dgf, fset),
+                     grad_G=lambda z: _read_only(z - c2), L=1.0,
+                     H=lambda z: _read_only(B @ z + c), M=M, delta=0.0)
+
+
+class TestWorkspaceLoopMatchesReference:
+    @given(_euclid_runs, st.integers(1, 5), st.floats(0.5, 4.0), st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=40, deadline=None)
+    def test_euclidean_products_of_simplices_and_boxes(self, runs, N, M, seed):
+        r = np.random.default_rng(seed)
+        fset = _product(runs, r)
+        prob = _affine_problem(fset, SQUARED_EUCLIDEAN, r, M=M)
+        z0 = fset.sample(r, 1)[0]
+        sched = deterministic_schedule(prob.L, prob.M, N)
+        assert_same_run(mps_run(prob, sched, z0, retain_iterates=True),
+                        reference_sliding_loop(prob, sched, z0, prob.H))
+
+    @given(_simplex_runs, st.integers(1, 4), st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=30, deadline=None)
+    def test_entropy_products_that_reach_the_clip(self, runs, N, seed):
+        r = np.random.default_rng(seed)
+        fset = _product(runs, r)
+        # gradients of ~1e5 spread the log-weights far past the gap of 69 at
+        # which softmax entries fall to ENTROPY_CLIP
+        prob = _affine_problem(fset, NEGATIVE_ENTROPY, r, scale=1e5)
+        z0 = fset.center()
+        sched = deterministic_schedule(prob.L, prob.M, N)
+        got = mps_run(prob, sched, z0, retain_iterates=True)
+        assert_same_run(got, reference_sliding_loop(prob, sched, z0, prob.H))
+        if any(d > 1 for _, d, _ in runs):
+            assert min(np.min(z) for z in got[1].z_snapshots) < 1e-29
+
+    @given(_euclid_runs, st.sampled_from(["uniform", "gaussian"]), st.integers(1, 3),
+           st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=12, deadline=None)
+    def test_stochastic_runs_across_noise_block_refills(self, runs, kind, N, seed):
+        r = np.random.default_rng(seed)
+        fset = ProductSet([Box(-np.ones(16), np.ones(16)), _product(runs, r)])
+        rows = NOISE_BLOCK // fset.dim
+        # T_k >= k M / L: at least 3 rows' worth of noisy calls, so the
+        # oracle refills its block at least twice
+        M = math.ceil((3 * rows) / (N * (N + 1)))
+        prob = _affine_problem(fset, SQUARED_EUCLIDEAN, r, M=M)
+        blocked = make_stochastic_oracle(prob.H, kind, 0.3, fset.dim)
+        prob.H_stochastic = lambda z, rng: _read_only(blocked(z, rng))
+        prob.sigma = 0.3
+        per_call = _per_call_oracle(prob.H, kind, 0.3, fset.dim)
+        ref_rng = np.random.default_rng(seed)
+        z0 = fset.center()
+        sched = deterministic_schedule(prob.L, prob.M, N)
+        got = smps_run(prob, sched, z0, seed=seed, retain_iterates=True)
+        assert got[1].total_H > 2 * rows
+        assert_same_run(got, reference_sliding_loop(
+            prob, sched, z0, lambda z: _read_only(per_call(z, ref_rng))))
+
+
+class TestLoopGuards:
+    def test_loop_never_writes_into_oracle_results(self):
+        # H and grad_G hand out the same read-only arrays on every call
+        fset = ProductSet([Simplex(2), Simplex(3), Box([-1.0], [1.0])])
+        h, g = _read_only(np.linspace(-1.0, 1.0, 6)), _read_only(np.full(6, 0.25))
+        prob = VIProblem(set_geometry=GeometrySpec(SQUARED_EUCLIDEAN, fset),
+                         grad_G=lambda z: g, L=1.0, H=lambda z: h, M=3.0, delta=0.0)
+        sched = deterministic_schedule(1.0, 3.0, 4)
+        z0 = fset.center()
+        assert_same_run(mps_run(prob, sched, z0, retain_iterates=True),
+                        reference_sliding_loop(prob, sched, z0, prob.H))
+        assert np.array_equal(h, np.linspace(-1.0, 1.0, 6))
+        assert np.array_equal(g, np.full(6, 0.25))
+
+    def test_non_finite_z_prev_names_the_outer_iteration(self):
+        # the last H call of outer iteration 1 feeds the prox that yields
+        # z_prev; z_bar averages the finite z_tilde and stays finite
+        sched = deterministic_schedule(1.0, 3.0, 3)
+        last = 2 * int(sched.T[0])
+        calls = []
+
+        def H(z):
+            calls.append(1)
+            return np.full(2, np.nan if len(calls) == last else 0.5)
+
+        prob = VIProblem(set_geometry=box_geometry(2), grad_G=lambda z: z, L=1.0,
+                         H=H, M=3.0, delta=0.0)
+        with pytest.raises(DomainError, match="non-finite iterate produced at outer iteration 1"):
+            mps_run(prob, sched, np.zeros(2))
+        assert len(calls) == last
+
+    def test_feasibility_guard_catches_an_infeasible_prox(self, monkeypatch):
+        real_bind = sliding._bind_prox
+
+        def bind_off_the_set(geom, arg, dst):
+            into = real_bind(geom, arg, dst)
+
+            def shifted():
+                into()
+                np.add(dst, 0.5, out=dst)  # finite, but off the simplex
+
+            return shifted
+
+        monkeypatch.setattr(sliding, "_bind_prox", bind_off_the_set)
+        spp = make_matrix_game([MATCHING_PENNIES.copy()], 1)
+        prob = VIProblem(set_geometry=spp.stacked_geometry(), grad_G=lambda z: np.zeros(4),
+                         L=2.0, H=spp.H, M=2.0, delta=0.0)
+        with pytest.raises(DomainError, match="left the feasible set at outer iteration 1"):
+            mps_run(prob, deterministic_schedule(2.0, 2.0, 3), spp.center())
