@@ -22,6 +22,15 @@ import numpy as np
 
 from .errors import DimensionError, DomainError, ParameterError
 
+try:
+    # np.clip reaches this ufunc through four Python wrapper frames: 3.4 us
+    # against 0.9 us per call on 32 floats (numpy 2.4, 2-vCPU Xeon), with
+    # the same result. The box prox calls it directly; older numpy keeps
+    # the public function.
+    from numpy._core.umath import clip as _clip
+except ImportError:
+    _clip = np.clip
+
 # Feasibility slack applied to every membership test.
 TAU_FEAS = 1e-9
 # Entropy terms clip their log arguments at this floor.
@@ -110,7 +119,7 @@ def _bind_projection(group, src: np.ndarray, dst: np.ndarray):
     if kind == "box":
         s, o = src[a:b], dst[a:b]
         lo, up = bounds
-        return lambda: np.clip(s, lo, up, out=o)
+        return lambda: _clip(s, lo, up, out=o)
     if d == 1:
         o = dst[a:b]
         return lambda: o.fill(1.0)
@@ -467,16 +476,19 @@ def omega_sq_bound(geom: GeometrySpec, z0) -> float:
     v = _as_vector(z0, geom.dim)
     if not geom.feasible_set.contains(v):
         raise DomainError("start point lies outside the feasible set")
-    total = 0.0
-    for a, b, lo, up in geom.feasible_set._blocks():
-        z = v[a:b]
+    terms = []   # one per block, in order
+    for _, a, b, d, nb, *bounds in geom.feasible_set._groups:
+        Z = v[a:b].reshape(nb, d)
         if geom.dgf == NEGATIVE_ENTROPY:
-            if np.any(z <= 0.0):
+            if np.any(Z <= 0.0):
                 raise DomainError("entropy omega bound needs a strictly interior start")
-            total += float(np.max(np.log(1.0 / z)))
-        elif lo is not None:
-            total += 0.5 * float(np.sum(np.maximum((z - lo) ** 2, (up - z) ** 2)))
+            terms.append(np.max(np.log(1.0 / Z), axis=1))
+        elif bounds:
+            lo, up = (x.reshape(nb, d) for x in bounds)
+            terms.append(0.5 * np.sum(np.maximum((Z - lo) ** 2, (up - Z) ** 2), axis=1))
         else:
-            # farthest vertex: 0.5 * (||z||^2 + 1 - 2 min_i z_i)
-            total += 0.5 * (float(np.dot(z, z)) + 1.0 - 2.0 * float(np.min(z)))
-    return total
+            # farthest vertex: 0.5 * (||z||^2 + 1 - 2 min_i z_i); np.vecdot
+            # runs np.dot's ddot on each row
+            terms.append(0.5 * (np.vecdot(Z, Z) + 1.0 - 2.0 * np.min(Z, axis=1)))
+    # the running sum adds the block terms one at a time, in order
+    return float(np.cumsum(np.concatenate(terms))[-1])

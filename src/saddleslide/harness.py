@@ -7,6 +7,13 @@ the target (epsilon deterministically, p * epsilon in stochastic mode, by
 Markov's inequality), run the solver, and assemble a report comparing
 measured quantities against the instantiated theorem bounds.
 
+The solver retains the outer iterates z_bar_1..z_bar_N as the rows of one
+(N, dim) array. The per-iteration gap and the x and y consensus violations
+are then three oracle calls in all: the gap oracles and
+``consensus_violation`` act row-wise on that array, each row bitwise the
+single-point call. The final values are the last row's, since z_bar_N is
+the returned point.
+
 Reports are pure functions of (config, seed): emitted files redact wall-clock
 fields to 0.0 so re-running a config yields identical bytes. Stochastic mode
 with sigma = 0 degenerates to the deterministic pipeline outright, making the
@@ -368,15 +375,18 @@ def build_pipeline(config: RunConfig):
     return net, spp, coeffs, vi
 
 
-def _gap_oracle(spp: StackedSPP) -> Optional[Callable[[np.ndarray], float]]:
-    """Exact gap on node-averaged blocks, when the family supports one."""
+def _gap_oracle(spp: StackedSPP) -> Optional[Callable[[np.ndarray], np.ndarray]]:
+    """Exact gap on node-averaged blocks, when the family supports one.
+
+    The oracle acts row-wise on stacked points (..., dim), as the family's
+    gap function does on node averages."""
     fam = spp.meta.get("family")
     if fam == "matrix_game":
         A_bar = spp.meta["A_bar"]
 
-        def game_gap(z: np.ndarray) -> float:
+        def game_gap(z: np.ndarray) -> np.ndarray:
             X, Y = spp.split(z)
-            return exact_gap_matrix_game(A_bar, X.mean(axis=0), Y.mean(axis=0))
+            return exact_gap_matrix_game(A_bar, X.mean(axis=-2), Y.mean(axis=-2))
 
         return game_gap
     if fam == "l1_saddle":
@@ -385,9 +395,9 @@ def _gap_oracle(spp: StackedSPP) -> Optional[Callable[[np.ndarray], float]]:
         if B3.shape[1] != d or np.max(np.abs(B3 - B3 * np.eye(d))) > 0.0:
             return None
 
-        def l1_gap(z: np.ndarray) -> float:
+        def l1_gap(z: np.ndarray) -> np.ndarray:
             X, Y = spp.split(z)
-            return l1_saddle_gap(spp, X.mean(axis=0), Y.mean(axis=0))
+            return l1_saddle_gap(spp, X.mean(axis=-2), Y.mean(axis=-2))
 
         return l1_gap
     return None
@@ -429,28 +439,24 @@ def run_experiment(config: RunConfig) -> RunReport:
         noisy = make_stochastic_oracle(vi.H, config.noise_kind, config.sigma,
                                        vi.set_geometry.dim)
         problem = replace(vi, sigma=config.sigma, H_stochastic=noisy)
-        final, trace = smps_run(problem, schedule, z0, seed=config.seed,
-                                retain_iterates=True)
+        _, trace = smps_run(problem, schedule, z0, seed=config.seed,
+                            retain_iterates=True)
     else:
         schedule = deterministic_schedule(vi.L, vi.M, N)
-        final, trace = mps_run(vi, schedule, z0, retain_iterates=True)
+        _, trace = mps_run(vi, schedule, z0, retain_iterates=True)
 
+    # One row-wise oracle call per column over all N iterates; the last row
+    # is z_bar_N, the returned point, so it gives the final values.
     gap_fn = _gap_oracle(spp)
-    m, dx = spp.m, spp.d_x
-    cut = m * dx
-    for i, zk in enumerate(trace.z_bar_snapshots):
-        if gap_fn is not None:
-            trace.gap_estimate[i] = gap_fn(zk)
-        if m > 1:
-            trace.consensus_x[i] = consensus_violation(net, zk[:cut])
-            trace.consensus_y[i] = consensus_violation(net, zk[cut:])
-        else:
-            trace.consensus_x[i] = 0.0
-            trace.consensus_y[i] = 0.0
-
-    final_gap = gap_fn(final) if gap_fn is not None else math.nan
-    consensus_x = consensus_violation(net, final[:cut]) if m > 1 else 0.0
-    consensus_y = consensus_violation(net, final[cut:]) if m > 1 else 0.0
+    Z = trace.z_bar_iterates
+    cut = spp.m * spp.d_x
+    if gap_fn is not None:
+        trace.gap_estimate[:] = gap_fn(Z).tolist()
+    trace.consensus_x[:] = consensus_violation(net, Z[:, :cut]).tolist()
+    trace.consensus_y[:] = consensus_violation(net, Z[:, cut:]).tolist()
+    final_gap = trace.gap_estimate[-1]
+    consensus_x = trace.consensus_x[-1]
+    consensus_y = trace.consensus_y[-1]
 
     if stochastic:
         raw_T = stochastic_T_raw(vi.L, vi.M, config.sigma, omega_sq, N)
@@ -467,7 +473,7 @@ def run_experiment(config: RunConfig) -> RunReport:
     report = RunReport(
         family=config.family,
         mode="stochastic" if stochastic else "deterministic",
-        m=m,
+        m=spp.m,
         epsilon=config.epsilon,
         N=N,
         L=vi.L,

@@ -120,22 +120,34 @@ def random_matrix_game(m: int, d_x: int, d_y: int, seed,
                              for _ in range(m)], m)
 
 
-def exact_gap_matrix_game(A_bar, x, y) -> float:
+def exact_gap_matrix_game(A_bar, x, y):
     """Exact primal-dual gap max_j (A x)_j - min_i (A^T y)_i.
 
     The inner sup/inf over the simplices are attained at vertices, so this is
     the true value of sup over feasible (x', y') of y'^T A x - y^T A x'.
     Nonnegative for feasible inputs by weak duality.
+
+    Acts row-wise along the last axis: one pair of points (x, y) gives a
+    float, and batches x of shape (..., d_x) and y of shape (..., d_y) give
+    an array of shape (...) with one gap per row pair, each bitwise equal to
+    the single-point call (``np.matmul`` runs one gemv per row).
     """
     A = np.asarray(A_bar, dtype=float)
     vx = np.asarray(x, dtype=float)
     vy = np.asarray(y, dtype=float)
-    if A.ndim != 2 or vx.shape != (A.shape[1],) or vy.shape != (A.shape[0],):
+    if (A.ndim != 2 or vx.shape[-1:] != (A.shape[1],) or vy.shape[-1:] != (A.shape[0],)
+            or vx.shape[:-1] != vy.shape[:-1]):
         raise DimensionError("gap oracle needs x, y matching the matrix shape")
     for v in (vx, vy):
-        if np.any(v < -1e-9) or abs(float(v.sum()) - 1.0) > 1e-6:
+        if np.any(v < -1e-9) or np.any(np.abs(v.sum(axis=-1) - 1.0) > 1e-6):
             raise DomainError("gap oracle needs simplex-feasible x and y")
-    return float(np.max(A @ vx) - np.min(A.T @ vy))
+    gap = np.max(_matvec(A, vx), axis=-1) - np.min(_matvec(A.T, vy), axis=-1)
+    return float(gap) if gap.ndim == 0 else gap
+
+
+def _matvec(A: np.ndarray, v: np.ndarray) -> np.ndarray:
+    # A v for every row v of a (..., n) batch, one gemv per row, as A @ v
+    return np.matmul(A, v[..., None])[..., 0]
 
 
 # -- l1-regularized bilinear saddles -------------------------------------------
@@ -242,13 +254,18 @@ def random_l1_saddle(m: int, d_x: int, d_y: int, seed,
     return make_l1_saddle(B_list, c_list, C_list, box_radius)
 
 
-def l1_saddle_gap(spp: StackedSPP, x, y) -> float:
+def l1_saddle_gap(spp: StackedSPP, x, y):
     """Exact primal-dual gap of the node-averaged l1 objective at (x, y).
 
     Needs diagonal B_i. Both best responses are coordinate-separable: the y
     response is r * max(0, |(C_bar x)_j| - 1) per coordinate, and the x
     response minimizes a piecewise-linear function whose optimum sits at a
     box edge or a kink c_ij / b_ij, so scanning those candidates is exact.
+
+    Acts row-wise along the last axis: one pair of points (x, y) gives a
+    float, and batches x of shape (..., d_x) and y of shape (..., d_y) give
+    an array of shape (...) with one gap per row pair, each bitwise equal to
+    the single-point call.
     """
     if spp.meta.get("family") != "l1_saddle":
         raise ParameterError("l1_saddle_gap needs an l1 saddle instance")
@@ -259,28 +276,33 @@ def l1_saddle_gap(spp: StackedSPP, x, y) -> float:
         raise ParameterError("closed-form l1 gap needs diagonal B_i")
     vx = np.asarray(x, dtype=float)
     vy = np.asarray(y, dtype=float)
-    if vx.shape != (d_x,) or vy.shape != (C3.shape[1],):
+    if (vx.shape[-1:] != (d_x,) or vy.shape[-1:] != (C3.shape[1],)
+            or vx.shape[:-1] != vy.shape[:-1]):
         raise DimensionError("l1 gap oracle got points of the wrong dimension")
+    lead = vx.shape[:-1]
     C_bar = C3.mean(axis=0)
     diag = B3[:, np.arange(d_x), np.arange(d_x)]          # (m, d_x)
 
-    # sup over y' of f_bar(x, y'): separable, r * max(0, |(C_bar x)_j| - 1)
-    resid = diag * vx[None, :] - c2
-    f_sup = float(np.abs(resid).sum() / m
-                  + r * np.maximum(0.0, np.abs(C_bar @ vx) - 1.0).sum())
+    # sup over y' of f_bar(x, y'): separable, r * max(0, |(C_bar x)_j| - 1);
+    # each row's residuals are summed as one flat (m d_x) vector
+    resid = np.abs(diag * vx[..., None, :] - c2).reshape(lead + (m * d_x,))
+    f_sup = (resid.sum(axis=-1) / m
+             + r * np.maximum(0.0, np.abs(_matvec(C_bar, vx)) - 1.0).sum(axis=-1))
 
-    # inf over x' of f_bar(x', y): per coordinate, scan kinks and box edges
-    g = C_bar.T @ vy
-    f_inf = -float(np.abs(vy).sum())
+    # inf over x' of f_bar(x', y): per coordinate, scan kinks and box edges;
+    # the candidates and their l1 terms do not depend on (x, y)
+    g = _matvec(C_bar.T, vy)
+    f_inf = -np.abs(vy).sum(axis=-1)
     for j in range(d_x):
         bj = diag[:, j]
         cands = [-r, r]
         nz = bj != 0.0
         cands.extend(np.clip(c2[nz, j] / bj[nz], -r, r).tolist())
         t = np.array(cands)
-        vals = np.abs(np.outer(bj, t) - c2[:, j][:, None]).sum(axis=0) / m + g[j] * t
-        f_inf += float(vals.min())
-    return f_sup - f_inf
+        base = np.abs(np.outer(bj, t) - c2[:, j][:, None]).sum(axis=0) / m
+        f_inf = f_inf + (base + g[..., j, None] * t).min(axis=-1)
+    gap = f_sup - f_inf
+    return float(gap) if not lead else gap
 
 
 # -- operator bound and oracle certification -----------------------------------

@@ -243,14 +243,40 @@ def build_topology(kind: str, m: int, p: Optional[float] = None,
     return NetworkModel.from_matrix(Wt, edges=edges)
 
 
-def consensus_violation(net: NetworkModel, stacked) -> float:
-    """||W . stacked||_2 with the square-root matrix W applied blockwise."""
-    v = np.asarray(stacked, dtype=float).ravel()
-    if v.size % net.m != 0:
-        raise DimensionError(
-            f"stacked dimension {v.size} is not a multiple of m = {net.m}")
-    V = v.reshape(net.m, v.size // net.m)
-    return float(np.linalg.norm(net.W @ V))
+# Floats of W V that consensus_violation holds at once (128 kB): a batch is
+# evaluated in chunks of rows of about this size.
+CONSENSUS_CHUNK = 1 << 14
+
+
+def consensus_violation(net: NetworkModel, stacked):
+    """||W V||_2, where V is the (m, w) matrix of node blocks of ``stacked``
+    and W the square-root matrix.
+
+    Acts row-wise along the last axis: ``stacked`` is one stacked vector of
+    length m w, which gives a float, or a batch of shape (..., m w), which
+    gives an array of shape (...) with one norm per row. Each row is bitwise
+    equal to the single-vector call: W V is one matrix product per row (on
+    an (n, m, w) stack, ``np.matmul`` runs one gemm per slice; a single
+    gemm of W against the rows side by side sums in another order), and the
+    norm is the square root of the row's ``ddot``, as in
+    ``np.linalg.norm``. A batch runs in chunks of rows, so W V never holds
+    more than about ``CONSENSUS_CHUNK`` floats. W is zero on a single-node
+    network, where the result is 0.0.
+    """
+    v = np.asarray(stacked, dtype=float)
+    if v.ndim == 0 or v.shape[-1] % net.m != 0:
+        raise DimensionError(f"stacked points of shape {v.shape} need a last axis "
+                             f"that is a multiple of m = {net.m}")
+    lead, w = v.shape[:-1], v.shape[-1] // net.m
+    V = v.reshape(-1, net.m, w)
+    out = np.empty(len(V))
+    step = max(1, CONSENSUS_CHUNK // max(1, net.m * w))
+    for s in range(0, len(V), step):
+        R = np.matmul(net.W, V[s:s + step])
+        R = R.reshape(len(R), -1)
+        np.vecdot(R, R, out=out[s:s + step])
+    np.sqrt(out, out)
+    return float(out[0]) if not lead else out.reshape(lead)
 
 
 # -- matrix export ------------------------------------------------------------

@@ -197,8 +197,14 @@ class RunTrace:
 
     ``grad_G_calls`` / ``H_calls`` rows are cumulative counts after outer
     iteration k. ``gap_estimate`` / ``consensus_x`` / ``consensus_y`` start as
-    NaN and are filled by the harness (the solver does not know the
-    instance-level gap oracle). Iterate snapshots are retained on request.
+    NaN: the solver does not know the instance-level gap oracle or the
+    network. ``run_experiment`` fills each of them after the solve with one
+    row-wise oracle call on ``z_bar_iterates``.
+
+    Iterate snapshots are retained on request. Then ``z_bar_iterates`` is
+    the (N, dim) array whose row k - 1 is z_bar_k, written in place by the
+    solver, and ``z_bar_snapshots`` lists views of its rows;
+    ``z_snapshots`` and ``z_under_snapshots`` list one array per iteration.
     """
 
     inner_steps: list = field(default_factory=list)
@@ -212,6 +218,7 @@ class RunTrace:
     z_bar_snapshots: list = field(default_factory=list)
     z_snapshots: list = field(default_factory=list)
     z_under_snapshots: list = field(default_factory=list)
+    z_bar_iterates: Optional[np.ndarray] = None
     final: Optional[np.ndarray] = None
 
     @property
@@ -278,6 +285,9 @@ def _sliding_loop(problem: VIProblem, schedule: SlidingSchedule, z0: np.ndarray,
     cur, nxt = (z_a, _bind_prox(geom, arg, z_a)), (z_b, _bind_prox(geom, arg, z_b))
     np.copyto(z_a, z0)
     z_bar = z0.copy()
+    # z_bar_k is written into row k - 1 of one (N, dim) array when retained
+    rows = np.empty((schedule.N, geom.dim)) if retain_iterates else None
+    trace.z_bar_iterates = rows
     z_prev = z_a
     n_grad = 0
     n_h = 0
@@ -306,7 +316,8 @@ def _sliding_loop(problem: VIProblem, schedule: SlidingSchedule, z0: np.ndarray,
             n_h += 2
             z_tilde_sum += z_tilde
             cur, nxt = nxt, cur
-        z_bar = (1.0 - gk) * z_bar + gk * (z_tilde_sum / tk)
+        z_bar = np.add((1.0 - gk) * z_bar, gk * (z_tilde_sum / tk),
+                       out=None if rows is None else rows[k - 1])
         z_prev = cur[0]
         both = np.stack((z_bar, z_prev))
         if not np.all(np.isfinite(both)):
@@ -321,11 +332,11 @@ def _sliding_loop(problem: VIProblem, schedule: SlidingSchedule, z0: np.ndarray,
         trace.consensus_y.append(math.nan)
         trace.wall_ms.append((time.perf_counter() - t0) * 1000.0)
         if retain_iterates:
-            trace.z_bar_snapshots.append(z_bar.copy())
+            trace.z_bar_snapshots.append(z_bar)
             trace.z_snapshots.append(z_prev.copy())
-            trace.z_under_snapshots.append(z_under.copy())
+            trace.z_under_snapshots.append(z_under)
     trace.final = z_bar.copy()
-    return z_bar, trace
+    return z_bar.copy(), trace
 
 
 def mps_run(problem: VIProblem, schedule: SlidingSchedule, z0,

@@ -375,6 +375,44 @@ def test_omega_dominates_sampled_divergences():
         assert bregman_divergence(geom, z, z0) <= bound + 1e-12
 
 
+def _omega_per_block(geom, z0):
+    # reference: one block at a time, each term added to a running float
+    total = 0.0
+    for a, b, lo, up in geom.feasible_set._blocks():
+        z = z0[a:b]
+        if geom.dgf == NEGATIVE_ENTROPY:
+            total += float(np.max(np.log(1.0 / z)))
+        elif lo is not None:
+            total += 0.5 * float(np.sum(np.maximum((z - lo) ** 2, (up - z) ** 2)))
+        else:
+            total += 0.5 * (float(np.dot(z, z)) + 1.0 - 2.0 * float(np.min(z)))
+    return total
+
+
+@settings(max_examples=80, deadline=None)
+@given(runs=st.lists(st.tuples(st.sampled_from(["simplex", "box"]), st.integers(1, 20),
+                               st.integers(1, 40)), min_size=1, max_size=4),
+       entropy=st.booleans(), seed=st.integers(0, 2 ** 16))
+def test_omega_equals_per_block_sum_bitwise(runs, entropy, seed):
+    # one pass per group adds the same block terms, in the same order
+    g = np.random.default_rng(seed)
+    factors = []
+    for kind, d, n in runs:
+        if kind == "simplex" or entropy:
+            factors += [Simplex(d)] * n
+        else:
+            lo = g.uniform(-2.0, 1.0, d * n)
+            up = lo + g.uniform(0.0, 3.0, d * n)
+            factors += [Box(lo[i:i + d], up[i:i + d]) for i in range(0, d * n, d)]
+    geom = (entropy_geom if entropy else euclid_geom)(ProductSet(factors))
+    for z0 in (geom.feasible_set.center(), geom.feasible_set.sample(g, 1)[0]):
+        if entropy:
+            z0 = np.maximum(z0, 1e-3)
+            z0 = np.concatenate([z0[a:b] / z0[a:b].sum()
+                                 for a, b, _, _ in geom.feasible_set._blocks()])
+        assert omega_sq_bound(geom, z0) == _omega_per_block(geom, z0)
+
+
 def test_omega_entropy_rejects_boundary_start():
     geom = entropy_geom(Simplex(2))
     with pytest.raises(DomainError):

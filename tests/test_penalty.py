@@ -19,7 +19,10 @@ from saddleslide import (
     PenaltyCoefficients,
     build_penalized_vi,
     build_topology,
+    consensus_violation,
     deterministic_schedule,
+    exact_gap_matrix_game,
+    l1_saddle_gap,
     make_l1_saddle,
     make_matrix_game,
     mps_run,
@@ -358,6 +361,103 @@ class TestRowWiseH:
         pts = spp.stacked_set().sample(np.random.default_rng(seed), samples)
         worst = max(float(np.linalg.norm(spp.H(row))) for row in pts)
         assert sample_operator_bound(spp, samples, seed, inflate) == inflate * worst
+
+
+class TestRowWiseOracles:
+    """The gap oracles and ``consensus_violation`` follow H's row-wise
+    contract: a batch along the leading axes gives one value per row,
+    bitwise the single-point call on that row, and a point gives a float."""
+
+    @staticmethod
+    def check_rows_bitwise(spp, net, Z):
+        lead, cut = Z.shape[:-1], spp.m * spp.d_x
+        X, Y = spp.split(Z)
+        xb, yb = X.mean(axis=-2), Y.mean(axis=-2)
+        if spp.meta["family"] == "matrix_game":
+            def gap(x, y):
+                return exact_gap_matrix_game(spp.meta["A_bar"], x, y)
+        else:
+            def gap(x, y):
+                return l1_saddle_gap(spp, x, y)
+        pairs = zip(xb.reshape(-1, spp.d_x), yb.reshape(-1, spp.d_y))
+        singles = {"gap": [gap(x, y) for x, y in pairs],
+                   "x": [consensus_violation(net, z[:cut]) for z in Z.reshape(-1, spp.dim)],
+                   "y": [consensus_violation(net, z[cut:]) for z in Z.reshape(-1, spp.dim)]}
+        batched = {"gap": gap(xb, yb), "x": consensus_violation(net, Z[..., :cut]),
+                   "y": consensus_violation(net, Z[..., cut:])}
+        for name, out in batched.items():
+            assert all(type(v) is float for v in singles[name]), name
+            if lead:
+                assert out.shape == lead, name
+                assert np.array_equal(out.ravel(), singles[name]), name
+            else:
+                assert type(out) is float and out == singles[name][0], name
+
+    @settings(max_examples=60, deadline=None)
+    @given(m=st.integers(1, 6), d_x=dims, d_y=dims, lead=lead_shapes,
+           family=st.sampled_from(["game", "l1"]), seed=st.integers(0, 2 ** 16))
+    def test_rows_equal_single_point_calls_bitwise(self, m, d_x, d_y, lead, family, seed):
+        spp = (random_matrix_game(m, d_x, d_y, seed=seed) if family == "game"
+               else random_l1_saddle(m, d_x, d_y, seed=seed))
+        net = NetworkModel.single_node() if m == 1 else build_topology("ring", m)
+        self.check_rows_bitwise(spp, net, batch_of_points(spp, lead, seed + 1))
+
+    @pytest.mark.parametrize("family", ["game", "l1"])
+    def test_rows_equal_single_point_calls_bitwise_on_ring_256(self, family):
+        # 256 nodes: the node means and W V sum over more rows than one
+        # unrolled block, and a batch of 300 rows of 768 floats spans
+        # several of consensus_violation's chunks
+        spp = (random_matrix_game(256, 3, 3, seed=4) if family == "game"
+               else random_l1_saddle(256, 2, 2, seed=4))
+        self.check_rows_bitwise(spp, build_topology("ring", 256),
+                                batch_of_points(spp, (300,), 5))
+
+    def test_single_node_consensus_is_zero(self):
+        Z = np.random.default_rng(2).uniform(-1.0, 1.0, (4, 3))
+        out = consensus_violation(NetworkModel.single_node(), Z)
+        assert out.shape == (4,) and not out.any()
+        assert consensus_violation(NetworkModel.single_node(), Z[0]) == 0.0
+
+    def test_oracles_reject_mismatched_batches(self):
+        net = build_topology("ring", 3)
+        with pytest.raises(DimensionError):
+            consensus_violation(net, np.zeros((2, 4)))
+        spp = random_l1_saddle(2, 2, 2, seed=0)
+        with pytest.raises(DimensionError):
+            l1_saddle_gap(spp, np.zeros((3, 2)), np.zeros((2, 2)))
+        with pytest.raises(DimensionError):
+            exact_gap_matrix_game(np.eye(2), np.full((3, 2), 0.5), np.full((2, 2), 0.5))
+
+
+# sha256 of the (3, 64) float64 array of node-averaged gap, consensus_x and
+# consensus_y over 64 points sampled from the stacked set with
+# default_rng(1): a random game (m = 6, d_x = 3, d_y = 2) on ring-6 and an
+# l1 instance (m = 8, d_x = 4, d_y = 3) on ring-8, both with instance seed
+# 0. The values were taken with one oracle call per point and per column;
+# the row-wise calls must reproduce every bit.
+PINNED_ORACLE_COLUMNS = {
+    "game": "5669fba5e4fc729159d5ec7fa72d1acf7d64aaf8f9e409eca7b592d59833734e",
+    "l1": "fb1507aafa97774e6d6340297fce38610596e12387d170e759fa62f7e7b4d753",
+}
+
+
+@pytest.mark.parametrize("family", sorted(PINNED_ORACLE_COLUMNS))
+def test_oracle_columns_match_pinned_bytes(family):
+    if family == "game":
+        spp, net = random_matrix_game(6, 3, 2, seed=0), build_topology("ring", 6)
+        gap = exact_gap_matrix_game
+        args = (spp.meta["A_bar"],)
+    else:
+        spp, net = random_l1_saddle(8, 4, 3, seed=0), build_topology("ring", 8)
+        gap = l1_saddle_gap
+        args = (spp,)
+    Z = spp.stacked_set().sample(np.random.default_rng(1), 64)
+    X, Y = spp.split(Z)
+    cut = spp.m * spp.d_x
+    cols = np.stack([gap(*args, X.mean(axis=-2), Y.mean(axis=-2)),
+                     consensus_violation(net, Z[:, :cut]),
+                     consensus_violation(net, Z[:, cut:])])
+    assert hashlib.sha256(cols.tobytes()).hexdigest() == PINNED_ORACLE_COLUMNS[family]
 
 
 # sha256 of 64 points sampled from the stacked set with default_rng(seed),

@@ -257,6 +257,10 @@ class TestDeterministicRun:
         for k, zb in enumerate(trace.z_bar_snapshots, start=1):
             assert 0.5 * float(zb @ zb) <= 6.0 * prob.L * omega_sq / k ** 2 + 1e-12
         assert np.allclose(final, trace.z_bar_snapshots[-1])
+        # the returned point owns its memory; the snapshots are rows of one array
+        assert not np.shares_memory(final, trace.z_bar_iterates)
+        assert all(zb.base is trace.z_bar_iterates for zb in trace.z_bar_snapshots)
+        assert mps_run(prob, sched, z0)[1].z_bar_iterates is None
 
     def test_matching_pennies_reaches_small_gap(self):
         spp = make_matrix_game([MATCHING_PENNIES.copy()], 1)
@@ -500,6 +504,8 @@ def assert_same_run(got, ref):
         assert _bits(getattr(trace, name)) == _bits(getattr(trace_ref, name)), name
     for name in ("z_bar_snapshots", "z_snapshots", "z_under_snapshots"):
         assert _bits(getattr(trace, name)) == _bits(getattr(trace_ref, name)), name
+    if trace.z_bar_snapshots:
+        assert _bits(trace.z_bar_iterates) == _bits(trace_ref.z_bar_snapshots)
     assert trace.N == len(trace.wall_ms)
 
 
