@@ -375,13 +375,12 @@ def build_pipeline(config: RunConfig):
     return net, spp, coeffs, vi
 
 
-def _gap_oracle(spp: StackedSPP) -> Optional[Callable[[np.ndarray], np.ndarray]]:
-    """Exact gap on node-averaged blocks, when the family supports one.
+def _gap_oracle(spp: StackedSPP) -> Callable[[np.ndarray], np.ndarray]:
+    """Exact gap on node-averaged blocks, for every family the harness builds.
 
     The oracle acts row-wise on stacked points (..., dim), as the family's
     gap function does on node averages."""
-    fam = spp.meta.get("family")
-    if fam == "matrix_game":
+    if spp.meta.get("family") == "matrix_game":
         A_bar = spp.meta["A_bar"]
 
         def game_gap(z: np.ndarray) -> np.ndarray:
@@ -389,18 +388,12 @@ def _gap_oracle(spp: StackedSPP) -> Optional[Callable[[np.ndarray], np.ndarray]]
             return exact_gap_matrix_game(A_bar, X.mean(axis=-2), Y.mean(axis=-2))
 
         return game_gap
-    if fam == "l1_saddle":
-        B3 = spp.meta["B"]
-        d = B3.shape[2]
-        if B3.shape[1] != d or np.max(np.abs(B3 - B3 * np.eye(d))) > 0.0:
-            return None
 
-        def l1_gap(z: np.ndarray) -> np.ndarray:
-            X, Y = spp.split(z)
-            return l1_saddle_gap(spp, X.mean(axis=-2), Y.mean(axis=-2))
+    def l1_gap(z: np.ndarray) -> np.ndarray:
+        X, Y = spp.split(z)
+        return l1_saddle_gap(spp, X.mean(axis=-2), Y.mean(axis=-2))
 
-        return l1_gap
-    return None
+    return l1_gap
 
 
 def pick_N(L: float, omega_sq: float, target: float) -> int:
@@ -450,8 +443,7 @@ def run_experiment(config: RunConfig) -> RunReport:
     gap_fn = _gap_oracle(spp)
     Z = trace.z_bar_iterates
     cut = spp.m * spp.d_x
-    if gap_fn is not None:
-        trace.gap_estimate[:] = gap_fn(Z).tolist()
+    trace.gap_estimate[:] = gap_fn(Z).tolist()
     trace.consensus_x[:] = consensus_violation(net, Z[:, :cut]).tolist()
     trace.consensus_y[:] = consensus_violation(net, Z[:, cut:]).tolist()
     final_gap = trace.gap_estimate[-1]

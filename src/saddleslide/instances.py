@@ -3,8 +3,8 @@
 Two families are shipped. Matrix games put f_i(x, y) = y^T A_i x on a pair of
 probability simplices; the operator H is linear and smooth, the exact
 primal-dual gap has a closed form by vertex enumeration, and subgradient /
-operator bounds are analytic. The l1 family puts
-f_i(x, y) = ||B_i x - c_i||_1 + y^T C_i x - ||y||_1 on boxes; H is genuinely
+operator bounds are analytic. The l1 family puts f_i(x, y) =
+||diag(b_i) x - c_i||_1 + y^T C_i x - ||y||_1 on boxes; H is genuinely
 nonsmooth with sign-vector subgradients (sign(0) := 0, the minimal-norm
 choice) and bounds computable from the data norms and box radius.
 
@@ -167,65 +167,75 @@ class _L1Local:
                      - np.abs(y).sum())
 
     def h(self, x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        s = np.sign(self.B @ x - self.c)
-        return self.B.T @ s + self.C.T @ y, np.sign(y) - self.C @ x
+        # einsum sums in the order of the stacked H, so each node's block of
+        # StackedSPP.H equals this bit for bit; matmul's gemv may not
+        s = np.sign(_einsum("pi,i->p", self.B, x) - self.c)
+        return (_einsum("pi,p->i", self.B, s) + _einsum("ji,j->i", self.C, y),
+                np.sign(y) - _einsum("ji,i->j", self.C, x))
 
 
-def make_l1_saddle(B_list, c_list, C_list, box_radius: float) -> StackedSPP:
+def make_l1_saddle(b_list, c_list, C_list, box_radius: float) -> StackedSPP:
     """Stacked nonsmooth saddle on boxes [-box_radius, box_radius] per block.
 
-    Subgradients use sign(0) = 0. The per-node bounds combine operator norms
-    with the worst sign vector and box corner:
-    ||B^T s + C^T y|| <= sigma_max(B) sqrt(p) + sigma_max(C) r sqrt(d_y) and
-    ||sign(y) - C x|| <= sqrt(d_y) + sigma_max(C) r sqrt(d_x).
+    ``b_list`` holds the diagonals b_i of the sensing matrices, each of
+    length d_x, so p = d_x; no d_x x d_x matrix is stored. Subgradients use
+    sign(0) = 0. The per-node bounds combine operator norms with the worst
+    sign vector and box corner (p = d_x in the first):
+    ||b * s + C^T y|| <= sigma_max(diag(b)) sqrt(p) + sigma_max(C) r sqrt(d_y)
+    and ||sign(y) - C x|| <= sqrt(d_y) + sigma_max(C) r sqrt(d_x).
     """
-    m = len(B_list)
+    m = len(b_list)
     if m < 1 or len(c_list) != m or len(C_list) != m:
-        raise DimensionError("B_list, c_list, C_list must have equal length >= 1")
+        raise DimensionError("b_list, c_list, C_list must have equal length >= 1")
     if not (np.isfinite(box_radius) and box_radius > 0):
         raise ParameterError("box_radius must be a positive real")
     stacks = []
-    for name, given, ndim in (("B", B_list, 2), ("c", c_list, 1), ("C", C_list, 2)):
+    for name, given, ndim in (("b", b_list, 1), ("c", c_list, 1), ("C", C_list, 2)):
         arrays = [np.asarray(x, dtype=float) for x in given]
         if any(x.ndim != ndim or x.shape != arrays[0].shape for x in arrays):
             raise DimensionError(f"every {name}_i must be {ndim}-D, all of one shape")
         stacks.append(np.stack(arrays))
-    B3, c2, C3 = stacks
-    p, d_x = B3.shape[1], B3.shape[2]
-    d_y = C3.shape[1]
-    if c2.shape != (m, p) or C3.shape != (m, d_y, d_x):
-        raise DimensionError("inconsistent l1 instance dimensions")
-    if not (np.all(np.isfinite(B3)) and np.all(np.isfinite(c2))
-            and np.all(np.isfinite(C3))):
+    b2, c2, C3 = stacks
+    d_x, d_y = b2.shape[1], C3.shape[1]
+    if c2.shape != (m, d_x) or C3.shape != (m, d_y, d_x):
+        raise DimensionError("c_i must have the length of b_i, and C_i shape (d_y, d_x)")
+    if not all(np.all(np.isfinite(a)) for a in stacks):
         raise DomainError("l1 instance data must be finite")
     r = float(box_radius)
-    sig_B = np.array([np.linalg.norm(B3[i], 2) for i in range(m)])
-    sig_C = np.array([np.linalg.norm(C3[i], 2) for i in range(m)])
-    bx = sig_B * math.sqrt(p) + sig_C * r * math.sqrt(d_y)
+    sig_B = np.linalg.norm(b2[:, :, None] * np.eye(d_x), 2, axis=(1, 2))
+    sig_C = np.linalg.norm(C3, 2, axis=(1, 2))
+    bx = sig_B * math.sqrt(d_x) + sig_C * r * math.sqrt(d_y)
     by = math.sqrt(d_y) + sig_C * r * math.sqrt(d_x)
+    cut = m * d_x
 
-    # Leading axes of X and Y are independent points. The einsums keep the
+    # Leading axes of z are independent points. The einsums keep the
     # single-point subscripts behind a "...", which sums each point in the
     # same order as a single-point call; optimize=True or matmul may not.
-    # B x and C x are one contraction over the stacked rows of [B; C]: each
-    # entry is still its own sum over x, so splitting it gives both exactly.
-    BC3 = np.concatenate([B3, C3], axis=1)
-
-    def batched_H(X: np.ndarray, Y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        BCX = _einsum("nki,...ni->...nk", BC3, X)
-        S = np.sign(BCX[..., :p] - c2)
-        Hx = (_einsum("npi,...np->...ni", B3, S)
-              + _einsum("nji,...nj->...ni", C3, Y))
-        Hy = np.sign(Y) - BCX[..., p:]
-        return Hx, Hy
+    def batched_H(z: np.ndarray) -> np.ndarray:
+        lead = z.shape[:-1]
+        X = z[..., :cut].reshape(lead + (m, d_x))
+        Y = z[..., cut:].reshape(lead + (m, d_y))
+        out = np.empty(z.shape)
+        OX = out[..., :cut].reshape(X.shape)
+        OY = out[..., cut:].reshape(Y.shape)
+        # Hx = b * sign(b * x - c) + C^T y and Hy = sign(y) - C x, written
+        # through views of one output array
+        np.multiply(b2, X, out=OX)
+        np.subtract(OX, c2, out=OX)
+        np.sign(OX, out=OX)
+        np.multiply(OX, b2, out=OX)
+        OX += _einsum("nji,...nj->...ni", C3, Y)
+        np.sign(Y, out=OY)
+        OY -= _einsum("nji,...ni->...nj", C3, X)
+        return out
 
     def batched_value(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
-        R = np.einsum("npi,...ni->...np", B3, X) - c2
+        R = b2 * X - c2
         return (np.abs(R).sum(axis=-1) + np.einsum("...nj,nji,...ni->...n", Y, C3, X)
                 - np.abs(Y).sum(axis=-1))
 
     return StackedSPP(
-        locals=[_L1Local(B3[i], c2[i], C3[i]) for i in range(m)],
+        locals=[_L1Local(np.diag(b2[i]), c2[i], C3[i]) for i in range(m)],
         d_x=d_x,
         d_y=d_y,
         set_x=Box(-r * np.ones(d_x), r * np.ones(d_x)),
@@ -236,31 +246,29 @@ def make_l1_saddle(B_list, c_list, C_list, box_radius: float) -> StackedSPP:
         subgrad_bound_x=math.sqrt(float(np.sum(bx ** 2))),
         subgrad_bound_y=math.sqrt(float(np.sum(by ** 2))),
         operator_bound=math.sqrt(float(np.sum(bx ** 2 + by ** 2))),
-        meta={"family": "l1_saddle", "B": B3, "c": c2, "C": C3, "box_radius": r},
+        meta={"family": "l1_saddle", "b": b2, "c": c2, "C": C3, "box_radius": r},
     )
 
 
 def random_l1_saddle(m: int, d_x: int, d_y: int, seed,
                      box_radius: float = 1.0) -> StackedSPP:
-    """Random l1 instance with diagonal sensing matrices.
-
-    Diagonal B keeps the x best response coordinate-separable, so the exact
-    primal-dual gap oracle (:func:`l1_saddle_gap`) stays closed-form.
-    """
+    """Random l1 instance: diagonals b_i uniform on [0.5, 1.5], c_i on
+    [-1, 1] and C_i on [-0.5, 0.5], drawn in that order."""
     rng = np.random.default_rng(seed)
-    B_list = [np.diag(rng.uniform(0.5, 1.5, d_x)) for _ in range(m)]
+    b_list = [rng.uniform(0.5, 1.5, d_x) for _ in range(m)]
     c_list = [rng.uniform(-1.0, 1.0, d_x) for _ in range(m)]
     C_list = [rng.uniform(-0.5, 0.5, (d_y, d_x)) for _ in range(m)]
-    return make_l1_saddle(B_list, c_list, C_list, box_radius)
+    return make_l1_saddle(b_list, c_list, C_list, box_radius)
 
 
 def l1_saddle_gap(spp: StackedSPP, x, y):
     """Exact primal-dual gap of the node-averaged l1 objective at (x, y).
 
-    Needs diagonal B_i. Both best responses are coordinate-separable: the y
-    response is r * max(0, |(C_bar x)_j| - 1) per coordinate, and the x
-    response minimizes a piecewise-linear function whose optimum sits at a
-    box edge or a kink c_ij / b_ij, so scanning those candidates is exact.
+    The sensing matrices are diagonal, so both best responses are
+    coordinate-separable: the y response is r * max(0, |(C_bar x)_j| - 1)
+    per coordinate, and the x response minimizes a piecewise-linear function
+    whose optimum sits at a box edge or a kink c_ij / b_ij, so scanning those
+    candidates is exact.
 
     Acts row-wise along the last axis: one pair of points (x, y) gives a
     float, and batches x of shape (..., d_x) and y of shape (..., d_y) give
@@ -269,11 +277,9 @@ def l1_saddle_gap(spp: StackedSPP, x, y):
     """
     if spp.meta.get("family") != "l1_saddle":
         raise ParameterError("l1_saddle_gap needs an l1 saddle instance")
-    B3, c2, C3 = spp.meta["B"], spp.meta["c"], spp.meta["C"]
+    diag, c2, C3 = spp.meta["b"], spp.meta["c"], spp.meta["C"]
     r = spp.meta["box_radius"]
-    m, p, d_x = B3.shape
-    if p != d_x or np.max(np.abs(B3 - B3 * np.eye(d_x))) > 0.0:
-        raise ParameterError("closed-form l1 gap needs diagonal B_i")
+    m, d_x = diag.shape
     vx = np.asarray(x, dtype=float)
     vy = np.asarray(y, dtype=float)
     if (vx.shape[-1:] != (d_x,) or vy.shape[-1:] != (C3.shape[1],)
@@ -281,7 +287,6 @@ def l1_saddle_gap(spp: StackedSPP, x, y):
         raise DimensionError("l1 gap oracle got points of the wrong dimension")
     lead = vx.shape[:-1]
     C_bar = C3.mean(axis=0)
-    diag = B3[:, np.arange(d_x), np.arange(d_x)]          # (m, d_x)
 
     # sup over y' of f_bar(x, y'): separable, r * max(0, |(C_bar x)_j| - 1);
     # each row's residuals are summed as one flat (m d_x) vector

@@ -51,10 +51,11 @@ class StackedSPP:
     -f_i in y), which are the two blocks of the monotone operator H. They are
     the per-node reference; the solver evaluates the stacked operator through
     ``batched_H`` or ``linear_H`` (exactly one is set) and the objective
-    through ``batched_value``. ``batched_H`` / ``batched_value`` take (X, Y)
-    with node rows on the last two axes, any leading axes being independent
-    points. ``set_x`` / ``set_y`` are the per-node feasible sets, shared by
-    all nodes.
+    through ``batched_value``. ``batched_H`` maps stacked points z of shape
+    (..., dim) to H(z) of the same shape, each row on its own, and is what
+    :meth:`H` returns. ``batched_value`` takes (X, Y) with node rows on the
+    last two axes, any leading axes being independent points. ``set_x`` /
+    ``set_y`` are the per-node feasible sets, shared by all nodes.
 
     ``linear_H`` / ``linear_H_cols`` store a linear H (bilinear saddles)
     row-sparse, k entries per row (ELL form): both have shape (dim, k), and
@@ -75,7 +76,7 @@ class StackedSPP:
     set_x: ProductSet
     set_y: ProductSet
     batched_value: Callable[[np.ndarray, np.ndarray], np.ndarray]
-    batched_H: Optional[Callable[[np.ndarray, np.ndarray], tuple]] = None
+    batched_H: Optional[Callable[[np.ndarray], np.ndarray]] = None
     dgf: str = SQUARED_EUCLIDEAN
     linear_H: Optional[np.ndarray] = None
     linear_H_cols: Optional[np.ndarray] = None
@@ -133,7 +134,7 @@ class StackedSPP:
         if self.linear_H is not None:
             return _einsum("rk,...rk->...r", self.linear_H,
                            z.take(self.linear_H_cols, axis=-1))
-        return self.join(*self.batched_H(*self.split(z)))
+        return self.batched_H(z)
 
     def value(self, z: np.ndarray) -> float:
         """F(x, y) = sum_i f_i(x_i, y_i)."""

@@ -4,14 +4,25 @@
 wrappers in ``--trace 1`` mode, and ``perfbench/run.py`` reads the snapshot
 lists of ``RunTrace`` and the ``linear_H`` field of ``StackedSPP``. A rename
 or a method moved to another class breaks the benchmark without failing any
-library test; these tests fail instead.
+library test; these tests fail instead. Both the tracer's ``penalty.H``
+and the self-check's fault injection patch the class method
+``StackedSPP.H``, so every H call of a solve must go through it.
 """
 
 import dataclasses
 import importlib
 from pathlib import Path
 
-from saddleslide import RunTrace, StackedSPP
+from saddleslide import (
+    RunTrace,
+    StackedSPP,
+    build_penalized_vi,
+    build_topology,
+    deterministic_schedule,
+    mps_run,
+    penalty_coefficients,
+    random_l1_saddle,
+)
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 PATCHED = 22
@@ -38,3 +49,21 @@ def test_benchmark_reads_snapshot_lists_and_linear_H():
     for name in ("z_bar_snapshots", "z_snapshots", "z_under_snapshots"):
         assert getattr(trace, name) == []
     assert "linear_H" in {f.name for f in dataclasses.fields(StackedSPP)}
+
+
+def test_every_l1_H_call_goes_through_the_class_method(monkeypatch):
+    calls = []
+    original = StackedSPP.H
+
+    def counting_H(self, z):
+        calls.append(z.shape)
+        return original(self, z)
+
+    monkeypatch.setattr(StackedSPP, "H", counting_H)
+    spp = random_l1_saddle(4, 2, 2, seed=0)
+    net = build_topology("ring", 4)
+    coeffs = penalty_coefficients(spp, net, 0.4, spp.subgrad_bound_x,
+                                  spp.subgrad_bound_y)
+    vi = build_penalized_vi(spp, net, coeffs, 0.4)
+    _, trace = mps_run(vi, deterministic_schedule(vi.L, vi.M, 1), spp.center())
+    assert trace.H_calls == [len(calls)] and len(calls) >= 2

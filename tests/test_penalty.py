@@ -31,6 +31,7 @@ from saddleslide import (
     random_matrix_game,
     sample_operator_bound,
 )
+from saddleslide.instances import _L1Local
 
 rng = np.random.default_rng(1207)
 
@@ -256,11 +257,34 @@ class TestStackedSPP:
 lead_shapes = st.one_of(st.just(()), st.tuples(st.integers(1, 6)),
                         st.tuples(st.integers(1, 3), st.integers(1, 3)))
 dims = st.integers(1, 5)
+sizes = st.integers(1, 6)
 
 
 def batch_of_points(spp, lead, seed):
     pts = spp.stacked_set().sample(np.random.default_rng(seed), math.prod(lead))
     return pts.reshape(*lead, spp.dim)
+
+
+def l1_instance_with_kinks(m, d_x, d_y, lead, seed):
+    """A diagonal l1 instance, b of either sign and some b entries zero, and
+    points of shape lead + (dim,) with kinks: about half of the x entries
+    sit where b * x = c exactly, and about 40 % of the y entries are +0 or
+    -0."""
+    g = np.random.default_rng(seed)
+    b = g.uniform(-1.5, 1.5, (m, d_x))
+    b[g.random(b.shape) < 0.2] = 0.0
+    x0 = g.uniform(-1.0, 1.0, (m, d_x))
+    c = np.where(g.random(b.shape) < 0.5, b * x0, g.uniform(-1.0, 1.0, b.shape))
+    spp = make_l1_saddle(list(b), list(c), list(g.uniform(-0.5, 0.5, (m, d_y, d_x))),
+                         1.0)
+    Z = batch_of_points(spp, lead, seed + 1)
+    X, Y = Z[..., :m * d_x], Z[..., m * d_x:]
+    kink = g.random(X.shape) < 0.5
+    X[kink] = np.broadcast_to(x0.ravel(), X.shape)[kink]
+    r = g.random(Y.shape)
+    Y[r < 0.2] = 0.0
+    Y[(r >= 0.2) & (r < 0.4)] = -0.0
+    return spp, Z
 
 
 def per_point_H(spp, Z):
@@ -292,19 +316,15 @@ def dense_game_operator(A3):
 
 class TestRowWiseH:
     @settings(max_examples=60, deadline=None)
-    @given(m=dims, p=dims, d_x=dims, d_y=dims, lead=lead_shapes,
+    @given(m=sizes, d_x=sizes, d_y=sizes, lead=lead_shapes,
            seed=st.integers(0, 2 ** 16))
     def test_l1_batch_rows_equal_single_point_calls_bitwise(
-            self, m, p, d_x, d_y, lead, seed):
-        # dense p x d_x sensing matrices, unlike the diagonal random family
-        g = np.random.default_rng(seed)
-        spp = make_l1_saddle(list(g.uniform(-1.5, 1.5, (m, p, d_x))),
-                             list(g.uniform(-1.0, 1.0, (m, p))),
-                             list(g.uniform(-0.5, 0.5, (m, d_y, d_x))), 1.0)
-        Z = batch_of_points(spp, lead, seed + 1)
+            self, m, d_x, d_y, lead, seed):
+        # bytes, not values: a signed zero on a kink must match as well
+        spp, Z = l1_instance_with_kinks(m, d_x, d_y, lead, seed)
         out = spp.H(Z)
         assert out.shape == Z.shape
-        assert np.array_equal(out, per_point_H(spp, Z))
+        assert out.tobytes() == per_point_H(spp, Z).tobytes()
 
     @settings(max_examples=60, deadline=None)
     @given(m=dims, d_x=dims, d_y=dims, lead=lead_shapes,
@@ -328,13 +348,17 @@ class TestRowWiseH:
         ref = Z @ dense_game_operator(spp.meta["A"]).T
         assert np.allclose(spp.H(Z), ref, rtol=0.0, atol=1e-12)
 
-    @settings(max_examples=30, deadline=None)
-    @given(m=dims, d_x=dims, d_y=dims, seed=st.integers(0, 2 ** 16))
+    @settings(max_examples=60, deadline=None)
+    @given(m=sizes, d_x=sizes, d_y=sizes, seed=st.integers(0, 2 ** 16))
     def test_l1_H_matches_per_node_oracles(self, m, d_x, d_y, seed):
-        # the l1 counterpart of test_linear_H_fast_path_matches_per_node_oracles
-        spp = random_l1_saddle(m, d_x, d_y, seed=seed)
-        z = batch_of_points(spp, (), seed + 1)
-        assert np.allclose(spp.H(z), per_node_H(spp, z), rtol=0.0, atol=1e-12)
+        # each node's block equals _L1Local(diag(b_i), c_i, C_i).h bit for
+        # bit, signed zeros on kinks included
+        spp, z = l1_instance_with_kinks(m, d_x, d_y, (), seed)
+        b, c, C = spp.meta["b"], spp.meta["c"], spp.meta["C"]
+        X, Y = spp.split(z)
+        pairs = [_L1Local(np.diag(b[i]), c[i], C[i]).h(X[i], Y[i]) for i in range(m)]
+        ref = np.concatenate([hx for hx, _ in pairs] + [hy for _, hy in pairs])
+        assert spp.H(z).tobytes() == ref.tobytes()
 
     @settings(max_examples=30, deadline=None)
     @given(m=dims, d_x=dims, d_y=dims, lead=lead_shapes,
