@@ -178,9 +178,9 @@ def make_l1_saddle(b_list, c_list, C_list, box_radius: float) -> StackedSPP:
     """Stacked nonsmooth saddle on boxes [-box_radius, box_radius] per block.
 
     ``b_list`` holds the diagonals b_i of the sensing matrices, each of
-    length d_x, so p = d_x; no d_x x d_x matrix is stored. Subgradients use
+    length d_x, so no d_x x d_x matrix is stored. Subgradients use
     sign(0) = 0. The per-node bounds combine operator norms with the worst
-    sign vector and box corner (p = d_x in the first):
+    sign vector, of p = d_x entries, and box corner:
     ||b * s + C^T y|| <= sigma_max(diag(b)) sqrt(p) + sigma_max(C) r sqrt(d_y)
     and ||sign(y) - C x|| <= sqrt(d_y) + sigma_max(C) r sqrt(d_x).
     """
