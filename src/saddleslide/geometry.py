@@ -175,10 +175,12 @@ class ProductSet:
     of one kind and one width d, either ``("simplex", a, b, d, nb)`` for nb
     d-simplices on ``[a, b)`` or ``("box", a, b, d, nb, lower, upper)`` for nb
     boxes of width d whose bounds are the flat arrays ``lower`` and ``upper``
-    on ``[a, b)``. Projection, membership and the entropy prox run a handful
-    of array operations per group, whatever the number of blocks; ``center``,
-    ``sample``, ``diameter_sq`` and ``omega_sq_bound`` treat each block on
-    its own, in order. ``Box`` and ``Simplex`` construct one-group sets. A
+    on ``[a, b)``. Projection, membership, sampling, ``center``,
+    ``omega_sq_bound`` and the entropy prox run a handful of array operations
+    per group, whatever the number of blocks; ``sample`` makes one generator
+    call per group, which draws bitwise what one call per block would, in the
+    same order. Only ``diameter_sq`` treats each block on its own, in order.
+    ``Box`` and ``Simplex`` construct one-group sets. A
     product appends its factors' groups at their offsets and merges a group
     into the previous one when kind and d match.
     """
@@ -225,25 +227,29 @@ class ProductSet:
 
         ``p`` may also be a ``(..., dim)`` batch of points, one per row along
         the last axis; then the result is True only if every row lies in the
-        set.
+        set (so True for an empty batch). A non-finite entry raises
+        ``DomainError``.
         """
         v = np.asarray(p, dtype=float)
         if v.ndim == 0 or v.shape[-1] != self.dim:
             raise DimensionError(
                 f"expected points of length {self.dim} along the last axis, got shape {v.shape}")
-        if not np.all(np.isfinite(v)):
+        if not np.isfinite(v).all():
             raise DomainError("point contains non-finite entries")
         v = v.reshape(-1, self.dim)
+        r = v.shape[0]
+        if r == 0:
+            return True
         for g in self._groups:
             if g[0] == "simplex":
                 _, a, b, d, nb = g
-                V = v[:, a:b].reshape(-1, d)
-                if not (np.all(V >= -tol) and np.all(np.abs(V.sum(axis=1) - 1.0) <= tol)):
+                V = v[:, a:b].reshape(r, nb, d)  # a view: one block per (row, block)
+                if not (V.min() >= -tol and np.abs(V.sum(axis=-1) - 1.0).max() <= tol):
                     return False
             else:
                 _, a, b, _, _, lo, up = g
                 w = v[:, a:b]
-                if not (np.all(w >= lo - tol) and np.all(w <= up + tol)):
+                if not ((w >= lo - tol).all() and (w <= up + tol).all()):
                     return False
         return True
 
@@ -294,12 +300,30 @@ class ProductSet:
             total += (2.0 if b - a > 1 else 0.0) if lo is None else float(np.sum((up - lo) ** 2))
         return total
 
-    # n independent feasible points, one per row, drawn block by block:
-    # uniform on a box, flat Dirichlet on a simplex.
+    # n independent feasible points, one per row: uniform on a box, flat
+    # Dirichlet on a simplex, one generator call per group. A Generator
+    # fills its (nb, n, d) output in C order, so it consumes the stream as
+    # nb block-by-block (n, d) draws would, bit for bit. A group whose
+    # bounds are one interval passes them as scalars, which takes numpy's
+    # faster scalar loop; both forms compute low + range * u per element in
+    # one C routine. (lo + (up - lo) * rng.random(...) is not bitwise on
+    # every build: whether that routine fuses its multiply-add depends on
+    # the compiler flags numpy was built with.)
     def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
-        return np.hstack([rng.dirichlet(np.ones(b - a), size=n) if lo is None
-                          else rng.uniform(lo, up, size=(n, b - a))
-                          for a, b, lo, up in self._blocks()])
+        out = np.empty((n, self.dim))
+        for _, a, b, d, nb, *bounds in self._groups:
+            if not bounds:
+                draw = rng.dirichlet(np.ones(d), size=(nb, n))
+            else:
+                lo, up = bounds
+                if lo.min() == lo.max() and up.min() == up.max():
+                    draw = rng.uniform(lo[0], up[0], size=(nb, n, d))
+                else:
+                    draw = rng.uniform(lo.reshape(nb, 1, d), up.reshape(nb, 1, d),
+                                       size=(nb, n, d))
+            # splitting the contiguous last axis of a column slice is a view
+            out[:, a:b].reshape(n, nb, d)[...] = draw.transpose(1, 0, 2)
+        return out
 
 
 class Box(ProductSet):

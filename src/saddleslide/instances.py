@@ -366,9 +366,9 @@ def certify_inexact_oracle(H: Callable[[np.ndarray], np.ndarray],
     if np.shape(H1) != Z1.shape or np.shape(H2) != Z2.shape:
         raise ParameterError("H must act row-wise along the last axis and "
                              "return an array of its input's shape")
-    d13 = Z1 - Z3
+    d12, d13 = Z1 - Z2, Z1 - Z3
     lhs = np.einsum("ij,ij->i", H1 - H2, d13)
-    rhs = (0.5 * M * np.einsum("ij,ij->i", Z1 - Z2, Z1 - Z2)
+    rhs = (0.5 * M * np.einsum("ij,ij->i", d12, d12)
            + 0.5 * M * np.einsum("ij,ij->i", d13, d13) + delta)
     slack = rhs - lhs
     worst = int(np.argmin(slack))

@@ -118,11 +118,6 @@ class StackedSPP:
         return (z[..., :cut].reshape(lead + (m, self.d_x)),
                 z[..., cut:].reshape(lead + (m, self.d_y)))
 
-    def join(self, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
-        """Inverse of :meth:`split`."""
-        lead = X.shape[:-2]
-        return np.concatenate((X.reshape(lead + (-1,)), Y.reshape(lead + (-1,))), -1)
-
     def H(self, z: np.ndarray) -> np.ndarray:
         """Stacked operator (subgrad_x f_i; subgrad_y(-f_i)) over all nodes.
 

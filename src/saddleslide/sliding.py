@@ -278,9 +278,12 @@ def _sliding_loop(problem: VIProblem, schedule: SlidingSchedule, z0: np.ndarray,
     # through a prox map bound to that buffer once here; ``anchor`` holds the
     # anchor term both prox calls of a step share, ``gh`` holds grad G + H.
     # eta_k^t and beta_k + eta_k^t are passed as 0-d arrays, which numpy
-    # does not convert on every call as it does Python floats.
+    # does not convert on every call as it does Python floats. ``pair``
+    # holds z_bar_k and z_prev for the one feasibility check per outer
+    # iteration.
     z_tilde, z_a, z_b, z_tilde_sum, anchor, arg, gh = (np.empty(geom.dim) for _ in range(7))
     eta, w = np.empty(()), np.empty(())
+    pair = np.empty((2, geom.dim))
     into_tilde = _bind_prox(geom, arg, z_tilde)
     cur, nxt = (z_a, _bind_prox(geom, arg, z_a)), (z_b, _bind_prox(geom, arg, z_b))
     np.copyto(z_a, z0)
@@ -319,10 +322,13 @@ def _sliding_loop(problem: VIProblem, schedule: SlidingSchedule, z0: np.ndarray,
         z_bar = np.add((1.0 - gk) * z_bar, gk * (z_tilde_sum / tk),
                        out=None if rows is None else rows[k - 1])
         z_prev = cur[0]
-        both = np.stack((z_bar, z_prev))
-        if not np.all(np.isfinite(both)):
-            raise DomainError(f"non-finite iterate produced at outer iteration {k}")
-        if not fset.contains(both):
+        pair[0] = z_bar
+        pair[1] = z_prev
+        try:
+            inside = fset.contains(pair)  # raises DomainError on a non-finite entry
+        except DomainError:
+            raise DomainError(f"non-finite iterate produced at outer iteration {k}") from None
+        if not inside:
             raise DomainError(f"iterate left the feasible set at outer iteration {k}")
         trace.inner_steps.append(tk)
         trace.grad_G_calls.append(n_grad)

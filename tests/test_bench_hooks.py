@@ -14,6 +14,7 @@ import importlib
 from pathlib import Path
 
 from saddleslide import (
+    ProductSet,
     RunTrace,
     StackedSPP,
     build_penalized_vi,
@@ -67,3 +68,24 @@ def test_every_l1_H_call_goes_through_the_class_method(monkeypatch):
     vi = build_penalized_vi(spp, net, coeffs, 0.4)
     _, trace = mps_run(vi, deterministic_schedule(vi.L, vi.M, 1), spp.center())
     assert trace.H_calls == [len(calls)] and len(calls) >= 2
+
+
+def test_solver_checks_feasibility_once_per_outer_iteration(monkeypatch):
+    # the tracer's geometry.contains layer patches the class method; the
+    # solver's guard passes it z_bar_k and z_prev as one (2, dim) array
+    calls = []
+    original = ProductSet.contains
+
+    def counting_contains(self, p, tol=1e-9):
+        calls.append(p.shape)
+        return original(self, p, tol)
+
+    monkeypatch.setattr(ProductSet, "contains", counting_contains)
+    spp = random_l1_saddle(4, 2, 2, seed=0)
+    net = build_topology("ring", 4)
+    coeffs = penalty_coefficients(spp, net, 0.4, spp.subgrad_bound_x,
+                                  spp.subgrad_bound_y)
+    vi = build_penalized_vi(spp, net, coeffs, 0.4)
+    calls.clear()
+    mps_run(vi, deterministic_schedule(vi.L, vi.M, 2), spp.center())
+    assert [c for c in calls if len(c) == 2] == [(2, spp.dim)] * 2

@@ -517,3 +517,100 @@ def test_contains_single_point_behaviour_unchanged():
         s.contains([np.inf, 0.0, 0.0])
     with pytest.raises(DimensionError):
         s.contains([0.5, 0.5])
+
+
+# -- grouped sampling and membership against the block-by-block references ---
+
+def _sample_per_block(s, rng, n):
+    # the block-by-block draw that one generator call per group must
+    # reproduce bit for bit, stream position included
+    return np.hstack([rng.dirichlet(np.ones(b - a), size=n) if lo is None
+                      else rng.uniform(lo, up, size=(n, b - a))
+                      for a, b, lo, up in s._blocks()])
+
+
+def _contains_reference(s, p, tol=1e-9):
+    # the membership test before simplex groups ran on a 3-D view
+    v = np.asarray(p, dtype=float)
+    if not np.all(np.isfinite(v)):
+        raise DomainError("point contains non-finite entries")
+    v = v.reshape(-1, s.dim)
+    for g in s._groups:
+        if g[0] == "simplex":
+            _, a, b, d, nb = g
+            V = v[:, a:b].reshape(-1, d)
+            if not (np.all(V >= -tol) and np.all(np.abs(V.sum(axis=1) - 1.0) <= tol)):
+                return False
+        else:
+            _, a, b, _, _, lo, up = g
+            w = v[:, a:b]
+            if not (np.all(w >= lo - tol) and np.all(w <= up + tol)):
+                return False
+    return True
+
+
+_widths = st.integers(1, 4)
+# factors of a random mixed set: simplices, boxes on one interval (width 0
+# gives a degenerate lo == up box), boxes with per-coordinate bounds; equal
+# neighbours merge into one group, and boxes on different intervals merge
+# into a group with per-coordinate bounds
+_factor = st.one_of(
+    st.tuples(st.just("simplex"), _widths),
+    st.tuples(st.just("interval"), _widths, st.floats(-3, 3), st.sampled_from([0.0, 0.5, 2.0])),
+    _widths.flatmap(lambda d: st.tuples(
+        st.just("coords"), st.lists(st.floats(-3, 3), min_size=d, max_size=d),
+        st.lists(st.floats(0, 2), min_size=d, max_size=d))),
+)
+
+
+def _factor_set(spec):
+    kind = spec[0]
+    if kind == "simplex":
+        return Simplex(spec[1])
+    if kind == "interval":
+        _, d, lo, width = spec
+        return Box(np.full(d, lo), np.full(d, lo + width))
+    _, lo, width = spec
+    return Box(lo, np.add(lo, width))
+
+
+_mixed_sets = st.lists(_factor, min_size=1, max_size=8).map(
+    lambda specs: ProductSet([_factor_set(f) for f in specs]))
+
+
+@given(_mixed_sets, st.sampled_from([0, 1, 2, 7, 64]), st.integers(0, 2 ** 32 - 1))
+@example(ProductSet([Box([0.0, 0.0], [1.0, 1.0]), Box([0.0, 0.0], [1.0, 1.0]),
+                     Box([2.0], [2.0]), Simplex(1), Simplex(3), Simplex(3),
+                     Box([-1.0, 0.5], [1.0, 0.5])]), 7, 0)
+@settings(max_examples=150, deadline=None)
+def test_sample_is_bitwise_the_block_by_block_draw(s, n, seed):
+    r_ref, r_new = np.random.default_rng(seed), np.random.default_rng(seed)
+    ref, rows = _sample_per_block(s, r_ref, n), s.sample(r_new, n)
+    assert rows.shape == ref.shape == (n, s.dim) and rows.dtype == ref.dtype
+    assert_same_bits(rows, ref)
+    assert r_new.random() == r_ref.random()  # the same draws were consumed
+    assert s.contains(rows)
+
+
+@given(_mixed_sets, st.integers(1, 6), st.sampled_from([1e-9, 1e-6]),
+       st.sampled_from([None, None, np.nan, np.inf, -np.inf]), st.integers(0, 2 ** 32 - 1))
+@settings(max_examples=200, deadline=None)
+def test_contains_agrees_with_the_reference_near_the_boundary(s, r, tol, bad, seed):
+    g = np.random.default_rng(seed)
+    # projections land on faces: box entries at their bounds, simplex
+    # entries at 0; then a few entries move by +-2 tol or +-tol / 2
+    rows = np.array([s.project(x) for x in g.normal(scale=3.0, size=(r, s.dim))])
+    step = g.choice([-2.0, -0.5, 0.5, 2.0], size=rows.shape) * tol
+    rows += np.where(g.random(rows.shape) < 0.5 / s.dim, step, 0.0)
+    if bad is not None:
+        rows[g.integers(r), g.integers(s.dim)] = bad
+    for batch in (rows, rows.reshape(1, r, s.dim)):
+        if bad is not None:
+            with pytest.raises(DomainError):
+                _contains_reference(s, batch, tol)
+            with pytest.raises(DomainError):
+                s.contains(batch, tol)
+        else:
+            assert s.contains(batch, tol) == _contains_reference(s, batch, tol)
+    for empty in (np.empty((0, s.dim)), np.empty((2, 0, s.dim))):
+        assert s.contains(empty, tol) and _contains_reference(s, empty, tol)

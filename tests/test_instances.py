@@ -328,7 +328,7 @@ class TestSupGapOracle:
         vi = build_penalized_vi(spp, net, coeffs, 0.1)
         x_hat = np.array([0.7, 0.3])
         y_hat = np.array([0.4, 0.6])
-        z_bar = spp.join(np.tile(x_hat, (m, 1)), np.tile(y_hat, (m, 1)))
+        z_bar = np.concatenate((np.tile(x_hat, m), np.tile(y_hat, m)))  # all x, then all y
         single = exact_gap_matrix_game(MATCHING_PENNIES, x_hat, y_hat)
         assert single == pytest.approx(0.6)
         stacked = sup_gap_skew_linear(vi, z_bar, restarts=8, seed=0)
