@@ -366,11 +366,8 @@ def build_pipeline(config: RunConfig):
     if config.m == 1:
         coeffs = PenaltyCoefficients(0.0, 0.0, config.epsilon)
     else:
-        bound_x = spp.subgrad_bound_x if spp.subgrad_bound_x is not None \
-            else spp.operator_bound
-        bound_y = spp.subgrad_bound_y if spp.subgrad_bound_y is not None \
-            else spp.operator_bound
-        coeffs = penalty_coefficients(spp, net, config.epsilon, bound_x, bound_y)
+        coeffs = penalty_coefficients(spp, net, config.epsilon,
+                                      spp.subgrad_bound_x, spp.subgrad_bound_y)
     vi = build_penalized_vi(spp, net, coeffs, config.epsilon)
     return net, spp, coeffs, vi
 

@@ -8,17 +8,15 @@ operator bounds are analytic. The l1 family puts f_i(x, y) =
 nonsmooth with sign-vector subgradients (sign(0) := 0, the minimal-norm
 choice) and bounds computable from the data norms and box radius.
 
-Also here: numerical certification of the inexact-oracle inequality, the
-sup-gap oracle for penalized bilinear problems, and a consensus-constrained
-QP family with a reference accelerated projected-gradient solver used to
-validate the penalty reformulation end to end.
+Also here: numerical certification of the inexact-oracle inequality and the
+sup-gap oracle for penalized bilinear problems.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 from scipy import optimize
@@ -31,7 +29,6 @@ from .errors import (
     ParameterError,
 )
 from .geometry import SQUARED_EUCLIDEAN, Box, ProductSet, Simplex
-from .network import NetworkModel
 from .penalty import StackedSPP, _einsum, sample_operator_bound
 from .sliding import VIProblem
 
@@ -39,21 +36,6 @@ MATCHING_PENNIES = np.array([[1.0, -1.0], [-1.0, 1.0]])
 
 
 # -- matrix games --------------------------------------------------------------
-
-class _BilinearLocal:
-    """Per-node oracle for f_i(x, y) = y^T A_i x."""
-
-    __slots__ = ("A",)
-
-    def __init__(self, A: np.ndarray):
-        self.A = A
-
-    def value(self, x: np.ndarray, y: np.ndarray) -> float:
-        return float(y @ self.A @ x)
-
-    def h(self, x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        return self.A.T @ y, -(self.A @ x)
-
 
 def make_matrix_game(A_list, m: int) -> StackedSPP:
     """Stacked zero-sum game: node i plays f_i(x_i, y_i) = y_i^T A_i x_i.
@@ -92,17 +74,13 @@ def make_matrix_game(A_list, m: int) -> StackedSPP:
     cols[cut:, :d_x] = np.broadcast_to(d_x * nodes + np.arange(d_x),
                                        (m, d_y, d_x)).reshape(m * d_y, d_x)
 
-    def batched_value(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
-        return np.einsum("...nj,nji,...ni->...n", Y, A3, X)
-
     return StackedSPP(
-        locals=[_BilinearLocal(A3[i]) for i in range(m)],
+        m=m,
         d_x=d_x,
         d_y=d_y,
         set_x=Simplex(d_x),
         set_y=Simplex(d_y),
         dgf=SQUARED_EUCLIDEAN,
-        batched_value=batched_value,
         linear_H=vals,
         linear_H_cols=cols,
         subgrad_bound_x=math.sqrt(float(maxrow_sq.sum())),
@@ -151,28 +129,6 @@ def _matvec(A: np.ndarray, v: np.ndarray) -> np.ndarray:
 
 
 # -- l1-regularized bilinear saddles -------------------------------------------
-
-class _L1Local:
-    """Per-node oracle for f_i(x, y) = ||B x - c||_1 + y^T C x - ||y||_1."""
-
-    __slots__ = ("B", "c", "C")
-
-    def __init__(self, B: np.ndarray, c: np.ndarray, C: np.ndarray):
-        self.B = B
-        self.c = c
-        self.C = C
-
-    def value(self, x: np.ndarray, y: np.ndarray) -> float:
-        return float(np.abs(self.B @ x - self.c).sum() + y @ self.C @ x
-                     - np.abs(y).sum())
-
-    def h(self, x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        # einsum sums in the order of the stacked H, so each node's block of
-        # StackedSPP.H equals this bit for bit; matmul's gemv may not
-        s = np.sign(_einsum("pi,i->p", self.B, x) - self.c)
-        return (_einsum("pi,p->i", self.B, s) + _einsum("ji,j->i", self.C, y),
-                np.sign(y) - _einsum("ji,i->j", self.C, x))
-
 
 def make_l1_saddle(b_list, c_list, C_list, box_radius: float) -> StackedSPP:
     """Stacked nonsmooth saddle on boxes [-box_radius, box_radius] per block.
@@ -229,20 +185,14 @@ def make_l1_saddle(b_list, c_list, C_list, box_radius: float) -> StackedSPP:
         OY -= _einsum("nji,...ni->...nj", C3, X)
         return out
 
-    def batched_value(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
-        R = b2 * X - c2
-        return (np.abs(R).sum(axis=-1) + np.einsum("...nj,nji,...ni->...n", Y, C3, X)
-                - np.abs(Y).sum(axis=-1))
-
     return StackedSPP(
-        locals=[_L1Local(np.diag(b2[i]), c2[i], C3[i]) for i in range(m)],
+        m=m,
         d_x=d_x,
         d_y=d_y,
         set_x=Box(-r * np.ones(d_x), r * np.ones(d_x)),
         set_y=Box(-r * np.ones(d_y), r * np.ones(d_y)),
         dgf=SQUARED_EUCLIDEAN,
         batched_H=batched_H,
-        batched_value=batched_value,
         subgrad_bound_x=math.sqrt(float(np.sum(bx ** 2))),
         subgrad_bound_y=math.sqrt(float(np.sum(by ** 2))),
         operator_bound=math.sqrt(float(np.sum(bx ** 2 + by ** 2))),
@@ -440,135 +390,3 @@ def sup_gap_skew_linear(problem: VIProblem, z_bar, restarts: int = 8,
         cand = fset.project(res.x)
         best = min(best, f(cand))
     return G_zb - best
-
-
-# -- consensus-constrained QPs and the reference solver ------------------------
-
-@dataclass
-class ConsensusQP:
-    """min over stacked x of u(x) = sum_i (x_i^T P_i x_i / 2 + q_i^T x_i)
-    subject to consensus W x = 0, with wide box bounds that stay inactive.
-
-    ``R_sq`` is ||grad u(x*)||^2 / lambda_min_plus, the penalty radius the
-    reformulation needs; ``U`` is the penalized objective
-    u(x) + (R_sq / epsilon) ||W x||^2.
-    """
-
-    P: np.ndarray
-    q: np.ndarray
-    net: NetworkModel
-    epsilon: float
-    box_half_width: float
-    R_sq: float
-    w_star: np.ndarray
-    u_star: float
-    mu: float
-    L_u: float
-
-    @property
-    def m(self) -> int:
-        return self.P.shape[0]
-
-    @property
-    def d(self) -> int:
-        return self.P.shape[2]
-
-    def u(self, X: np.ndarray) -> float:
-        quad = np.einsum("ni,nij,nj->", X, self.P, X)
-        return float(0.5 * quad + np.sum(self.q * X))
-
-    def grad_u(self, X: np.ndarray) -> np.ndarray:
-        return np.einsum("nij,nj->ni", self.P, X) + self.q
-
-    def penalty_scale(self) -> float:
-        return 2.0 * self.R_sq / self.epsilon
-
-    def U(self, X: np.ndarray) -> float:
-        return self.u(X) + 0.5 * self.penalty_scale() * float(
-            np.sum(X * self.net.block_product(X)))
-
-    def grad_U(self, X: np.ndarray) -> np.ndarray:
-        return self.grad_u(X) + self.penalty_scale() * self.net.block_product(X)
-
-    def L_U(self) -> float:
-        return self.L_u + self.penalty_scale() * self.net.lambda_max
-
-    def project(self, X: np.ndarray) -> np.ndarray:
-        w = self.box_half_width
-        return np.clip(X, -w, w)
-
-    def solve_penalized_exact(self) -> np.ndarray:
-        """Unconstrained minimizer of U by one dense linear solve; valid while
-        the box stays inactive (checked)."""
-        m, d = self.m, self.d
-        A = np.zeros((m * d, m * d))
-        for i in range(m):
-            A[i * d:(i + 1) * d, i * d:(i + 1) * d] = self.P[i]
-        A += self.penalty_scale() * np.kron(self.net.W_tilde, np.eye(d))
-        X = np.linalg.solve(A, -self.q.ravel()).reshape(m, d)
-        if np.max(np.abs(X)) > self.box_half_width:
-            raise DomainError("penalized minimizer escaped the box; widen it")
-        return X
-
-
-def make_consensus_qp(m: int, d: int, net: NetworkModel, epsilon: float,
-                      seed) -> ConsensusQP:
-    """Random strongly convex consensus QP; P_i eigenvalues in [0.5, 2]."""
-    if net.m != m:
-        raise DimensionError("network node count must equal m")
-    if net.lambda_min_plus is None:
-        raise ParameterError("consensus QP needs a connected network")
-    rng = np.random.default_rng(seed)
-    P = np.empty((m, d, d))
-    for i in range(m):
-        Q, _ = np.linalg.qr(rng.standard_normal((d, d)))
-        P[i] = Q @ np.diag(rng.uniform(0.5, 2.0, d)) @ Q.T
-    q = rng.uniform(-1.0, 1.0, (m, d))
-    w_star = np.linalg.solve(P.sum(axis=0), -q.sum(axis=0))
-    X_star = np.tile(w_star, (m, 1))
-    g_star = np.einsum("nij,j->ni", P, w_star) + q
-    R_sq = float(np.sum(g_star ** 2)) / net.lambda_min_plus
-    u_star = float(0.5 * np.einsum("ni,nij,nj->", X_star, P, X_star)
-                   + np.sum(q * X_star))
-    eigs = np.linalg.eigvalsh(P)
-    return ConsensusQP(P=P, q=q, net=net, epsilon=float(epsilon),
-                       box_half_width=10.0, R_sq=R_sq, w_star=w_star,
-                       u_star=u_star, mu=float(eigs.min()),
-                       L_u=float(eigs.max()))
-
-
-def accelerated_projected_gradient(grad: Callable[[np.ndarray], np.ndarray],
-                                   project: Callable[[np.ndarray], np.ndarray],
-                                   x0: np.ndarray, lipschitz: float, mu: float,
-                                   tol: float, max_iter: int = 200000,
-                                   return_path: bool = False):
-    """Projected gradient with strong-convexity momentum (constant step 1/L,
-    momentum (sqrt(L) - sqrt(mu)) / (sqrt(L) + sqrt(mu))).
-
-    Stops when the gradient-mapping norm L * ||y - project(y - grad(y)/L)||
-    drops to ``tol``. Returns the final point, or (point, path) with all
-    accepted iterates when ``return_path`` is set.
-    """
-    if not (lipschitz > 0 and 0 < mu <= lipschitz):
-        raise ParameterError("needs 0 < mu <= lipschitz")
-    theta = ((math.sqrt(lipschitz) - math.sqrt(mu))
-             / (math.sqrt(lipschitz) + math.sqrt(mu)))
-    x = np.asarray(x0, dtype=float).copy()
-    y = x.copy()
-    path = [x.copy()] if return_path else None
-    for _ in range(max_iter):
-        x_new = project(y - grad(y) / lipschitz)
-        if lipschitz * float(np.linalg.norm(x_new - y)) <= tol:
-            x = x_new
-            if return_path:
-                path.append(x.copy())
-            break
-        y = x_new + theta * (x_new - x)
-        x = x_new
-        if return_path:
-            path.append(x.copy())
-    else:
-        raise DomainError(f"projected gradient did not reach tol = {tol} "
-                          f"within {max_iter} iterations")
-    return (x, path) if return_path else x
-

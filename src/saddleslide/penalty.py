@@ -46,16 +46,14 @@ except ImportError:
 class StackedSPP:
     """Sum-type saddle problem stacked over m nodes.
 
-    ``locals`` holds one oracle per node; each exposes ``value(x, y)`` and
-    ``h(x, y)`` returning the pair (subgradient of f_i in x, subgradient of
-    -f_i in y), which are the two blocks of the monotone operator H. They are
-    the per-node reference; the solver evaluates the stacked operator through
-    ``batched_H`` or ``linear_H`` (exactly one is set) and the objective
-    through ``batched_value``. ``batched_H`` maps stacked points z of shape
-    (..., dim) to H(z) of the same shape, each row on its own, and is what
-    :meth:`H` returns. ``batched_value`` takes (X, Y) with node rows on the
-    last two axes, any leading axes being independent points. ``set_x`` /
-    ``set_y`` are the per-node feasible sets, shared by all nodes.
+    Node i holds f_i(x_i, y_i) with x_i in ``set_x`` and y_i in ``set_y``
+    (the per-node feasible sets, shared by all nodes). A stacked point z
+    lists all x blocks, then all y blocks, so dim = m (d_x + d_y). The
+    problem is seen only through its stacked monotone operator
+    H(z) = (subgrad_x f_i(x_i, y_i); subgrad_y(-f_i)(x_i, y_i))_i, which
+    :meth:`H` evaluates through ``batched_H`` or ``linear_H`` (exactly one
+    is set). ``batched_H`` maps stacked points z of shape (..., dim) to
+    H(z) of the same shape, each row on its own.
 
     ``linear_H`` / ``linear_H_cols`` store a linear H (bilinear saddles)
     row-sparse, k entries per row (ELL form): both have shape (dim, k), and
@@ -66,28 +64,28 @@ class StackedSPP:
     O(dim^2). The benchmark in ``perfbench/`` reports ``linear_H.nbytes``
     (the value array only) as ``penalty.linear_H_bytes``.
 
-    ``operator_bound`` is a uniform bound on ||H(z)|| over the stacked set
-    when known analytically; it and the subgradient bounds default to None.
+    ``subgrad_bound_x`` / ``subgrad_bound_y`` bound the stacked x and y
+    subgradient norms over the feasible set, and ``operator_bound`` bounds
+    ||H(z)||; they set the penalty radii and the oracle certificate.
     """
 
-    locals: list
+    m: int
     d_x: int
     d_y: int
     set_x: ProductSet
     set_y: ProductSet
-    batched_value: Callable[[np.ndarray, np.ndarray], np.ndarray]
+    subgrad_bound_x: float
+    subgrad_bound_y: float
+    operator_bound: float
     batched_H: Optional[Callable[[np.ndarray], np.ndarray]] = None
     dgf: str = SQUARED_EUCLIDEAN
     linear_H: Optional[np.ndarray] = None
     linear_H_cols: Optional[np.ndarray] = None
-    subgrad_bound_x: Optional[float] = None
-    subgrad_bound_y: Optional[float] = None
-    operator_bound: Optional[float] = None
     meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if not self.locals:
-            raise ParameterError("StackedSPP needs at least one local oracle")
+        if self.m < 1:
+            raise ParameterError("StackedSPP needs m >= 1 nodes")
         if self.set_x.dim != self.d_x or self.set_y.dim != self.d_y:
             raise DimensionError("per-node set dimensions must match d_x / d_y")
         if (self.batched_H is None) == (self.linear_H is None):
@@ -103,17 +101,13 @@ class StackedSPP:
                 raise DimensionError("linear_H_cols must index into [0, dim)")
 
     @property
-    def m(self) -> int:
-        return len(self.locals)
-
-    @property
     def dim(self) -> int:
         return self.m * (self.d_x + self.d_y)
 
     def split(self, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Stacked points (..., dim) -> (X, Y) with one node per row,
         shapes (..., m, d_x) and (..., m, d_y)."""
-        lead, m = z.shape[:-1], len(self.locals)
+        lead, m = z.shape[:-1], self.m
         cut = m * self.d_x
         return (z[..., :cut].reshape(lead + (m, self.d_x)),
                 z[..., cut:].reshape(lead + (m, self.d_y)))
@@ -130,10 +124,6 @@ class StackedSPP:
             return _einsum("rk,...rk->...r", self.linear_H,
                            z.take(self.linear_H_cols, axis=-1))
         return self.batched_H(z)
-
-    def value(self, z: np.ndarray) -> float:
-        """F(x, y) = sum_i f_i(x_i, y_i)."""
-        return float(np.sum(self.batched_value(*self.split(z))))
 
     def stacked_set(self) -> ProductSet:
         return ProductSet([self.set_x] * self.m + [self.set_y] * self.m)
@@ -223,7 +213,7 @@ def build_penalized_vi(spp: StackedSPP, net: NetworkModel,
 
     The nonsmooth part keeps the stacked subgradient operator H with the
     bounded-operator certificate M = L0^2 / (2 eps), delta = 2 eps, where L0
-    is spp.operator_bound or, failing that, a sampled estimate.
+    is spp.operator_bound.
     """
     if not (np.isfinite(epsilon) and epsilon > 0):
         raise ParameterError("epsilon must be a positive real")
@@ -242,8 +232,6 @@ def build_penalized_vi(spp: StackedSPP, net: NetworkModel,
     degenerate = L_pen == 0.0
 
     L0 = spp.operator_bound
-    if L0 is None:
-        L0 = sample_operator_bound(spp, samples=2000, seed=0)
     M = L0 ** 2 / (2.0 * epsilon)
     delta = 2.0 * epsilon
     L = max(M, 1.0) if degenerate else L_pen

@@ -18,14 +18,12 @@ from saddleslide import (
     PenaltyCoefficients,
     RunConfig,
     VIProblem,
-    accelerated_projected_gradient,
     build_penalized_vi,
     build_topology,
     certify_inexact_oracle,
     consensus_violation,
     deterministic_schedule,
     emit_outputs,
-    make_consensus_qp,
     make_matrix_game,
     mps_run,
     omega_sq_bound,
@@ -35,6 +33,8 @@ from saddleslide import (
     run_experiment,
     sup_gap_skew_linear,
 )
+
+from reference_oracles import accelerated_projected_gradient, make_consensus_qp
 
 rng = np.random.default_rng(1207)
 
@@ -220,10 +220,8 @@ def test_criterion_6_oracle_certification():
     families = []
     for spp in (make_matrix_game([MATCHING_PENNIES.copy() for _ in range(4)], 4),
                 l1):
-        coeffs = penalty_coefficients(
-            spp, net, eps,
-            spp.subgrad_bound_x if spp.subgrad_bound_x is not None else spp.operator_bound,
-            spp.subgrad_bound_y if spp.subgrad_bound_y is not None else spp.operator_bound)
+        coeffs = penalty_coefficients(spp, net, eps,
+                                      spp.subgrad_bound_x, spp.subgrad_bound_y)
         vi = build_penalized_vi(spp, net, coeffs, eps)
         certify_inexact_oracle(vi.H, spp.stacked_set(), vi.M, vi.delta,
                                triples=10_000, seed=0)

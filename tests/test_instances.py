@@ -13,13 +13,11 @@ from saddleslide import (
     DimensionError,
     DomainError,
     PenaltyCoefficients,
-    accelerated_projected_gradient,
     build_penalized_vi,
     build_topology,
     certify_inexact_oracle,
     exact_gap_matrix_game,
     l1_saddle_gap,
-    make_consensus_qp,
     make_l1_saddle,
     make_matrix_game,
     make_stochastic_oracle,
@@ -32,6 +30,8 @@ from saddleslide import (
     sup_gap_skew_linear,
 )
 from saddleslide.harness import NOISE_BLOCK
+
+from reference_oracles import L1Node, accelerated_projected_gradient, make_consensus_qp
 
 rng = np.random.default_rng(1207)
 
@@ -142,21 +142,18 @@ class TestMatrixGames:
         sampled = sample_operator_bound(spp, 500, seed=2, inflate=1.0)
         assert sampled <= spp.operator_bound + 1e-12
 
-    def test_batched_value_matches_per_node(self):
-        spp = random_matrix_game(3, 2, 2, seed=9)
-        z = spp.stacked_set().sample(rng, 1)[0]
-        X, Y = spp.split(z)
-        per_node = sum(loc.value(X[i], Y[i]) for i, loc in enumerate(spp.locals))
-        assert spp.value(z) == pytest.approx(per_node, rel=1e-12)
-
 
 class TestL1Saddle:
     def _small(self, seed=3):
         return random_l1_saddle(3, 2, 2, seed=seed, box_radius=1.0)
 
+    @staticmethod
+    def _node0(spp):
+        return L1Node(spp.meta["b"][0], spp.meta["c"][0], spp.meta["C"][0])
+
     def test_convexity_in_x(self):
         spp = self._small()
-        loc = spp.locals[0]
+        loc = self._node0(spp)
         for _ in range(300):
             v, w = rng.uniform(-1, 1, 2), rng.uniform(-1, 1, 2)
             y = rng.uniform(-1, 1, 2)
@@ -165,7 +162,7 @@ class TestL1Saddle:
 
     def test_concavity_in_y(self):
         spp = self._small()
-        loc = spp.locals[0]
+        loc = self._node0(spp)
         for _ in range(300):
             x = rng.uniform(-1, 1, 2)
             v, w = rng.uniform(-1, 1, 2), rng.uniform(-1, 1, 2)

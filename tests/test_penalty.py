@@ -31,7 +31,8 @@ from saddleslide import (
     random_matrix_game,
     sample_operator_bound,
 )
-from saddleslide.instances import _L1Local
+
+from reference_oracles import L1Node
 
 rng = np.random.default_rng(1207)
 
@@ -192,15 +193,6 @@ class TestStackedSPP:
         assert X.shape == (4, 2) and Y.shape == (4, 2)
         assert np.array_equal(join(X, Y), z)
 
-    @settings(max_examples=30, deadline=None)
-    @given(m=st.integers(1, 5), d_x=st.integers(1, 5), d_y=st.integers(1, 5),
-           seed=st.integers(0, 2 ** 16))
-    def test_linear_H_fast_path_matches_per_node_oracles(self, m, d_x, d_y, seed):
-        for spp in (pennies_stack(m), random_matrix_game(m, d_x, d_y, seed=seed)):
-            assert spp.linear_H is not None and spp.batched_H is None
-            for z in spp.stacked_set().sample(np.random.default_rng(seed), 5):
-                assert np.allclose(spp.H(z), per_node_H(spp, z), rtol=0.0, atol=1e-12)
-
     def test_game_operator_is_row_sparse(self):
         # k = max(d_x, d_y) entries per row: a dim x dim operator cannot
         # come back unnoticed
@@ -209,6 +201,10 @@ class TestStackedSPP:
             assert spp.linear_H.shape == (spp.dim, max(d_x, d_y))
             assert spp.linear_H_cols.shape == (spp.dim, max(d_x, d_y))
             assert spp.linear_H_cols.dtype == np.intp
+
+    def test_no_nodes_rejected(self):
+        with pytest.raises(ParameterError):
+            replace(pennies_stack(2), m=0)
 
     def test_neither_H_path_rejected(self):
         with pytest.raises(ParameterError):
@@ -298,14 +294,6 @@ def per_point_H(spp, Z):
     return np.array([spp.H(z) for z in rows]).reshape(Z.shape)
 
 
-def per_node_H(spp, z):
-    """Reference: the per-node oracles ``locals``, stacked."""
-    X, Y = spp.split(z)
-    pairs = [loc.h(X[i], Y[i]) for i, loc in enumerate(spp.locals)]
-    return np.concatenate([np.concatenate([hx for hx, _ in pairs]),
-                           np.concatenate([hy for _, hy in pairs])])
-
-
 def dense_game_operator(A3):
     """Reference: the dim x dim matrix of a stacked game's H, block by block."""
     m, d_y, d_x = A3.shape
@@ -348,37 +336,23 @@ class TestRowWiseH:
     @given(m=dims, d_x=dims, d_y=dims, lead=lead_shapes,
            seed=st.integers(0, 2 ** 16))
     def test_matrix_game_H_matches_dense_operator(self, m, d_x, d_y, lead, seed):
-        spp = random_matrix_game(m, d_x, d_y, seed=seed)
-        Z = batch_of_points(spp, lead, seed + 1)
-        ref = Z @ dense_game_operator(spp.meta["A"]).T
-        assert np.allclose(spp.H(Z), ref, rtol=0.0, atol=1e-12)
+        for spp in (pennies_stack(m), random_matrix_game(m, d_x, d_y, seed=seed)):
+            assert spp.linear_H is not None and spp.batched_H is None
+            Z = batch_of_points(spp, lead, seed + 1)
+            ref = Z @ dense_game_operator(spp.meta["A"]).T
+            assert np.allclose(spp.H(Z), ref, rtol=0.0, atol=1e-12)
 
     @settings(max_examples=60, deadline=None)
     @given(m=sizes, d_x=sizes, d_y=sizes, seed=st.integers(0, 2 ** 16))
     def test_l1_H_matches_per_node_oracles(self, m, d_x, d_y, seed):
-        # each node's block equals _L1Local(diag(b_i), c_i, C_i).h bit for
-        # bit, signed zeros on kinks included
+        # each node's block equals L1Node(b_i, c_i, C_i).h bit for bit,
+        # signed zeros on kinks included
         spp, z = l1_instance_with_kinks(m, d_x, d_y, (), seed)
         b, c, C = spp.meta["b"], spp.meta["c"], spp.meta["C"]
         X, Y = spp.split(z)
-        pairs = [_L1Local(np.diag(b[i]), c[i], C[i]).h(X[i], Y[i]) for i in range(m)]
+        pairs = [L1Node(b[i], c[i], C[i]).h(X[i], Y[i]) for i in range(m)]
         ref = np.concatenate([hx for hx, _ in pairs] + [hy for _, hy in pairs])
         assert spp.H(z).tobytes() == ref.tobytes()
-
-    @settings(max_examples=30, deadline=None)
-    @given(m=dims, d_x=dims, d_y=dims, lead=lead_shapes,
-           seed=st.integers(0, 2 ** 16))
-    def test_batched_value_rows_match_single_point_calls(self, m, d_x, d_y, lead, seed):
-        # the three-operand einsum may sum a batch in another order than a
-        # point; no output depends on batched values, so a tolerance suffices
-        for spp in (random_l1_saddle(m, d_x, d_y, seed=seed),
-                    random_matrix_game(m, d_x, d_y, seed=seed)):
-            Z = batch_of_points(spp, lead, seed + 1)
-            rows = Z.reshape(-1, spp.dim)
-            ref = np.array([spp.batched_value(*spp.split(z)) for z in rows])
-            out = spp.batched_value(*spp.split(Z))
-            assert out.shape == (*lead, spp.m)
-            assert np.allclose(out, ref.reshape(out.shape), rtol=1e-12, atol=1e-12)
 
     @settings(max_examples=30, deadline=None)
     @given(m=dims, d_x=dims, d_y=dims, samples=st.integers(1, 300),
