@@ -2,8 +2,9 @@
 
 The package sees a problem only through its stacked operator H. The tests
 check H and the penalty reformulation against independent references kept
-here: a per-node oracle of the l1 family, and a consensus-constrained QP
-family with an accelerated projected-gradient solver.
+here: per-node oracles of the matrix-game and l1 families, and a
+consensus-constrained QP family with an accelerated projected-gradient
+solver.
 """
 
 import math
@@ -15,7 +16,18 @@ import numpy as np
 from saddleslide import DimensionError, DomainError, NetworkModel, ParameterError
 
 
-# -- per-node l1 oracle ----------------------------------------------------------
+# -- per-node oracles -------------------------------------------------------------
+
+class BilinearNode:
+    """Node oracle for the matrix game f(x, y) = y^T A x."""
+
+    def __init__(self, A: np.ndarray):
+        self.A = A
+
+    def h(self, x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(gradient of f in x, gradient of -f in y)."""
+        return self.A.T @ y, -self.A @ x
+
 
 class L1Node:
     """Node oracle for f(x, y) = ||diag(b) x - c||_1 + y^T C x - ||y||_1."""

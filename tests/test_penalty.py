@@ -32,7 +32,7 @@ from saddleslide import (
     sample_operator_bound,
 )
 
-from reference_oracles import L1Node
+from reference_oracles import BilinearNode, L1Node
 
 rng = np.random.default_rng(1207)
 
@@ -192,6 +192,19 @@ class TestStackedSPP:
         X, Y = spp.split(z)
         assert X.shape == (4, 2) and Y.shape == (4, 2)
         assert np.array_equal(join(X, Y), z)
+
+    @settings(max_examples=30, deadline=None)
+    @given(m=st.integers(1, 5), d_x=st.integers(1, 5), d_y=st.integers(1, 5),
+           seed=st.integers(0, 2 ** 16))
+    def test_linear_H_fast_path_matches_per_node_oracles(self, m, d_x, d_y, seed):
+        for spp in (pennies_stack(m), random_matrix_game(m, d_x, d_y, seed=seed)):
+            assert spp.linear_H is not None and spp.batched_H is None
+            A = spp.meta["A"]
+            for z in spp.stacked_set().sample(np.random.default_rng(seed), 5):
+                X, Y = spp.split(z)
+                pairs = [BilinearNode(A[i]).h(X[i], Y[i]) for i in range(spp.m)]
+                ref = np.concatenate([hx for hx, _ in pairs] + [hy for _, hy in pairs])
+                assert np.allclose(spp.H(z), ref, rtol=0.0, atol=1e-12)
 
     def test_game_operator_is_row_sparse(self):
         # k = max(d_x, d_y) entries per row: a dim x dim operator cannot
