@@ -55,7 +55,6 @@ from .network import (
     NetworkModel,
     build_topology,
     consensus_violation,
-    export_matrix_csv,
     matrix_sqrt_psd,
 )
 from .penalty import (
@@ -114,7 +113,6 @@ __all__ = [
     "deterministic_schedule",
     "emit_outputs",
     "exact_gap_matrix_game",
-    "export_matrix_csv",
     "l1_saddle_gap",
     "make_l1_saddle",
     "make_matrix_game",

@@ -28,7 +28,6 @@ from .errors import (
 )
 from .harness import RunConfig, build_pipeline, emit_outputs, run_experiment
 from .instances import certify_inexact_oracle
-from .network import export_matrix_csv
 
 _CONFIG_ERRORS = (ConfigurationError, ParameterError, DimensionError,
                   DomainError, OSError, yaml.YAMLError)
@@ -94,8 +93,8 @@ def _cmd_spectrum(config: RunConfig) -> int:
         os.makedirs(config.out_dir, exist_ok=True)
         lap = os.path.join(config.out_dir, "laplacian.csv")
         root = os.path.join(config.out_dir, "sqrt.csv")
-        export_matrix_csv(net, "laplacian", lap)
-        export_matrix_csv(net, "sqrt", root)
+        np.savetxt(lap, net.W_tilde, delimiter=",")
+        np.savetxt(root, net.W, delimiter=",")
         print(f"wrote {lap}")
         print(f"wrote {root}")
     return 0

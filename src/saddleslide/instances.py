@@ -90,11 +90,10 @@ def make_matrix_game(A_list, m: int) -> StackedSPP:
     )
 
 
-def random_matrix_game(m: int, d_x: int, d_y: int, seed,
-                       scale: float = 1.0) -> StackedSPP:
-    """m payoff matrices with entries uniform on [-scale, scale]."""
+def random_matrix_game(m: int, d_x: int, d_y: int, seed) -> StackedSPP:
+    """m payoff matrices with entries uniform on [-1, 1]."""
     rng = np.random.default_rng(seed)
-    return make_matrix_game([scale * rng.uniform(-1.0, 1.0, (d_y, d_x))
+    return make_matrix_game([rng.uniform(-1.0, 1.0, (d_y, d_x))
                              for _ in range(m)], m)
 
 

@@ -5,10 +5,11 @@ topologies: symmetric PSD, kernel containing the all-ones consensus
 direction), its PSD square root W, and the spectral constants lambda_max,
 lambda_min_plus and chi = lambda_max / lambda_min_plus.
 
-The algorithm's data path multiplies W_tilde blockwise via per-edge
-exchanges (each node combines its neighbors' blocks with Laplacian weights);
-the square root W is used only for diagnostics such as the consensus
-violation norm, since it would not be locally computable.
+The algorithm's data path multiplies W_tilde blockwise via exchanges over
+the edges, which are W_tilde's nonzero off-diagonal pattern (each node
+combines its neighbors' blocks with Laplacian weights); the square root W is
+used only for diagnostics such as the consensus violation norm, since it
+would not be locally computable.
 """
 
 from __future__ import annotations
@@ -60,7 +61,6 @@ class NetworkModel:
     """
 
     m: int
-    edges: list
     W_tilde: np.ndarray
     W: np.ndarray
     lambda_max: float
@@ -76,11 +76,10 @@ class NetworkModel:
                                   default_factory=dict)
 
     @staticmethod
-    def from_matrix(W_tilde: np.ndarray, edges: Optional[list] = None) -> "NetworkModel":
-        """Network of the gossip matrix ``W_tilde``. ``edges``, if given, must
-        name every nonzero off-diagonal pair (i, j) of it exactly once; their
-        order fixes the summation order of ``block_product``. By default the
-        pairs i < j are taken in row-major order."""
+    def from_matrix(W_tilde: np.ndarray) -> "NetworkModel":
+        """Network of the gossip matrix ``W_tilde``. Its edges are the
+        nonzero off-diagonal pairs i < j in row-major order, the order in
+        which ``block_product`` sums each row."""
         Wt = np.asarray(W_tilde, dtype=float)
         if Wt.ndim != 2 or Wt.shape[0] != Wt.shape[1]:
             raise DimensionError("gossip matrix must be square")
@@ -106,19 +105,20 @@ class NetworkModel:
         lam_min_plus = float(positive.min()) if positive.size else None
         chi = lam_max / lam_min_plus if lam_min_plus else None
         W = matrix_sqrt_psd(Wt, tol=1e-9 * scale) if lam_max > 0 else np.zeros_like(Wt)
-        pattern = np.abs(np.triu(Wt, 1)) > 1e-12 * scale
-        edges = np.argwhere(pattern).tolist() if edges is None else list(edges)
-        ei, ej = _edge_indices(edges, pattern)
-        deg = np.diag(Wt).astype(float).copy()
-        return NetworkModel(m=m, edges=[tuple(e) for e in edges], W_tilde=Wt, W=W,
-                            lambda_max=lam_max, lambda_min_plus=lam_min_plus,
-                            chi=chi, _edge_i=ei, _edge_j=ej, _edge_w=-Wt[ei, ej],
-                            _degree=deg)
+        ei, ej = np.nonzero(np.abs(np.triu(Wt, 1)) > 1e-12 * scale)
+        return NetworkModel(m=m, W_tilde=Wt, W=W, lambda_max=lam_max,
+                            lambda_min_plus=lam_min_plus, chi=chi, _edge_i=ei,
+                            _edge_j=ej, _edge_w=-Wt[ei, ej], _degree=np.diag(Wt).copy())
+
+    @property
+    def edges(self) -> list:
+        """The (i, j) pairs i < j of W_tilde's nonzero pattern, in row-major order."""
+        return list(zip(self._edge_i.tolist(), self._edge_j.tolist()))
 
     @staticmethod
     def single_node() -> "NetworkModel":
         """Degenerate m = 1 network: zero gossip matrix, no penalty possible."""
-        return NetworkModel.from_matrix(np.zeros((1, 1)), edges=[])
+        return NetworkModel.from_matrix(np.zeros((1, 1)))
 
     def block_product(self, V: np.ndarray) -> np.ndarray:
         """W_tilde applied to an (m, block_dim) matrix via per-edge exchanges.
@@ -127,9 +127,11 @@ class NetworkModel:
         ``edges`` order, subtracts ``w_ij * V[j]`` from row i, and after that
         pass every edge subtracts ``w_ij * V[i]`` from row j. All of it runs as
         one flat ``np.subtract.at`` on ``out.reshape(-1)``, which applies the
-        subtractions to each entry in that order, so the result is bitwise
-        fixed by the edge order. The flat index and weight arrays are built on
-        the first call for a block width and cached on the model.
+        subtractions to each entry in that order. ``edges`` is row-major, so
+        row i subtracts its neighbours j > i and then its neighbours j < i,
+        each in ascending order, and the result is bitwise fixed by W_tilde.
+        The flat index and weight arrays are built on the first call for a
+        block width and cached on the model.
         Raises DimensionError unless V is 2-D with m rows.
         """
         V = np.asarray(V)
@@ -138,9 +140,8 @@ class NetworkModel:
                 f"block_product needs an (m, block_dim) matrix with m = {self.m}, "
                 f"got shape {V.shape}")
         out = self._degree[:, None] * V
-        if self._edge_i.size:
-            dst, src, w = self._flat_exchange(V.shape[1])
-            np.subtract.at(out.reshape(-1), dst, w * V.reshape(-1).take(src))
+        dst, src, w = self._flat_exchange(V.shape[1])
+        np.subtract.at(out.reshape(-1), dst, w * V.reshape(-1).take(src))
         return out
 
     def _flat_exchange(self, bd: int):
@@ -156,39 +157,11 @@ class NetworkModel:
         return cached
 
 
-def _edge_indices(edges: list, pattern: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Endpoint index arrays of ``edges``, in the given order, after checking
-    that its unordered pairs are exactly the nonzero off-diagonal entries of
-    the gossip matrix (``pattern``: the upper triangle), each listed once."""
-    m = len(pattern)
-    try:
-        E = np.asarray(edges).reshape(len(edges), 2)
-    except ValueError:
-        E = None
-    if E is None or (E.size and E.dtype.kind not in "iu"):
-        raise DimensionError("edges must be (i, j) pairs of integer node indices")
-    ei, ej = E[:, 0].astype(np.intp), E[:, 1].astype(np.intp)
-    if E.size and (E.min() < 0 or E.max() >= m):
-        raise DimensionError(f"edge endpoints must lie in 0..{m - 1}")
-    if (ei == ej).any():
-        raise DomainError("edges must not contain self-loops")
-    # times each upper-triangle entry is named by an edge
-    named = np.bincount(np.minimum(ei, ej) * m + np.maximum(ei, ej), minlength=m * m)
-    if named.max() > 1:
-        raise DomainError("edges must list each node pair once")
-    if ((named.reshape(m, m) > 0) != pattern).any():
-        raise DomainError("edges must be exactly the nonzero off-diagonal "
-                          "entries of the gossip matrix")
-    return ei, ej
-
-
 def _topology_edges(kind: str, m: int, p: Optional[float],
                     seed: Optional[int]) -> list:
     if kind == "complete":
         return [(i, j) for i in range(m) for j in range(i + 1, m)]
     if kind == "ring":
-        if m == 2:
-            return [(0, 1)]
         return [(i, (i + 1) % m) for i in range(m)]
     if kind == "path":
         return [(i, i + 1) for i in range(m - 1)]
@@ -233,14 +206,10 @@ def build_topology(kind: str, m: int, p: Optional[float] = None,
     """
     if not (isinstance(m, (int, np.integer)) and m >= 2):
         raise ParameterError("build_topology needs m >= 2")
-    edges = _topology_edges(kind, int(m), p, seed)
-    Wt = np.zeros((m, m))
-    for i, j in edges:
-        Wt[i, i] += 1.0
-        Wt[j, j] += 1.0
-        Wt[i, j] -= 1.0
-        Wt[j, i] -= 1.0
-    return NetworkModel.from_matrix(Wt, edges=edges)
+    i, j = np.array(_topology_edges(kind, int(m), p, seed)).T
+    A = np.zeros((m, m))
+    A[i, j] = A[j, i] = 1.0
+    return NetworkModel.from_matrix(np.diag(A.sum(axis=1)) - A)
 
 
 # Floats of W V that consensus_violation holds at once (128 kB): a batch is
@@ -277,16 +246,3 @@ def consensus_violation(net: NetworkModel, stacked):
         np.vecdot(R, R, out=out[s:s + step])
     np.sqrt(out, out)
     return float(out[0]) if not lead else out.reshape(lead)
-
-
-# -- matrix export ------------------------------------------------------------
-
-def export_matrix_csv(net: NetworkModel, which: str, path) -> None:
-    """Dump W_tilde ("laplacian") or W ("sqrt") as dense CSV for external checks."""
-    if which == "laplacian":
-        mat = net.W_tilde
-    elif which == "sqrt":
-        mat = net.W
-    else:
-        raise ParameterError('which must be "laplacian" or "sqrt"')
-    np.savetxt(path, mat, delimiter=",")

@@ -84,7 +84,6 @@ class SlidingSchedule:
     Gamma: np.ndarray
     L: float
     M: float
-    sigma: float = 0.0
 
     def eta(self, k, t):
         return self.beta[k - 1] * (t - 1) + self.eta1[k - 1]
@@ -127,8 +126,7 @@ class SlidingSchedule:
             raise ConfigurationError("cross-iteration schedule condition violated")
 
 
-def _schedule_core(L: float, M: float, N: int, T: np.ndarray,
-                   sigma: float) -> SlidingSchedule:
+def _schedule_core(L: float, M: float, N: int, T: np.ndarray) -> SlidingSchedule:
     ks = np.arange(1, N + 1, dtype=float)
     gamma = 2.0 / (ks + 1.0)
     beta = 2.0 * L / ks
@@ -136,7 +134,7 @@ def _schedule_core(L: float, M: float, N: int, T: np.ndarray,
     T_arr = T.astype(np.int64)
     sched = SlidingSchedule(N=int(N), gamma=gamma, beta=beta, T=T_arr,
                             eta1=L * T_arr / ks, Gamma=Gamma, L=float(L),
-                            M=float(M), sigma=float(sigma))
+                            M=float(M))
     sched.validate()
     return sched
 
@@ -173,7 +171,7 @@ def deterministic_schedule(L: float, M: float, N: int) -> SlidingSchedule:
     """
     _check_LMN(L, M, N)
     T = np.maximum(1, np.ceil(deterministic_T_raw(L, M, N))).astype(np.int64)
-    return _schedule_core(L, M, N, T, sigma=0.0)
+    return _schedule_core(L, M, N, T)
 
 
 def stochastic_schedule(L: float, M: float, sigma: float, omega_sq: float,
@@ -188,7 +186,7 @@ def stochastic_schedule(L: float, M: float, sigma: float, omega_sq: float,
         raise ParameterError("schedule needs omega_sq > 0")
     raw = stochastic_T_raw(L, M, sigma, omega_sq, N)
     T = np.maximum(1, np.ceil(raw)).astype(np.int64)
-    return _schedule_core(L, M, N, T, sigma=sigma)
+    return _schedule_core(L, M, N, T)
 
 
 @dataclass

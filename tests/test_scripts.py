@@ -17,8 +17,6 @@ def load_script(name):
 
 @pytest.mark.parametrize("name,argv,expected", [
     ("rate_sweep", ["--budgets", "8", "16"], ["N", "8", "16"]),
-    ("decentralized_game_demo", ["--epsilon", "0.4", "--out", "{tmp}/out"],
-     ["saddleslide-summary", "family", "epsilon", "wrote"]),
 ])
 def test_script_main_runs(tmp_path, capsys, name, argv, expected):
     assert load_script(name).main([a.format(tmp=tmp_path) for a in argv]) == 0
