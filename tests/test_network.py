@@ -7,12 +7,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import saddleslide.cli as cli
 from saddleslide import (
     DegenerateNetworkError,
     DimensionError,
     DomainError,
     NetworkModel,
     ParameterError,
+    RunConfig,
     TOPOLOGY_KINDS,
     build_topology,
     consensus_violation,
@@ -239,6 +241,21 @@ class TestTopologyBuilding:
         net = build_topology("complete", 6)
         assert len(net.edges) == 15
         assert net.W_tilde[0, 0] == pytest.approx(5.0)
+
+
+class TestNetworkFiles:
+    def test_matrix_export_readback(self, tmp_path, capsys):
+        # the spectrum command writes W_tilde and W as CSV; both read back
+        cfg = tmp_path / "cfg.yaml"
+        cfg.write_text(RunConfig(m=4, network_kind="ring").to_yaml())
+        out = tmp_path / "spec"
+        assert cli.main(["spectrum", "--config", str(cfg),
+                         "--out", str(out)]) == 0
+        capsys.readouterr()
+        net = build_topology("ring", 4)
+        assert np.allclose(np.loadtxt(out / "laplacian.csv", delimiter=","),
+                           net.W_tilde)
+        assert np.allclose(np.loadtxt(out / "sqrt.csv", delimiter=","), net.W)
 
 
 # sha256, per topology kind, of W_tilde, W, (lambda_max, lambda_min_plus,
