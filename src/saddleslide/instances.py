@@ -19,7 +19,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy import optimize
 
 from .errors import (
     CertificationError,
@@ -93,8 +92,7 @@ def make_matrix_game(A_list, m: int) -> StackedSPP:
 def random_matrix_game(m: int, d_x: int, d_y: int, seed) -> StackedSPP:
     """m payoff matrices with entries uniform on [-1, 1]."""
     rng = np.random.default_rng(seed)
-    return make_matrix_game([rng.uniform(-1.0, 1.0, (d_y, d_x))
-                             for _ in range(m)], m)
+    return make_matrix_game(rng.uniform(-1.0, 1.0, (m, d_y, d_x)), m)
 
 
 def exact_gap_matrix_game(A_bar, x, y):
@@ -202,12 +200,12 @@ def make_l1_saddle(b_list, c_list, C_list, box_radius: float) -> StackedSPP:
 def random_l1_saddle(m: int, d_x: int, d_y: int, seed,
                      box_radius: float = 1.0) -> StackedSPP:
     """Random l1 instance: diagonals b_i uniform on [0.5, 1.5], c_i on
-    [-1, 1] and C_i on [-0.5, 0.5], drawn in that order."""
+    [-1, 1] and C_i on [-0.5, 0.5], drawn in that order, node after node."""
     rng = np.random.default_rng(seed)
-    b_list = [rng.uniform(0.5, 1.5, d_x) for _ in range(m)]
-    c_list = [rng.uniform(-1.0, 1.0, d_x) for _ in range(m)]
-    C_list = [rng.uniform(-0.5, 0.5, (d_y, d_x)) for _ in range(m)]
-    return make_l1_saddle(b_list, c_list, C_list, box_radius)
+    b = rng.uniform(0.5, 1.5, (m, d_x))
+    c = rng.uniform(-1.0, 1.0, (m, d_x))
+    C = rng.uniform(-0.5, 0.5, (m, d_y, d_x))
+    return make_l1_saddle(b, c, C, box_radius)
 
 
 def l1_saddle_gap(spp: StackedSPP, x, y):
@@ -343,6 +341,9 @@ def sup_gap_skew_linear(problem: VIProblem, z_bar, restarts: int = 8,
     SLSQP over the simplex/box structure; every local optimum is global, the
     restarts only guard against solver stalls.
     """
+    # imported here, not at module load: scipy.optimize costs about 49 MB and 0.6 s
+    from scipy import optimize
+
     geom = problem.set_geometry
     fset = geom.feasible_set
     if problem.value_G is None:

@@ -13,16 +13,25 @@ import dataclasses
 import importlib
 from pathlib import Path
 
+import pytest
+
 from saddleslide import (
+    MATCHING_PENNIES,
     ProductSet,
     RunTrace,
     StackedSPP,
     build_penalized_vi,
     build_topology,
     deterministic_schedule,
+    make_matrix_game,
+    make_stochastic_oracle,
     mps_run,
+    omega_sq_bound,
     penalty_coefficients,
     random_l1_saddle,
+    random_matrix_game,
+    smps_run,
+    stochastic_schedule,
 )
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -52,7 +61,9 @@ def test_benchmark_reads_snapshot_lists_and_linear_H():
     assert "linear_H" in {f.name for f in dataclasses.fields(StackedSPP)}
 
 
-def test_every_l1_H_call_goes_through_the_class_method(monkeypatch):
+@pytest.mark.parametrize("case", ["l1-deterministic", "game-deterministic",
+                                  "pennies-stochastic"])
+def test_every_solve_H_call_goes_through_the_class_method(monkeypatch, case):
     calls = []
     original = StackedSPP.H
 
@@ -61,12 +72,24 @@ def test_every_l1_H_call_goes_through_the_class_method(monkeypatch):
         return original(self, z)
 
     monkeypatch.setattr(StackedSPP, "H", counting_H)
-    spp = random_l1_saddle(4, 2, 2, seed=0)
+    if case == "l1-deterministic":
+        spp = random_l1_saddle(4, 2, 2, seed=0)
+    elif case == "game-deterministic":
+        spp = random_matrix_game(4, 3, 2, seed=0)
+    else:
+        spp = make_matrix_game([MATCHING_PENNIES] * 4, 4)
     net = build_topology("ring", 4)
     coeffs = penalty_coefficients(spp, net, 0.4, spp.subgrad_bound_x,
                                   spp.subgrad_bound_y)
     vi = build_penalized_vi(spp, net, coeffs, 0.4)
-    _, trace = mps_run(vi, deterministic_schedule(vi.L, vi.M, 1), spp.center())
+    if case == "pennies-stochastic":
+        noisy = make_stochastic_oracle(vi.H, "uniform", 0.1, spp.dim)
+        problem = dataclasses.replace(vi, sigma=0.1, H_stochastic=noisy)
+        omega_sq = omega_sq_bound(vi.set_geometry, spp.center())
+        schedule = stochastic_schedule(vi.L, vi.M, 0.1, omega_sq, 1)
+        _, trace = smps_run(problem, schedule, spp.center(), seed=0)
+    else:
+        _, trace = mps_run(vi, deterministic_schedule(vi.L, vi.M, 1), spp.center())
     assert trace.H_calls == [len(calls)] and len(calls) >= 2
 
 

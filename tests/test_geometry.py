@@ -519,6 +519,29 @@ def test_contains_single_point_behaviour_unchanged():
         s.contains([0.5, 0.5])
 
 
+@pytest.mark.parametrize("d", [1, 2, 3, 4, 8, 9])
+@pytest.mark.parametrize("blocks", [1, 3])
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_simplex_row_sums_are_checked_to_the_tolerance(d, blocks, sign):
+    # block sums are in-order adds of column views, so their order differs
+    # from numpy's sum at some widths: each width must still reject a row-sum
+    # breach of 2 tol and accept one of tol / 2, in the last block
+    s = Simplex(d) if blocks == 1 else ProductSet([Simplex(d)] * blocks)
+    tol = 1e-9
+    rows = s.sample(np.random.default_rng(d), 5)
+    a = (blocks - 1) * d
+    top = a + rows[:, a:].argmax(axis=1)  # the largest entry stays >= 0
+    for shift, ok in ((2 * tol, False), (tol / 2, True)):
+        moved = rows.copy()
+        moved[np.arange(5), top] += sign * shift
+        assert [s.contains(p, tol) for p in moved] == [ok] * 5
+        assert s.contains(moved, tol) == ok
+        assert s.contains(moved.reshape(5, 1, s.dim), tol) == ok
+        one = rows.copy()
+        one[3] = moved[3]
+        assert s.contains(one, tol) == ok
+
+
 # -- grouped sampling and membership against the block-by-block references ---
 
 def _sample_per_block(s, rng, n):

@@ -143,6 +143,24 @@ class TestMatrixGames:
         assert sampled <= spp.operator_bound + 1e-12
 
 
+@pytest.mark.parametrize("m, d_x, d_y", [(1, 1, 1), (3, 2, 4), (4, 3, 3), (7, 5, 2)])
+@pytest.mark.parametrize("seed", [0, 1, 17])
+def test_random_instances_are_the_per_node_draws(m, d_x, d_y, seed):
+    # one generator call per array fills it in C order, which is the stream
+    # of the node-after-node draws the families were defined by
+    g = np.random.default_rng(seed)
+    A = [g.uniform(-1.0, 1.0, (d_y, d_x)) for _ in range(m)]
+    assert random_matrix_game(m, d_x, d_y, seed).meta["A"].tobytes() == np.stack(A).tobytes()
+    g = np.random.default_rng(seed)
+    b = [g.uniform(0.5, 1.5, d_x) for _ in range(m)]
+    c = [g.uniform(-1.0, 1.0, d_x) for _ in range(m)]
+    C = [g.uniform(-0.5, 0.5, (d_y, d_x)) for _ in range(m)]
+    meta = random_l1_saddle(m, d_x, d_y, seed).meta
+    for name, per_node in (("b", b), ("c", c), ("C", C)):
+        assert meta[name].shape == np.stack(per_node).shape
+        assert meta[name].tobytes() == np.stack(per_node).tobytes(), name
+
+
 class TestL1Saddle:
     def _small(self, seed=3):
         return random_l1_saddle(3, 2, 2, seed=seed, box_radius=1.0)
