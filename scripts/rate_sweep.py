@@ -52,7 +52,7 @@ def main(argv=None) -> int:
     A = spp.meta["A_bar"]
     lipschitz = float(np.linalg.svd(A, compute_uv=False)[0])
     vi = build_penalized_vi(spp, NetworkModel.single_node(),
-                            PenaltyCoefficients(0.0, 0.0, 0.1), 0.1)
+                            PenaltyCoefficients(0.0, 0.0, 0.1))
     vi = replace(vi, L=lipschitz, M=lipschitz, delta=0.0)
     z0 = spp.stacked_set().sample(np.random.default_rng(args.start_seed), 1)[0]
     omega_sq = omega_sq_bound(vi.set_geometry, z0)

@@ -304,8 +304,10 @@ def make_stochastic_oracle(H: Callable[[np.ndarray], np.ndarray], kind: str,
     would not shift its rows; a call with another generator drops the block
     and starts from that generator's next draw.
     """
-    if sigma < 0:
-        raise ParameterError("sigma must be nonnegative")
+    if kind not in NOISE_KINDS:
+        raise ConfigurationError(f"run.noise_kind must be one of {NOISE_KINDS}, got {kind!r}")
+    if not (np.isfinite(sigma) and sigma >= 0):
+        raise ParameterError("sigma must be a finite nonnegative real")
     if sigma == 0.0:
         return lambda z, rng: H(z)
     if kind == "uniform":
@@ -313,14 +315,12 @@ def make_stochastic_oracle(H: Callable[[np.ndarray], np.ndarray], kind: str,
 
         def draw(rng: np.random.Generator, rows: int) -> np.ndarray:
             return rng.uniform(-a, a, (rows, dim))
-    elif kind == "gaussian":
+    else:
         s = sigma / math.sqrt(dim)
         cap = 4.0 * s
 
         def draw(rng: np.random.Generator, rows: int) -> np.ndarray:
             return np.clip(rng.normal(0.0, s, (rows, dim)), -cap, cap)
-    else:
-        raise ConfigurationError(f"run.noise_kind must be one of {NOISE_KINDS}, got {kind!r}")
     rows = max(1, NOISE_BLOCK // dim)
     gen = block = None
     row = rows
@@ -368,7 +368,7 @@ def build_pipeline(config: RunConfig):
     else:
         coeffs = penalty_coefficients(spp, net, config.epsilon,
                                       spp.subgrad_bound_x, spp.subgrad_bound_y)
-    vi = build_penalized_vi(spp, net, coeffs, config.epsilon)
+    vi = build_penalized_vi(spp, net, coeffs)
     return net, spp, coeffs, vi
 
 
@@ -428,7 +428,7 @@ def run_experiment(config: RunConfig) -> RunReport:
         schedule = stochastic_schedule(vi.L, vi.M, config.sigma, omega_sq, N)
         noisy = make_stochastic_oracle(vi.H, config.noise_kind, config.sigma,
                                        vi.set_geometry.dim)
-        problem = replace(vi, sigma=config.sigma, H_stochastic=noisy)
+        problem = replace(vi, H_stochastic=noisy)
         _, trace = smps_run(problem, schedule, z0, seed=config.seed,
                             retain_iterates=True)
     else:
@@ -468,7 +468,7 @@ def run_experiment(config: RunConfig) -> RunReport:
         L=vi.L,
         M=vi.M,
         delta=vi.delta,
-        L0=float(vi.L0),
+        L0=float(spp.operator_bound),
         sigma=config.sigma if stochastic else 0.0,
         omega_sq=omega_sq,
         R_alpha_sq=coeffs.R_alpha_sq,

@@ -113,6 +113,8 @@ def exact_gap_matrix_game(A_bar, x, y):
     if (A.ndim != 2 or vx.shape[-1:] != (A.shape[1],) or vy.shape[-1:] != (A.shape[0],)
             or vx.shape[:-1] != vy.shape[:-1]):
         raise DimensionError("gap oracle needs x, y matching the matrix shape")
+    if not (np.isfinite(vx).all() and np.isfinite(vy).all()):
+        raise DomainError("gap oracle needs finite x and y")
     for v in (vx, vy):
         if np.any(v < -1e-9) or np.any(np.abs(v.sum(axis=-1) - 1.0) > 1e-6):
             raise DomainError("gap oracle needs simplex-feasible x and y")
@@ -232,6 +234,8 @@ def l1_saddle_gap(spp: StackedSPP, x, y):
     if (vx.shape[-1:] != (d_x,) or vy.shape[-1:] != (C3.shape[1],)
             or vx.shape[:-1] != vy.shape[:-1]):
         raise DimensionError("l1 gap oracle got points of the wrong dimension")
+    if not (np.isfinite(vx).all() and np.isfinite(vy).all()):
+        raise DomainError("l1 gap oracle needs finite x and y")
     lead = vx.shape[:-1]
     C_bar = C3.mean(axis=0)
 

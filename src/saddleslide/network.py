@@ -39,8 +39,8 @@ def matrix_sqrt_psd(A: np.ndarray, tol: float = 1e-9) -> np.ndarray:
     an eigenvalue below -tol is a domain error.
     """
     A = np.asarray(A, dtype=float)
-    if A.ndim != 2 or A.shape[0] != A.shape[1]:
-        raise DimensionError("matrix_sqrt_psd needs a square matrix")
+    if A.ndim != 2 or A.shape[0] != A.shape[1] or A.shape[0] == 0:
+        raise DimensionError("matrix_sqrt_psd needs a nonempty square matrix")
     if not np.all(np.isfinite(A)):
         raise DomainError("matrix contains non-finite entries")
     if np.max(np.abs(A - A.T)) > tol:
@@ -81,8 +81,10 @@ class NetworkModel:
         nonzero off-diagonal pairs i < j in row-major order, the order in
         which ``block_product`` sums each row."""
         Wt = np.asarray(W_tilde, dtype=float)
-        if Wt.ndim != 2 or Wt.shape[0] != Wt.shape[1]:
-            raise DimensionError("gossip matrix must be square")
+        if Wt.ndim != 2 or Wt.shape[0] != Wt.shape[1] or Wt.shape[0] == 0:
+            raise DimensionError("gossip matrix must be square with m >= 1 rows")
+        if not np.isfinite(Wt).all():
+            raise DomainError("gossip matrix contains non-finite entries")
         m = Wt.shape[0]
         if m > 512:
             raise ParameterError("dense network storage is limited to m <= 512")

@@ -198,7 +198,7 @@ def sample_operator_bound(spp: StackedSPP, samples: int, seed,
 
 
 def build_penalized_vi(spp: StackedSPP, net: NetworkModel,
-                       coeffs: PenaltyCoefficients, epsilon: float) -> VIProblem:
+                       coeffs: PenaltyCoefficients) -> VIProblem:
     """Assemble the penalized VI the sliding solver consumes.
 
     The smooth part is G(z) = (R_alpha^2/eps)||W x||^2 +
@@ -213,17 +213,14 @@ def build_penalized_vi(spp: StackedSPP, net: NetworkModel,
 
     The nonsmooth part keeps the stacked subgradient operator H with the
     bounded-operator certificate M = L0^2 / (2 eps), delta = 2 eps, where L0
-    is spp.operator_bound.
+    is spp.operator_bound. The accuracy eps is ``coeffs.epsilon``, the one
+    the penalty radii were derived for.
     """
-    if not (np.isfinite(epsilon) and epsilon > 0):
-        raise ParameterError("epsilon must be a positive real")
-    if abs(coeffs.epsilon - epsilon) > 1e-12 * max(1.0, epsilon):
-        raise ConfigurationError(
-            f"coefficients were derived for epsilon = {coeffs.epsilon}, got {epsilon}")
     if net.m != spp.m:
         raise ConfigurationError(
             f"network node count {net.m} must match m = {spp.m}")
     m, dx, dy = spp.m, spp.d_x, spp.d_y
+    epsilon = coeffs.epsilon
     cx = 2.0 * coeffs.R_alpha_sq / epsilon
     cy = 2.0 * coeffs.R_beta_sq / epsilon
     cut = m * dx
@@ -271,7 +268,6 @@ def build_penalized_vi(spp: StackedSPP, net: NetworkModel,
         H=spp.H,
         M=M,
         delta=delta,
-        L0=float(L0),
         value_G=value_G,
         rounds_per_grad_G=rounds,
     )

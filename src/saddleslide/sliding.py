@@ -1,12 +1,14 @@
 """Mirror-prox sliding: outer/inner iteration, parameter schedules, gap function.
 
-The method solves the monotone VI built from a convex-concave saddle problem
-min_x max_y G_x-part + F: find z* with <grad G(z*) + H(z*), z - z*> >= 0,
-where grad G is L-smooth and H is handled through an inexact (M, delta)
-oracle. One outer iteration k freezes grad G at the sliding point and runs
-T_k inner steps, each made of two two-anchor prox calls; the outer ergodic
-point carries the O(L Omega^2 / N^2 + delta) guarantee, with delta entering
-additively (weight exactly 1) rather than accumulating.
+The method solves the monotone variational inequality of a convex-concave
+saddle problem whose operator splits as grad G + H: find z* in Z with
+<grad G(z*) + H(z*), z - z*> >= 0 for every z in Z. G is a convex potential
+with L-Lipschitz gradient, and H is a monotone, possibly nonsmooth operator
+reached through an inexact (M, delta) oracle. One outer iteration k freezes
+grad G at the sliding point and runs T_k inner steps, each made of two
+two-anchor prox calls; the outer ergodic point carries the
+O(L Omega^2 / N^2 + delta) guarantee, with delta entering additively
+(weight exactly 1) rather than accumulating.
 """
 
 from __future__ import annotations
@@ -31,17 +33,17 @@ TRACE_COLUMNS = ("k", "inner_steps", "grad_G_calls", "H_calls",
 class VIProblem:
     """Oracle bundle for one variational inequality.
 
-    ``grad_G`` must be the gradient of the convex potential ``value_G`` with
-    Lipschitz constant ``L``; ``H`` is the (possibly nonsmooth) monotone
-    operator satisfying the inexact-oracle inequality with constants
-    ``(M, delta)``. ``H_stochastic(z, rng)`` is an unbiased noisy version with
-    variance at most ``sigma**2``; ``L0`` optionally records a uniform bound
-    on ``||H||`` (then (M, delta) may be synthesized as M = L0^2/(2 eps),
-    delta = 2 eps). ``rounds_per_grad_G`` tells the solver how many
-    communication rounds one grad_G evaluation costs (0 for centralized
-    problems). ``H`` and ``H_stochastic`` are handed the solver's work
-    buffers, which later inner steps overwrite: they must copy an argument
-    they keep, and must not write into it.
+    ``grad_G`` is the gradient of the convex potential ``value_G``, with
+    Lipschitz constant ``L``. ``H`` is the (possibly nonsmooth) monotone
+    operator, and ``(M, delta)`` are the constants of its inexact-oracle
+    inequality. ``H_stochastic(z, rng)``, when set, is an unbiased noisy
+    version of ``H`` for :func:`smps_run`; its variance bound sigma^2 enters
+    only through the schedule (:func:`stochastic_schedule`).
+    ``rounds_per_grad_G`` tells the solver how many communication rounds one
+    grad_G evaluation costs (0 for centralized problems). ``H`` and
+    ``H_stochastic`` are handed the solver's work buffers, which later inner
+    steps overwrite: they must copy an argument they keep, and must not write
+    into it.
     """
 
     set_geometry: GeometrySpec
@@ -50,93 +52,69 @@ class VIProblem:
     H: Callable[[np.ndarray], np.ndarray]
     M: float
     delta: float
-    sigma: float = 0.0
-    L0: Optional[float] = None
     value_G: Optional[Callable[[np.ndarray], float]] = None
     H_stochastic: Optional[Callable[[np.ndarray, np.random.Generator], np.ndarray]] = None
     rounds_per_grad_G: int = 0
 
     def __post_init__(self):
-        for name in ("L", "M", "delta", "sigma"):
+        for name in ("L", "M", "delta"):
             v = getattr(self, name)
             if not (np.isfinite(v) and v >= 0):
                 raise ParameterError(f"VIProblem.{name} must be a finite nonnegative real")
-        if self.L0 is not None and not (np.isfinite(self.L0) and self.L0 >= 0):
-            raise ParameterError("VIProblem.L0 must be a finite nonnegative real")
 
 
 @dataclass
 class SlidingSchedule:
-    """Per-outer-iteration parameters gamma_k, beta_k, T_k, eta_k^t, Gamma_k.
+    """Inner-loop lengths T_k of one sliding run, with the L and M they were
+    built for; entry k - 1 of ``T`` holds T_k, for k = 1..N.
 
-    Arrays are 0-indexed storage for the 1-indexed sequences (entry k-1 holds
-    the value at outer iteration k). ``eta1`` holds the first inner step
-    weight eta_k^1; the later ones follow as eta_k^t = beta_k (t-1) + eta_k^1,
-    which ``eta(k, t)`` evaluates with 1-indexed arguments (integers, or
-    integer arrays evaluated elementwise).
+    The other parameters are closed forms in k, which the solver evaluates
+    as it goes:
+
+        gamma_k = 2/(k+1),  beta_k = 2L/k,  Gamma_k = 2/(k(k+1)),
+        eta_k^t = beta_k (t-1) + L T_k / k.
+
+    They meet the theorem's conditions for every choice of T_k >= 1:
+
+    - gamma_1 = 2/2 = 1 and Gamma_1 = 2/2 = 1;
+    - beta_k = 2L/k >= 2L/(k+1) = L gamma_k;
+    - Gamma_k = (1 - gamma_k) Gamma_{k-1}, since
+      (k-1)/(k+1) * 2/((k-1) k) = 2/(k(k+1));
+    - eta_k^t = beta_k + eta_k^{t-1}, so the step condition holds with
+      equality;
+    - the cross-iteration condition
+      gamma_k/Gamma_k (beta_k + eta_k^1/T_k)
+      <= gamma_{k-1} (beta_{k-1} + eta_{k-1}^{T_{k-1}}) / (Gamma_{k-1} T_{k-1})
+      reads 3L on both sides: gamma_k/Gamma_k = k and
+      beta_k + eta_k^1/T_k = 3L/k on the left, and on the right
+      beta_{k-1} + eta_{k-1}^{T_{k-1}} = 3L T_{k-1}/(k-1).
+
+    So the only condition that depends on T is M <= beta_k + eta_k^1
+    = L (2 + T_k)/k, which :meth:`validate` checks together with the types.
     """
 
-    N: int
-    gamma: np.ndarray
-    beta: np.ndarray
-    T: np.ndarray
-    eta1: np.ndarray
-    Gamma: np.ndarray
     L: float
     M: float
+    T: np.ndarray
 
-    def eta(self, k, t):
-        return self.beta[k - 1] * (t - 1) + self.eta1[k - 1]
+    @property
+    def N(self) -> int:
+        return len(self.T)
 
     def validate(self) -> None:
-        n = self.N
-        if not (n >= 1 and len(self.gamma) == n and len(self.beta) == n
-                and len(self.T) == n and len(self.eta1) == n
-                and len(self.Gamma) == n):
-            raise ConfigurationError("schedule arrays must all have length N >= 1")
-        gamma, beta, T, Gamma = self.gamma, self.beta, self.T, self.Gamma
-        if abs(gamma[0] - 1.0) > 1e-12:
-            raise ConfigurationError("gamma_1 must equal 1")
-        if np.any(gamma < -1e-12) or np.any(gamma > 1.0 + 1e-12):
-            raise ConfigurationError("gamma_k must lie in [0, 1]")
-        if np.any(T < 1):
+        L, M, T = self.L, self.M, self.T
+        if not (np.isfinite(L) and L > 0):
+            raise ConfigurationError("schedule needs a finite L > 0")
+        if not (np.isfinite(M) and M >= 0):
+            raise ConfigurationError("schedule needs a finite M >= 0")
+        if not (isinstance(T, np.ndarray) and T.ndim == 1 and T.size >= 1
+                and np.issubdtype(T.dtype, np.integer)):
+            raise ConfigurationError("T must be a 1-D integer array of N >= 1 entries")
+        if T.min() < 1:
             raise ConfigurationError("T_k must be positive integers")
-        if np.any(beta < self.L * gamma - 1e-9):
-            raise ConfigurationError("beta_k >= L * gamma_k violated")
-        if abs(Gamma[0] - 1.0) > 1e-12:
-            raise ConfigurationError("Gamma_1 must equal 1")
-        expected = (1.0 - gamma[1:]) * Gamma[:-1]
-        if np.any(np.abs(Gamma[1:] - expected) > 1e-12 * np.maximum(1.0, np.abs(expected))):
-            raise ConfigurationError("Gamma recurrence violated")
-        ks = np.arange(1, n + 1)
-        e1 = self.eta(ks, 1)
-        if not np.all((e1 > 0) & np.isfinite(e1)):
-            raise ConfigurationError("eta_k^1 must be a positive real")
-        if np.any(self.M > beta + e1 + 1e-9 * max(1.0, self.M)):
+        ks = np.arange(1, T.size + 1, dtype=float)
+        if np.any(M > 2.0 * L / ks + L * T / ks + 1e-9 * max(1.0, M)):
             raise ConfigurationError("M <= beta_k + eta_k^t violated at t = 1")
-        # The step condition eta_k^t <= beta_k + eta_k^{t-1} is not checked:
-        # eta(k, t) = beta_k (t-1) + eta_k^1 makes the two sides equal by
-        # construction, and at |eta| ~ 1e8 their rounding alone exceeds any
-        # fixed absolute slack, so a check could only reject valid schedules.
-        eta_T = self.eta(ks, T)
-        # cross-iteration rate condition (equality for the shipped schedules)
-        lhs = gamma[1:] / Gamma[1:] * (beta[1:] + e1[1:] / T[1:])
-        rhs = gamma[:-1] * (beta[:-1] + eta_T[:-1]) / (Gamma[:-1] * T[:-1])
-        if np.any(lhs > rhs * (1.0 + 1e-9) + 1e-12):
-            raise ConfigurationError("cross-iteration schedule condition violated")
-
-
-def _schedule_core(L: float, M: float, N: int, T: np.ndarray) -> SlidingSchedule:
-    ks = np.arange(1, N + 1, dtype=float)
-    gamma = 2.0 / (ks + 1.0)
-    beta = 2.0 * L / ks
-    Gamma = 2.0 / (ks * (ks + 1.0))
-    T_arr = T.astype(np.int64)
-    sched = SlidingSchedule(N=int(N), gamma=gamma, beta=beta, T=T_arr,
-                            eta1=L * T_arr / ks, Gamma=Gamma, L=float(L),
-                            M=float(M))
-    sched.validate()
-    return sched
 
 
 def _check_LMN(L: float, M: float, N: int) -> None:
@@ -144,7 +122,7 @@ def _check_LMN(L: float, M: float, N: int) -> None:
         raise ParameterError("schedule needs L > 0 (formulas divide by L)")
     if not (np.isfinite(M) and M >= 0):
         raise ParameterError("schedule needs M >= 0")
-    if not (isinstance(N, (int, np.integer)) and N >= 1):
+    if not (isinstance(N, (int, np.integer)) and not isinstance(N, bool) and N >= 1):
         raise ParameterError("schedule needs integer N >= 1")
 
 
@@ -171,7 +149,9 @@ def deterministic_schedule(L: float, M: float, N: int) -> SlidingSchedule:
     """
     _check_LMN(L, M, N)
     T = np.maximum(1, np.ceil(deterministic_T_raw(L, M, N))).astype(np.int64)
-    return _schedule_core(L, M, N, T)
+    sched = SlidingSchedule(L=float(L), M=float(M), T=T)
+    sched.validate()
+    return sched
 
 
 def stochastic_schedule(L: float, M: float, sigma: float, omega_sq: float,
@@ -186,7 +166,9 @@ def stochastic_schedule(L: float, M: float, sigma: float, omega_sq: float,
         raise ParameterError("schedule needs omega_sq > 0")
     raw = stochastic_T_raw(L, M, sigma, omega_sq, N)
     T = np.maximum(1, np.ceil(raw)).astype(np.int64)
-    return _schedule_core(L, M, N, T)
+    sched = SlidingSchedule(L=float(L), M=float(M), T=T)
+    sched.validate()
+    return sched
 
 
 @dataclass
@@ -217,7 +199,6 @@ class RunTrace:
     z_snapshots: list = field(default_factory=list)
     z_under_snapshots: list = field(default_factory=list)
     z_bar_iterates: Optional[np.ndarray] = None
-    final: Optional[np.ndarray] = None
 
     @property
     def N(self) -> int:
@@ -292,12 +273,13 @@ def _sliding_loop(problem: VIProblem, schedule: SlidingSchedule, z0: np.ndarray,
     z_prev = z_a
     n_grad = 0
     n_h = 0
-    for k in range(1, schedule.N + 1):
+    L = schedule.L
+    for k, tk in enumerate(schedule.T.tolist(), start=1):
         t0 = time.perf_counter()
-        gk = schedule.gamma[k - 1]
-        bk = float(schedule.beta[k - 1])
-        e1 = float(schedule.eta1[k - 1])
-        tk = int(schedule.T[k - 1])
+        # the closed forms of SlidingSchedule
+        gk = 2.0 / (k + 1.0)
+        bk = 2.0 * L / k
+        e1 = L * tk / k  # eta_k^1
         z_under = (1.0 - gk) * z_bar + gk * z_prev
         g_cached = problem.grad_G(z_under)  # constant across the inner loop
         n_grad += 1
@@ -305,7 +287,7 @@ def _sliding_loop(problem: VIProblem, schedule: SlidingSchedule, z0: np.ndarray,
         outer = _outer_term(geom, z_prev, bk)  # z_prev anchors every inner prox
         z_tilde_sum.fill(0.0)
         for t in range(1, tk + 1):
-            et = bk * (t - 1) + e1  # eta_k^t, as in SlidingSchedule.eta
+            et = bk * (t - 1) + e1  # eta_k^t
             eta[()] = et
             w[()] = bk + et
             z_t = cur[0]
@@ -339,7 +321,6 @@ def _sliding_loop(problem: VIProblem, schedule: SlidingSchedule, z0: np.ndarray,
             trace.z_bar_snapshots.append(z_bar)
             trace.z_snapshots.append(z_prev.copy())
             trace.z_under_snapshots.append(z_under)
-    trace.final = z_bar.copy()
     return z_bar.copy(), trace
 
 
@@ -350,8 +331,7 @@ def mps_run(problem: VIProblem, schedule: SlidingSchedule, z0,
     Parameters
     ----------
     problem : VIProblem
-        Deterministic problem (``sigma`` must be 0); its ``H`` is called twice
-        per inner step, its ``grad_G`` once per outer iteration (cached at the
+        Its ``H`` is called twice per inner step, its ``grad_G`` once per outer iteration (cached at the
         sliding point, which does not change within the inner loop).
     schedule : SlidingSchedule
         Typically from :func:`deterministic_schedule`.
@@ -364,8 +344,6 @@ def mps_run(problem: VIProblem, schedule: SlidingSchedule, z0,
         The ergodic output point and per-iteration telemetry.
     """
     schedule.validate()
-    if problem.sigma != 0.0:
-        raise ConfigurationError("mps_run requires a deterministic problem (sigma = 0)")
     v0 = _check_run_inputs(problem, schedule, z0)
     return _sliding_loop(problem, schedule, v0, problem.H, retain_iterates)
 

@@ -53,7 +53,7 @@ def test_criterion_1_deterministic_rate():
             coeffs = penalty_coefficients(spp, net, 0.1,
                                           spp.subgrad_bound_x,
                                           spp.subgrad_bound_y)
-        vi = build_penalized_vi(spp, net, coeffs, 0.1)
+        vi = build_penalized_vi(spp, net, coeffs)
         # the exact bilinear oracle is 2-Lipschitz: certificate (M, delta) =
         # (2, 0); for m = 1 the smooth part vanishes and any L > 0 is valid
         vi = replace(vi, M=2.0, delta=0.0)
@@ -222,7 +222,7 @@ def test_criterion_6_oracle_certification():
                 l1):
         coeffs = penalty_coefficients(spp, net, eps,
                                       spp.subgrad_bound_x, spp.subgrad_bound_y)
-        vi = build_penalized_vi(spp, net, coeffs, eps)
+        vi = build_penalized_vi(spp, net, coeffs)
         certify_inexact_oracle(vi.H, spp.stacked_set(), vi.M, vi.delta,
                                triples=10_000, seed=0)
         pts = spp.stacked_set().sample(np.random.default_rng(7), 100)

@@ -4,7 +4,8 @@
 wrappers in ``--trace 1`` mode, and ``perfbench/run.py`` reads the snapshot
 lists of ``RunTrace`` and the ``linear_H`` field of ``StackedSPP``. A rename
 or a method moved to another class breaks the benchmark without failing any
-library test; these tests fail instead. Both the tracer's ``penalty.H``
+library test; these tests fail instead. So does a layer the library stops
+calling through its patched name, whose per-layer metric would read 0. Both the tracer's ``penalty.H``
 and the self-check's fault injection patch the class method
 ``StackedSPP.H``, so every H call of a solve must go through it.
 """
@@ -18,6 +19,7 @@ import pytest
 from saddleslide import (
     MATCHING_PENNIES,
     ProductSet,
+    RunConfig,
     RunTrace,
     StackedSPP,
     build_penalized_vi,
@@ -30,12 +32,32 @@ from saddleslide import (
     penalty_coefficients,
     random_l1_saddle,
     random_matrix_game,
+    run_experiment,
     smps_run,
     stochastic_schedule,
 )
+from saddleslide import harness, instances
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 PATCHED = 22
+# The tracer layers one operation of each kind passes through, `operation`
+# (the root span) included: 18 for a deterministic solve, the noise oracle
+# on top for a stochastic one, and 9 for a certificate check.
+SETUP_LAYERS = {"operation", "setup", "network.topology", "instances.build",
+                "instances.operator_bound", "penalty.coefficients", "penalty.build",
+                "penalty.H"}
+SOLVE_LAYERS = SETUP_LAYERS | {
+    "penalty.grad_G", "sliding.schedule", "sliding.validate", "sliding.loop",
+    "geometry.prox", "geometry.contains", "network.gossip", "harness.backfill",
+    "network.consensus", "instances.gap"}
+ROUTES = {
+    "game-deterministic": (dict(family="matrix_game_random", d_x=2, d_y=2), SOLVE_LAYERS),
+    "l1-deterministic": (dict(family="l1_saddle_random", d_x=2, d_y=2), SOLVE_LAYERS),
+    "pennies-stochastic": (dict(mode="stochastic", sigma=0.1),
+                           SOLVE_LAYERS | {"harness.noise"}),
+    "l1-certify": (dict(family="l1_saddle_random", d_x=2, d_y=2),
+                   SETUP_LAYERS | {"instances.certify"}),
+}
 
 
 def test_tracer_patches_every_hook_and_restores_it(monkeypatch):
@@ -52,6 +74,31 @@ def test_tracer_patches_every_hook_and_restores_it(monkeypatch):
         tracer.uninstall()
     for owner, attr, original in saved:
         assert owner.__dict__[attr] is original, attr
+
+
+@pytest.mark.parametrize("case", sorted(ROUTES))
+def test_every_traced_layer_is_on_its_operations_path(monkeypatch, case):
+    overrides, expected = ROUTES[case]
+    cfg = RunConfig(**{"m": 4, "network_kind": "ring", "epsilon": 0.4,
+                       "N_override": 2, **overrides})
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    tracer = importlib.import_module("tracer").Tracer()
+    tracer.install()
+    try:
+        with tracer.operation(0):
+            if case.endswith("certify"):
+                # the benchmark's certify operation, as in perfbench/run.py
+                _, spp, _, vi = harness.build_pipeline(cfg)
+                instances.certify_inexact_oracle(vi.H, spp.stacked_set(), vi.M,
+                                                 vi.delta, triples=20, seed=0)
+            else:
+                run_experiment(cfg)
+    finally:
+        tracer.uninstall()
+    assert set(tracer.stats) == expected
+    if not case.endswith("certify"):
+        # one validation in the schedule builder, one in the solver
+        assert tracer.stats["sliding.validate"][0] == 2
 
 
 def test_benchmark_reads_snapshot_lists_and_linear_H():
@@ -81,10 +128,10 @@ def test_every_solve_H_call_goes_through_the_class_method(monkeypatch, case):
     net = build_topology("ring", 4)
     coeffs = penalty_coefficients(spp, net, 0.4, spp.subgrad_bound_x,
                                   spp.subgrad_bound_y)
-    vi = build_penalized_vi(spp, net, coeffs, 0.4)
+    vi = build_penalized_vi(spp, net, coeffs)
     if case == "pennies-stochastic":
         noisy = make_stochastic_oracle(vi.H, "uniform", 0.1, spp.dim)
-        problem = dataclasses.replace(vi, sigma=0.1, H_stochastic=noisy)
+        problem = dataclasses.replace(vi, H_stochastic=noisy)
         omega_sq = omega_sq_bound(vi.set_geometry, spp.center())
         schedule = stochastic_schedule(vi.L, vi.M, 0.1, omega_sq, 1)
         _, trace = smps_run(problem, schedule, spp.center(), seed=0)
@@ -108,7 +155,7 @@ def test_solver_checks_feasibility_once_per_outer_iteration(monkeypatch):
     net = build_topology("ring", 4)
     coeffs = penalty_coefficients(spp, net, 0.4, spp.subgrad_bound_x,
                                   spp.subgrad_bound_y)
-    vi = build_penalized_vi(spp, net, coeffs, 0.4)
+    vi = build_penalized_vi(spp, net, coeffs)
     calls.clear()
     mps_run(vi, deterministic_schedule(vi.L, vi.M, 2), spp.center())
     assert [c for c in calls if len(c) == 2] == [(2, spp.dim)] * 2

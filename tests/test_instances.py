@@ -10,6 +10,7 @@ from saddleslide import (
     MATCHING_PENNIES,
     Box,
     CertificationError,
+    ConfigurationError,
     DimensionError,
     DomainError,
     PenaltyCoefficients,
@@ -123,6 +124,16 @@ class TestMatrixGames:
             exact_gap_matrix_game(MATCHING_PENNIES, np.array([-0.1, 1.1]),
                                   np.array([0.5, 0.5]))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_gap_rejects_non_finite_points(self, bad):
+        x, y = np.full((3, 2), 0.5), np.full((3, 2), 0.5)
+        for pts in ((x[0], y[0]), (x, y)):
+            for v in pts:
+                v.flat[-1] = bad
+                with pytest.raises(DomainError):
+                    exact_gap_matrix_game(MATCHING_PENNIES, *pts)
+                v.flat[-1] = 0.5
+
     def test_stacked_oracle_is_skew(self):
         spp = random_matrix_game(3, 2, 4, seed=8)
         for _ in range(20):
@@ -204,6 +215,17 @@ class TestL1Saddle:
         y = np.array([0.3, 0.0])
         expected = np.abs(x).sum() + np.abs(y).sum()
         assert l1_saddle_gap(spp, x, y) == pytest.approx(expected, rel=1e-12)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_gap_rejects_non_finite_points(self, bad):
+        spp = self._small(seed=6)
+        x, y = np.zeros((3, 2)), np.zeros((3, 2))
+        for pts in ((x[0], y[0]), (x, y)):
+            for v in pts:
+                v.flat[-1] = bad
+                with pytest.raises(DomainError):
+                    l1_saddle_gap(spp, *pts)
+                v.flat[-1] = 0.0
 
     def test_gap_nonnegative(self):
         spp = self._small(seed=6)
@@ -323,7 +345,7 @@ class TestSupGapOracle:
         spp = make_matrix_game([A], 1)
         single = NetworkModel.single_node()
         coeffs = PenaltyCoefficients(0.0, 0.0, eps)
-        return spp, build_penalized_vi(spp, single, coeffs, eps)
+        return spp, build_penalized_vi(spp, single, coeffs)
 
     def test_matches_exact_game_gap_single_node(self):
         A = rng.normal(size=(3, 3))
@@ -340,7 +362,7 @@ class TestSupGapOracle:
         spp = make_matrix_game([MATCHING_PENNIES.copy() for _ in range(m)], m)
         net = build_topology("complete", m)
         coeffs = PenaltyCoefficients(2.0, 2.0, 0.1)
-        vi = build_penalized_vi(spp, net, coeffs, 0.1)
+        vi = build_penalized_vi(spp, net, coeffs)
         x_hat = np.array([0.7, 0.3])
         y_hat = np.array([0.4, 0.6])
         z_bar = np.concatenate((np.tile(x_hat, m), np.tile(y_hat, m)))  # all x, then all y
@@ -456,6 +478,14 @@ class TestStochasticOracleModels:
         expected = np.random.default_rng(2).uniform(-a, a, (2, dim))
         assert np.array_equal(oracle(np.zeros(dim), second), expected[0])
         assert np.array_equal(oracle(np.zeros(dim), second), expected[1])
+
+    @pytest.mark.parametrize("kind,sigma,error", [
+        ("foo", 0.0, ConfigurationError), ("foo", 0.3, ConfigurationError),
+        ("uniform", np.nan, ParameterError), ("gaussian", np.inf, ParameterError),
+        ("uniform", -0.1, ParameterError)])
+    def test_arguments_are_checked_before_the_zero_sigma_shortcut(self, kind, sigma, error):
+        with pytest.raises(error):
+            make_stochastic_oracle(lambda z: z, kind, sigma, 3)
 
     def test_zero_sigma_returns_exact_oracle(self):
         dim = 3

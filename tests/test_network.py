@@ -108,6 +108,8 @@ class TestMatrixSqrt:
             matrix_sqrt_psd(bad)
         with pytest.raises(DimensionError):
             matrix_sqrt_psd(np.ones((2, 3)))
+        with pytest.raises(DimensionError):
+            matrix_sqrt_psd(np.zeros((0, 0)))
 
     def test_clamps_eigenvalue_noise(self):
         S = np.diag([1e-12, 1.0])
@@ -230,6 +232,17 @@ class TestTopologyBuilding:
             NetworkModel.from_matrix(np.array(1.0))
         with pytest.raises(DimensionError):
             NetworkModel.from_matrix(np.zeros((2, 3)))
+        with pytest.raises(DimensionError):
+            NetworkModel.from_matrix(np.zeros((0, 0)))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_from_matrix_rejects_non_finite_entries(self, bad):
+        ring = build_topology("ring", 4).W_tilde.copy()
+        for i, j in ((0, 0), (0, 2), (1, 0)):
+            W = ring.copy()
+            W[i, j] = bad
+            with pytest.raises(DomainError, match="non-finite"):
+                NetworkModel.from_matrix(W)
 
     @pytest.mark.parametrize("kind", TOPOLOGY_KINDS)
     def test_edges_are_the_upper_triangle_in_row_major_order(self, kind):

@@ -99,7 +99,7 @@ class TestBuildPenalizedVI:
         net = build_topology(kind, m)
         coeffs = penalty_coefficients(spp, net, eps,
                                       spp.subgrad_bound_x, spp.subgrad_bound_y)
-        return spp, net, coeffs, build_penalized_vi(spp, net, coeffs, eps)
+        return spp, net, coeffs, build_penalized_vi(spp, net, coeffs)
 
     def test_smoothness_constant_formula(self):
         spp, net, coeffs, vi = self._vi()
@@ -110,8 +110,7 @@ class TestBuildPenalizedVI:
 
     def test_oracle_synthesis_constants(self):
         spp, _, _, vi = self._vi(eps=0.05)
-        assert vi.L0 == pytest.approx(spp.operator_bound)
-        assert vi.M == pytest.approx(vi.L0 ** 2 / (2 * 0.05), rel=1e-12)
+        assert vi.M == pytest.approx(spp.operator_bound ** 2 / (2 * 0.05), rel=1e-12)
         assert vi.delta == pytest.approx(0.1, rel=1e-12)
 
     def test_gradient_vanishes_on_consensus(self):
@@ -142,14 +141,14 @@ class TestBuildPenalizedVI:
         spp = pennies_stack(3)
         net = build_topology("complete", 3)
         coeffs = penalty_coefficients(spp, net, 0.1, 1.0, 1.0)
-        vi = build_penalized_vi(spp, net, coeffs, 0.1)
+        vi = build_penalized_vi(spp, net, coeffs)
         assert vi.rounds_per_grad_G == 1
 
     def test_single_node_reduces_to_centralized(self):
         spp = pennies_stack(1)
         single = NetworkModel.single_node()
         coeffs = PenaltyCoefficients(0.0, 0.0, 0.1)
-        vi = build_penalized_vi(spp, single, coeffs, 0.1)
+        vi = build_penalized_vi(spp, single, coeffs)
         assert vi.rounds_per_grad_G == 0
         z = spp.stacked_set().sample(rng, 1)[0]
         assert np.max(np.abs(vi.grad_G(z))) == 0.0
@@ -170,19 +169,24 @@ class TestBuildPenalizedVI:
         gap = exact_gap_matrix_game(spp.meta["A_bar"], X[0], Y[0])
         assert gap <= bound
 
-    def test_epsilon_mismatch_rejected(self):
+    def test_epsilon_is_the_coefficients_epsilon(self):
+        # eps is read from the coefficients, so the radii and the oracle
+        # constants cannot be built for two different accuracies
         spp = pennies_stack(3)
         net = build_topology("complete", 3)
-        coeffs = penalty_coefficients(spp, net, 0.1, 1.0, 1.0)
-        with pytest.raises(ConfigurationError):
-            build_penalized_vi(spp, net, coeffs, 0.2)
+        for eps in (0.1, 0.2):
+            coeffs = penalty_coefficients(spp, net, eps, 1.0, 1.0)
+            vi = build_penalized_vi(spp, net, coeffs)
+            assert vi.delta == 2.0 * eps
+            assert vi.M == spp.operator_bound ** 2 / (2.0 * eps)
+            assert vi.L == 2.0 * coeffs.R_alpha_sq / eps * net.lambda_max
 
     def test_node_count_mismatch_rejected(self):
         spp = pennies_stack(3)
         net4 = build_topology("ring", 4)
         coeffs = PenaltyCoefficients(1.0, 1.0, 0.1)
         with pytest.raises(ConfigurationError):
-            build_penalized_vi(spp, net4, coeffs, 0.1)
+            build_penalized_vi(spp, net4, coeffs)
 
 
 class TestStackedSPP:

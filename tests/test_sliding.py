@@ -62,21 +62,21 @@ class TestDeterministicSchedule:
     def test_frozen_values(self):
         sched = deterministic_schedule(L=2.0, M=10.0, N=3)
         assert list(sched.T) == [5, 10, 15]
-        assert sched.gamma[2] == pytest.approx(0.5)
-        assert sched.beta[2] == pytest.approx(4.0 / 3.0)
-        assert sched.Gamma[2] == pytest.approx(1.0 / 6.0)
-        # eta_k^t = beta_k (t - 1) + L T_k / k
-        assert sched.eta(3, 1) == pytest.approx(10.0)
-        assert sched.eta(3, 2) == pytest.approx(10.0 + 4.0 / 3.0)
+        assert sched.T.dtype == np.int64
+        assert (sched.N, sched.L, sched.M) == (3, 2.0, 10.0)
 
     def test_T_floors_at_one(self):
         sched = deterministic_schedule(L=5.0, M=0.0, N=4)
         assert list(sched.T) == [1, 1, 1, 1]
 
     def test_gamma_one_at_first_iteration(self):
-        sched = deterministic_schedule(L=1.0, M=1.0, N=7)
-        assert sched.gamma[0] == pytest.approx(1.0)
-        assert sched.Gamma[0] == pytest.approx(1.0)
+        # gamma_1 = 1: the first sliding point is z_prev = z0 exactly, and
+        # z_bar_1 is the inner average alone, whatever z_bar_0 was
+        prob = quadratic_problem()
+        z0 = np.array([0.7, -0.3])
+        _, trace = mps_run(prob, deterministic_schedule(1.0, 1.0, 7), z0,
+                           retain_iterates=True)
+        assert _bits(trace.z_under_snapshots[0]) == _bits(z0)
 
     @pytest.mark.parametrize("L,M,N", [(1.0, 0.0, 1), (2.0, 10.0, 50),
                                        (0.5, 3.0, 17), (100.0, 1.0, 9)])
@@ -95,27 +95,32 @@ class TestDeterministicSchedule:
         with pytest.raises(ParameterError):
             deterministic_schedule(L, M, N)
 
+    def test_rejects_a_bool_N(self):
+        with pytest.raises(ParameterError):
+            deterministic_schedule(1.0, 1.0, True)
+        with pytest.raises(ParameterError):
+            stochastic_schedule(1.0, 1.0, 0.1, 1.0, True)
+
     def test_tampered_schedules_fail_validation(self):
         base = deterministic_schedule(2.0, 10.0, 4)
-        s = deterministic_schedule(2.0, 10.0, 4)
-        s.gamma = base.gamma.copy()
-        s.gamma[0] = 0.5
-        with pytest.raises(ConfigurationError):
-            s.validate()
         s = deterministic_schedule(2.0, 10.0, 4)
         s.T = base.T.copy()
         s.T[2] = 0
         with pytest.raises(ConfigurationError):
             s.validate()
-        s = deterministic_schedule(2.0, 10.0, 4)
-        s.beta = base.beta * 0.1
+        s.T = base.T.astype(float)
         with pytest.raises(ConfigurationError):
             s.validate()
-        s = deterministic_schedule(2.0, 10.0, 4)
-        s.Gamma = base.Gamma.copy()
-        s.Gamma[3] *= 2.0
+        s.T = base.T[:0]
         with pytest.raises(ConfigurationError):
             s.validate()
+        # beta_1 + eta_1^1 = 2L + L T_1 = 3 at L = 1, T_1 = 1
+        sliding.SlidingSchedule(L=1.0, M=3.0, T=np.array([1])).validate()
+        with pytest.raises(ConfigurationError):
+            sliding.SlidingSchedule(L=1.0, M=3.5, T=np.array([1])).validate()
+        for L, M in ((0.0, 1.0), (np.inf, 1.0), (1.0, -1.0), (1.0, np.nan)):
+            with pytest.raises(ConfigurationError):
+                sliding.SlidingSchedule(L=L, M=M, T=base.T.copy()).validate()
 
     def test_validate_accepts_huge_inner_step_weights(self):
         # eta_k^t - eta_k^{t-1} = beta_k by construction, but at M / L ~ 4.5e6
@@ -125,62 +130,55 @@ class TestDeterministicSchedule:
         sched.validate()
         assert sched.T[-1] == 180821918
 
-    def test_validate_agrees_with_per_k_reference(self):
-        # validate checks every condition as one array expression; the
-        # per-k loop below is the reference it must agree with
-        def reference_accepts(s):
-            n = s.N
-            if abs(s.gamma[0] - 1.0) > 1e-12 or np.any(s.gamma < -1e-12) \
-                    or np.any(s.gamma > 1.0 + 1e-12) or np.any(s.T < 1) \
-                    or np.any(s.beta < s.L * s.gamma - 1e-9) \
-                    or abs(s.Gamma[0] - 1.0) > 1e-12:
-                return False
-            for k in range(2, n + 1):
-                expected = (1.0 - s.gamma[k - 1]) * s.Gamma[k - 2]
-                if abs(s.Gamma[k - 1] - expected) > 1e-12 * max(1.0, abs(expected)):
-                    return False
-            for k in range(1, n + 1):
-                bk, e1 = s.beta[k - 1], s.eta(k, 1)
-                if not (e1 > 0 and np.isfinite(e1)):
-                    return False
-                if s.M > bk + e1 + 1e-9 * max(1.0, s.M):
-                    return False
-            for k in range(2, n + 1):
-                tkm = int(s.T[k - 2])
-                lhs = s.gamma[k - 1] / s.Gamma[k - 1] \
-                    * (s.beta[k - 1] + s.eta(k, 1) / s.T[k - 1])
-                rhs = s.gamma[k - 2] * (s.beta[k - 2] + s.eta(k - 1, tkm)) \
-                    / (s.Gamma[k - 2] * tkm)
-                if lhs > rhs * (1.0 + 1e-9) + 1e-12:
-                    return False
-            return True
+    @settings(max_examples=60, deadline=None)
+    @given(L=st.floats(0.01, 1e3),
+           T=st.lists(st.integers(1, 300), min_size=2, max_size=25),
+           u=st.floats(0.0, 1.0))
+    def test_closed_forms_meet_the_theorem_conditions(self, L, T, u):
+        gamma, beta, Gamma, eta = _closed_forms(L, T)
+        M = u * min(b + e[0] for b, e in zip(beta, eta))
+        assert _meets_conditions(L, M, T, gamma, beta, Gamma, eta)
+        sliding.SlidingSchedule(L=L, M=M, T=np.array(T)).validate()
+        # the checker can fail: beta_k = L/k breaks beta_k >= L gamma_k at
+        # k = 2, and gamma_k = 1/k breaks the Gamma recurrence at k = 2
+        mutants = (_closed_forms(L, T, beta=lambda L, k: L / k),
+                   _closed_forms(L, T, gamma=lambda k: 1.0 / k))
+        for mutant in mutants:
+            assert not _meets_conditions(L, M, T, *mutant)
 
-        fields = ("gamma", "beta", "eta1", "Gamma", "T")
-        outcomes = []
-        for make in (lambda: deterministic_schedule(2.0, 10.0, 9),
-                     lambda: stochastic_schedule(2.0, 10.0, 0.3, 1.5, 9)):
-            for _ in range(150):
-                s = make()
-                name = fields[rng.integers(len(fields))]
-                arr = getattr(s, name).copy()
-                i = rng.integers(s.N)
-                if name == "T":
-                    arr[i] = max(0, arr[i] + rng.integers(-2, 3))
-                else:
-                    arr[i] *= rng.choice([1.0, 1.0 - 1e-13, 1.0 + 1e-13, 1.0 - 1e-10,
-                                          1.0 + 1e-10, 1.0 - 1e-8, 1.0 + 1e-8,
-                                          1.0 - 1e-6, 1.0 + 1e-6,
-                                          0.5, 2.0, 0.0, np.inf])
-                setattr(s, name, arr)
-                with np.errstate(invalid="ignore"):
-                    try:
-                        s.validate()
-                        accepted = True
-                    except ConfigurationError:
-                        accepted = False
-                    assert accepted == reference_accepts(s), (name, i, arr)
-                outcomes.append(accepted)
-        assert 0.1 < np.mean(outcomes) < 0.9
+
+def _closed_forms(L, T, gamma=lambda k: 2.0 / (k + 1.0), beta=lambda L, k: 2.0 * L / k):
+    """SlidingSchedule's gamma_k, beta_k, Gamma_k and the weights
+    eta_k^1..eta_k^{T_k} as lists over k = 1..N."""
+    ks = range(1, len(T) + 1)
+    g = [gamma(k) for k in ks]
+    b = [beta(L, k) for k in ks]
+    G = [2.0 / (k * (k + 1.0)) for k in ks]
+    eta = [b[k - 1] * np.arange(T[k - 1]) + L * T[k - 1] / k for k in ks]
+    return g, b, G, eta
+
+
+def _meets_conditions(L, M, T, gamma, beta, Gamma, eta, rtol=1e-9):
+    """The theorem's schedule conditions, checked one k at a time."""
+    def le(a, b):
+        return np.all(a <= b + rtol * np.maximum(1.0, np.abs(b)))
+
+    if abs(gamma[0] - 1.0) > rtol or abs(Gamma[0] - 1.0) > rtol:
+        return False
+    for i, (g, b, G, e, t) in enumerate(zip(gamma, beta, Gamma, eta, T)):
+        if not (t >= 1 and len(e) == t and 0.0 <= g <= 1.0 and e[0] > 0):
+            return False
+        if not (le(L * g, b) and le(M, b + e[0]) and le(e[1:], b + e[:-1])):
+            return False
+        if i == 0:
+            continue
+        if abs(G - (1.0 - g) * Gamma[i - 1]) > rtol * G:
+            return False
+        lhs = g / G * (b + e[0] / t)
+        rhs = gamma[i - 1] * (beta[i - 1] + eta[i - 1][-1]) / (Gamma[i - 1] * T[i - 1])
+        if not le(lhs, rhs):
+            return False
+    return True
 
 
 class TestStochasticSchedule:
@@ -197,17 +195,6 @@ class TestStochasticSchedule:
         det = deterministic_schedule(2.0, 10.0, 12)
         sto = stochastic_schedule(2.0, 10.0, 0.3, 1.5, 12)
         assert np.all(sto.T >= det.T)
-
-    def test_eta_reads_the_stored_first_step_weights(self):
-        # the inner loop and validate both use eta_k^t = beta_k (t-1) + eta_k^1
-        L = 2.0
-        sched = stochastic_schedule(L, 10.0, 0.3, 1.5, 12)
-        ks = np.arange(1, 13, dtype=float)
-        assert np.array_equal(sched.eta1, L * sched.T / ks)
-        for k in range(1, sched.N + 1):
-            bk, e1 = sched.beta[k - 1], sched.eta1[k - 1]
-            for t in range(1, int(sched.T[k - 1]) + 1):
-                assert sched.eta(k, t) == bk * (t - 1) + e1, (k, t)
 
     def test_rejects_bad_noise_parameters(self):
         with pytest.raises(ParameterError):
@@ -305,12 +292,6 @@ class TestDeterministicRun:
         assert trace.grad_G_calls == list(range(1, 7))
         assert trace.H_calls[-1] == calls["h"]
 
-    def test_rejects_stochastic_problem(self):
-        prob = quadratic_problem()
-        prob.sigma = 0.5
-        with pytest.raises(ConfigurationError):
-            mps_run(prob, deterministic_schedule(1.0, 0.0, 2), np.zeros(2))
-
     def test_rejects_infeasible_start(self):
         prob = quadratic_problem(half_width=1.0)
         with pytest.raises((ParameterError, Exception)):
@@ -319,17 +300,18 @@ class TestDeterministicRun:
 
 
 class TestStochasticRun:
-    def _noisy_problem(self, sigma=0.2):
+    SIGMA = 0.2
+
+    def _noisy_problem(self, sigma=SIGMA):
         dim = 2
         prob = quadratic_problem(dim)
         a = sigma * np.sqrt(3.0 / dim)
-        prob.sigma = sigma
         prob.H_stochastic = lambda z, gen: gen.uniform(-a, a, dim)
         return prob
 
     def test_same_seed_reproduces_bitwise(self):
         prob = self._noisy_problem()
-        sched = stochastic_schedule(prob.L, prob.M, prob.sigma, 4.0, 8)
+        sched = stochastic_schedule(prob.L, prob.M, self.SIGMA, 4.0, 8)
         z0 = np.array([1.0, -1.0])
         f1, t1 = smps_run(prob, sched, z0, seed=42)
         f2, t2 = smps_run(prob, sched, z0, seed=42)
@@ -357,7 +339,7 @@ class TestStochasticRun:
         prob = self._noisy_problem(sigma=0.05)
         z0 = np.array([1.0, 1.0])
         omega_sq = omega_sq_bound(prob.set_geometry, z0)
-        sched = stochastic_schedule(prob.L, max(prob.M, 1.0), prob.sigma,
+        sched = stochastic_schedule(prob.L, max(prob.M, 1.0), 0.05,
                                     omega_sq, 20)
         final, _ = smps_run(prob, sched, z0, seed=3)
         # generous envelope: rate bound plus variance slack
@@ -439,11 +421,10 @@ def reference_sliding_loop(problem, schedule, z0, h_oracle):
     z_bar = z0.copy()
     z_prev = z0.copy()
     n_grad = n_h = 0
+    L = schedule.L
     for k in range(1, schedule.N + 1):
-        gk = schedule.gamma[k - 1]
-        bk = float(schedule.beta[k - 1])
-        e1 = float(schedule.eta1[k - 1])
         tk = int(schedule.T[k - 1])
+        gk, bk, e1 = 2.0 / (k + 1.0), 2.0 * L / k, L * tk / k
         z_under = (1.0 - gk) * z_bar + gk * z_prev
         g_cached = problem.grad_G(z_under)
         n_grad += 1
@@ -470,7 +451,6 @@ def reference_sliding_loop(problem, schedule, z0, h_oracle):
         trace.z_bar_snapshots.append(z_bar.copy())
         trace.z_snapshots.append(z_prev.copy())
         trace.z_under_snapshots.append(z_under.copy())
-    trace.final = z_bar.copy()
     return z_bar, trace
 
 
@@ -497,7 +477,6 @@ def _bits(a):
 def assert_same_run(got, ref):
     (z, trace), (z_ref, trace_ref) = got, ref
     assert _bits(z) == _bits(z_ref)
-    assert _bits(trace.final) == _bits(trace_ref.final)
     for name in ("inner_steps", "grad_G_calls", "H_calls", "communication_rounds"):
         assert getattr(trace, name) == getattr(trace_ref, name), name
     for name in ("gap_estimate", "consensus_x", "consensus_y"):
@@ -582,7 +561,6 @@ class TestWorkspaceLoopMatchesReference:
         prob = _affine_problem(fset, SQUARED_EUCLIDEAN, r, M=M)
         blocked = make_stochastic_oracle(prob.H, kind, 0.3, fset.dim)
         prob.H_stochastic = lambda z, rng: _read_only(blocked(z, rng))
-        prob.sigma = 0.3
         per_call = _per_call_oracle(prob.H, kind, 0.3, fset.dim)
         ref_rng = np.random.default_rng(seed)
         z0 = fset.center()
