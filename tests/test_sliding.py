@@ -37,8 +37,6 @@ from saddleslide import sliding
 from saddleslide.geometry import _project_simplex_rows
 from saddleslide.harness import NOISE_BLOCK
 
-rng = np.random.default_rng(1207)
-
 
 def box_geometry(dim, half_width=1.0):
     return GeometrySpec(SQUARED_EUCLIDEAN,
@@ -70,8 +68,8 @@ class TestDeterministicSchedule:
         assert list(sched.T) == [1, 1, 1, 1]
 
     def test_gamma_one_at_first_iteration(self):
-        # gamma_1 = 1: the first sliding point is z_prev = z0 exactly, and
-        # z_bar_1 is the inner average alone, whatever z_bar_0 was
+        # gamma_1 = 1: the first sliding point (1 - gamma_1) z_bar_0 +
+        # gamma_1 z_prev is the start z0, bit for bit
         prob = quadratic_problem()
         z0 = np.array([0.7, -0.3])
         _, trace = mps_run(prob, deterministic_schedule(1.0, 1.0, 7), z0,
