@@ -132,8 +132,7 @@ def _bind_projection(group, src: np.ndarray, dst: np.ndarray):
             np.subtract(s0, s1, t)
             np.add(t, _ONE, t)
             np.multiply(t, _HALF, t)
-            np.maximum(t, _ZERO, out=t)
-            np.minimum(t, _ONE, out=t)
+            _clip(t, _ZERO, _ONE, out=t)
             np.subtract(_ONE, t, o1)
 
         return pairs

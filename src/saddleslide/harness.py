@@ -7,12 +7,14 @@ the target (epsilon deterministically, p * epsilon in stochastic mode, by
 Markov's inequality), run the solver, and assemble a report comparing
 measured quantities against the instantiated theorem bounds.
 
-The solver retains the outer iterates z_bar_1..z_bar_N as the rows of one
-(N, dim) array. The per-iteration gap and the x and y consensus violations
-are then three oracle calls in all: the gap oracles and
-``consensus_violation`` act row-wise on that array, each row bitwise the
-single-point call. The final values are the last row's, since z_bar_N is
-the returned point.
+The per-iteration gap and the x and y consensus violations stream through
+a solver observer: it copies each outer iterate z_bar_k into one block of
+rows, about ``4 * CONSENSUS_CHUNK`` floats, and each full block, and the
+partial one after the solve, goes through the gap oracle and
+``consensus_violation``. Both act row-wise, each row bitwise the
+single-point call, so the columns do not depend on the block size, and a
+run's memory does not grow with N. The final values are those of the last
+row, z_bar_N, the returned point.
 
 Reports are pure functions of (config, seed): emitted files redact wall-clock
 fields to 0.0 so re-running a config yields identical bytes. Stochastic mode
@@ -31,7 +33,7 @@ from typing import Callable, Optional
 import numpy as np
 import yaml
 
-from .errors import ConfigurationError, ParameterError
+from .errors import ConfigurationError, DimensionError, ParameterError
 from .geometry import omega_sq_bound
 from .instances import (
     MATCHING_PENNIES,
@@ -42,7 +44,8 @@ from .instances import (
     random_l1_saddle,
     random_matrix_game,
 )
-from .network import TOPOLOGY_KINDS, NetworkModel, build_topology, consensus_violation
+from .network import (CONSENSUS_CHUNK, TOPOLOGY_KINDS, NetworkModel, build_topology,
+                      consensus_violation)
 from .penalty import PenaltyCoefficients, StackedSPP, build_penalized_vi, penalty_coefficients
 from .sliding import (
     RunTrace,
@@ -302,12 +305,16 @@ def make_stochastic_oracle(H: Callable[[np.ndarray], np.ndarray], kind: str,
     ``rng.normal``) that a draw per call would give. The oracle must be its
     generator's only consumer while in use, because draws made elsewhere
     would not shift its rows; a call with another generator drops the block
-    and starts from that generator's next draw.
+    and starts from that generator's next draw. ``dim`` must be an integer
+    >= 1, and an ``H(z)`` that does not broadcast against a noise row of
+    length dim raises ``DimensionError``.
     """
     if kind not in NOISE_KINDS:
         raise ConfigurationError(f"run.noise_kind must be one of {NOISE_KINDS}, got {kind!r}")
     if not (np.isfinite(sigma) and sigma >= 0):
         raise ParameterError("sigma must be a finite nonnegative real")
+    if not (isinstance(dim, (int, np.integer)) and not isinstance(dim, bool) and dim >= 1):
+        raise ParameterError(f"dim must be an integer >= 1, got {dim!r}")
     if sigma == 0.0:
         return lambda z, rng: H(z)
     if kind == "uniform":
@@ -330,7 +337,12 @@ def make_stochastic_oracle(H: Callable[[np.ndarray], np.ndarray], kind: str,
         if row == rows or rng is not gen:
             gen, block, row = rng, draw(rng, rows), 0
         row += 1
-        return H(z) + block[row - 1]
+        h = H(z)
+        try:
+            return h + block[row - 1]
+        except ValueError:
+            raise DimensionError(f"H at a point of shape {np.shape(z)} has shape "
+                                 f"{np.shape(h)}, not that of a noise row ({dim},)") from None
 
     return oracle
 
@@ -424,25 +436,38 @@ def run_experiment(config: RunConfig) -> RunReport:
     N = config.N_override if config.N_override is not None \
         else pick_N(vi.L, omega_sq, target)
 
+    # z_bar_k goes into row (k - 1) mod B of the block; see the module
+    # docstring
+    dim = vi.set_geometry.dim
+    block = np.empty((min(N, max(1, 4 * CONSENSUS_CHUNK // dim)), dim))
+    gap_fn = _gap_oracle(spp)
+    cut = spp.m * spp.d_x
+    gaps, cons_x, cons_y = [], [], []
+
+    def columns(Z: np.ndarray) -> None:
+        gaps.extend(gap_fn(Z).tolist())
+        cons_x.extend(consensus_violation(net, Z[:, :cut]).tolist())
+        cons_y.extend(consensus_violation(net, Z[:, cut:]).tolist())
+
+    def observe(k: int, z_bar: np.ndarray) -> None:
+        row = (k - 1) % len(block)
+        block[row] = z_bar
+        if row == len(block) - 1:
+            columns(block)
+
     if stochastic:
         schedule = stochastic_schedule(vi.L, vi.M, config.sigma, omega_sq, N)
-        noisy = make_stochastic_oracle(vi.H, config.noise_kind, config.sigma,
-                                       vi.set_geometry.dim)
+        noisy = make_stochastic_oracle(vi.H, config.noise_kind, config.sigma, dim)
         problem = replace(vi, H_stochastic=noisy)
-        _, trace = smps_run(problem, schedule, z0, seed=config.seed,
-                            retain_iterates=True)
+        _, trace = smps_run(problem, schedule, z0, seed=config.seed, observer=observe)
     else:
         schedule = deterministic_schedule(vi.L, vi.M, N)
-        _, trace = mps_run(vi, schedule, z0, retain_iterates=True)
-
-    # One row-wise oracle call per column over all N iterates; the last row
-    # is z_bar_N, the returned point, so it gives the final values.
-    gap_fn = _gap_oracle(spp)
-    Z = trace.z_bar_iterates
-    cut = spp.m * spp.d_x
-    trace.gap_estimate[:] = gap_fn(Z).tolist()
-    trace.consensus_x[:] = consensus_violation(net, Z[:, :cut]).tolist()
-    trace.consensus_y[:] = consensus_violation(net, Z[:, cut:]).tolist()
+        _, trace = mps_run(vi, schedule, z0, observer=observe)
+    if N % len(block):
+        columns(block[:N % len(block)])
+    trace.gap_estimate[:] = gaps
+    trace.consensus_x[:] = cons_x
+    trace.consensus_y[:] = cons_y
     final_gap = trace.gap_estimate[-1]
     consensus_x = trace.consensus_x[-1]
     consensus_y = trace.consensus_y[-1]
@@ -505,8 +530,7 @@ def emit_outputs(report: RunReport, trace: RunTrace, out_dir) -> list:
     paths = []
 
     trace_path = os.path.join(out_dir, "trace.csv")
-    redacted = replace(trace, wall_ms=[0.0] * trace.N,
-                       z_bar_snapshots=[], z_snapshots=[], z_under_snapshots=[])
+    redacted = replace(trace, wall_ms=[0.0] * trace.N)
     _write_text(trace_path, None, lambda p: trace_to_csv(redacted, p))
     paths.append(trace_path)
 

@@ -48,7 +48,7 @@ def matrix_sqrt_psd(A: np.ndarray, tol: float = 1e-9) -> np.ndarray:
     lam, U = np.linalg.eigh(0.5 * (A + A.T))
     if np.min(lam) < -tol:
         raise DomainError(f"matrix has eigenvalue {np.min(lam)} < -tol, not PSD")
-    root = U @ np.diag(np.sqrt(np.clip(lam, 0.0, None))) @ U.T
+    root = (U * np.sqrt(np.clip(lam, 0.0, None))) @ U.T  # U diag(sqrt(lam)) U^T
     return 0.5 * (root + root.T)
 
 

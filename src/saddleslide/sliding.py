@@ -178,13 +178,12 @@ class RunTrace:
     ``grad_G_calls`` / ``H_calls`` rows are cumulative counts after outer
     iteration k. ``gap_estimate`` / ``consensus_x`` / ``consensus_y`` start as
     NaN: the solver does not know the instance-level gap oracle or the
-    network. ``run_experiment`` fills each of them after the solve with one
-    row-wise oracle call on ``z_bar_iterates``.
+    network. ``run_experiment`` fills them from the iterates its observer
+    collects (see :func:`mps_run`).
 
-    Iterate snapshots are retained on request. Then ``z_bar_iterates`` is
-    the (N, dim) array whose row k - 1 is z_bar_k, written in place by the
-    solver, and ``z_bar_snapshots`` lists views of its rows;
-    ``z_snapshots`` and ``z_under_snapshots`` list one array per iteration.
+    The solver keeps no iterates. ``z_bar_snapshots``, ``z_snapshots`` and
+    ``z_under_snapshots`` stay empty; only the benchmark in ``perfbench/``
+    reads them, summing their ``nbytes`` as its retained-bytes metric.
     """
 
     inner_steps: list = field(default_factory=list)
@@ -198,7 +197,6 @@ class RunTrace:
     z_bar_snapshots: list = field(default_factory=list)
     z_snapshots: list = field(default_factory=list)
     z_under_snapshots: list = field(default_factory=list)
-    z_bar_iterates: Optional[np.ndarray] = None
 
     @property
     def N(self) -> int:
@@ -248,7 +246,8 @@ def _check_run_inputs(problem: VIProblem, schedule: SlidingSchedule,
 
 def _sliding_loop(problem: VIProblem, schedule: SlidingSchedule, z0: np.ndarray,
                   h_oracle: Callable[[np.ndarray], np.ndarray],
-                  retain_iterates: bool) -> tuple[np.ndarray, RunTrace]:
+                  observer: Optional[Callable[[int, np.ndarray], None]]
+                  ) -> tuple[np.ndarray, RunTrace]:
     geom = problem.set_geometry
     fset = geom.feasible_set
     trace = RunTrace()
@@ -267,9 +266,6 @@ def _sliding_loop(problem: VIProblem, schedule: SlidingSchedule, z0: np.ndarray,
     cur, nxt = (z_a, _bind_prox(geom, arg, z_a)), (z_b, _bind_prox(geom, arg, z_b))
     np.copyto(z_a, z0)
     z_bar = z0.copy()
-    # z_bar_k is written into row k - 1 of one (N, dim) array when retained
-    rows = np.empty((schedule.N, geom.dim)) if retain_iterates else None
-    trace.z_bar_iterates = rows
     z_prev = z_a
     n_grad = 0
     n_h = 0
@@ -299,8 +295,7 @@ def _sliding_loop(problem: VIProblem, schedule: SlidingSchedule, z0: np.ndarray,
             n_h += 2
             z_tilde_sum += z_tilde
             cur, nxt = nxt, cur
-        z_bar = np.add((1.0 - gk) * z_bar, gk * (z_tilde_sum / tk),
-                       out=None if rows is None else rows[k - 1])
+        z_bar = (1.0 - gk) * z_bar + gk * (z_tilde_sum / tk)
         z_prev = cur[0]
         pair[0] = z_bar
         pair[1] = z_prev
@@ -317,15 +312,14 @@ def _sliding_loop(problem: VIProblem, schedule: SlidingSchedule, z0: np.ndarray,
         trace.consensus_x.append(math.nan)
         trace.consensus_y.append(math.nan)
         trace.wall_ms.append((time.perf_counter() - t0) * 1000.0)
-        if retain_iterates:
-            trace.z_bar_snapshots.append(z_bar)
-            trace.z_snapshots.append(z_prev.copy())
-            trace.z_under_snapshots.append(z_under)
-    return z_bar.copy(), trace
+        if observer is not None:
+            observer(k, z_bar)
+    return z_bar, trace
 
 
 def mps_run(problem: VIProblem, schedule: SlidingSchedule, z0,
-            retain_iterates: bool = False) -> tuple[np.ndarray, RunTrace]:
+            observer: Optional[Callable[[int, np.ndarray], None]] = None
+            ) -> tuple[np.ndarray, RunTrace]:
     """Run the deterministic mirror-prox sliding method.
 
     Parameters
@@ -337,6 +331,11 @@ def mps_run(problem: VIProblem, schedule: SlidingSchedule, z0,
         Typically from :func:`deterministic_schedule`.
     z0 : array
         Feasible start.
+    observer : callable, optional
+        Called as ``observer(k, z_bar_k)`` once per outer iteration k, after
+        the feasibility check. ``z_bar_k`` must not be written into, and an
+        observer that keeps it past the call must copy it, since it may be
+        the returned point.
 
     Returns
     -------
@@ -345,14 +344,16 @@ def mps_run(problem: VIProblem, schedule: SlidingSchedule, z0,
     """
     schedule.validate()
     v0 = _check_run_inputs(problem, schedule, z0)
-    return _sliding_loop(problem, schedule, v0, problem.H, retain_iterates)
+    return _sliding_loop(problem, schedule, v0, problem.H, observer)
 
 
 def smps_run(problem: VIProblem, schedule: SlidingSchedule, z0, seed: int,
-             retain_iterates: bool = False) -> tuple[np.ndarray, RunTrace]:
+             observer: Optional[Callable[[int, np.ndarray], None]] = None
+             ) -> tuple[np.ndarray, RunTrace]:
     """Run the stochastic variant: identical control flow to :func:`mps_run`
     with the two inner prox calls fed fresh independent samples
     H(z_k^{t-1}; zeta) and H(z_tilde_k^t; zeta'). Fully reproducible per seed.
+    ``observer`` is called as in :func:`mps_run`.
     """
     schedule.validate()
     if problem.H_stochastic is None:
@@ -363,7 +364,7 @@ def smps_run(problem: VIProblem, schedule: SlidingSchedule, z0, seed: int,
     def h_noisy(z: np.ndarray) -> np.ndarray:
         return problem.H_stochastic(z, rng)
 
-    return _sliding_loop(problem, schedule, v0, h_noisy, retain_iterates)
+    return _sliding_loop(problem, schedule, v0, h_noisy, observer)
 
 
 def q_gap(problem: VIProblem, z_bar, z) -> float:

@@ -2,6 +2,8 @@
 
 import hashlib
 import time
+import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -12,6 +14,7 @@ from saddleslide import (
     ConfigurationError,
     RunConfig,
     build_pipeline,
+    consensus_violation,
     deterministic_schedule,
     emit_outputs,
     exact_gap_matrix_game,
@@ -19,6 +22,8 @@ from saddleslide import (
     pick_N,
     run_experiment,
 )
+from saddleslide import harness
+from saddleslide.network import CONSENSUS_CHUNK
 
 rng = np.random.default_rng(1207)
 
@@ -156,16 +161,67 @@ class TestRunExperiment:
     ], ids=["pennies", "l1", "single-node"])
     def test_iterates_are_rows_of_one_array_and_final_values_the_last_row(self, cfg):
         rep = run_experiment(cfg)
-        t, dim = rep.trace, cfg.m * (cfg.d_x + cfg.d_y)
-        assert t.z_bar_iterates.shape == (rep.N, dim)
-        assert len(t.z_bar_snapshots) == rep.N
-        assert sum(z.nbytes for z in t.z_bar_snapshots) == rep.N * dim * 8
-        for k, z in enumerate(t.z_bar_snapshots):
-            assert z.shape == (dim,) and z.base is t.z_bar_iterates
-            assert np.shares_memory(z, t.z_bar_iterates[k])
+        t = rep.trace
+        assert len(t.gap_estimate) == len(t.consensus_x) == len(t.consensus_y) == rep.N
+        # the iterates pass through the harness's block of rows; none is kept
+        assert t.z_bar_snapshots == t.z_snapshots == t.z_under_snapshots == []
         assert rep.final_gap == t.gap_estimate[-1]
         assert (rep.consensus_x, rep.consensus_y) == (t.consensus_x[-1], t.consensus_y[-1])
         assert all(type(v) is float for v in t.gap_estimate + t.consensus_x + t.consensus_y)
+
+    # Blocks of 4 * 16 // dim rows: 4 rows for pennies on ring 4 (dim 16),
+    # 2 for l1 on ring 8 (dim 32). N runs one below, at and one above that.
+    @pytest.mark.parametrize("extra", [-1, 0, 1], ids=["below", "equal", "above"])
+    @pytest.mark.parametrize("cfg", [
+        small_config(),
+        RunConfig(family="l1_saddle_random", d_x=2, d_y=2, m=8, network_kind="ring",
+                  epsilon=0.4, seed=0),
+    ], ids=["pennies", "l1"])
+    def test_streamed_columns_equal_one_call_over_all_iterates(self, monkeypatch, cfg,
+                                                               extra):
+        monkeypatch.setattr(harness, "CONSENSUS_CHUNK", 16)
+        net, spp, _, vi = build_pipeline(cfg)
+        rows = 4 * 16 // spp.dim
+        N = rows + extra
+        sizes = []
+
+        def counted(net, Z):
+            sizes.append(len(Z))
+            return consensus_violation(net, Z)
+
+        monkeypatch.setattr(harness, "consensus_violation", counted)
+        t = run_experiment(replace(cfg, N_override=N)).trace
+        # each full block and the partial last one, once per column
+        blocks = [rows] * (N // rows) + ([N % rows] if N % rows else [])
+        assert sizes == [n for n in blocks for _ in "xy"]
+        Z = []
+        mps_run(vi, deterministic_schedule(vi.L, vi.M, N), spp.center(),
+                observer=lambda k, z_bar: Z.append(z_bar.copy()))
+        Z = np.array(Z)
+        cut = spp.m * spp.d_x
+        for column, whole in ((t.gap_estimate, harness._gap_oracle(spp)(Z)),
+                              (t.consensus_x, consensus_violation(net, Z[:, :cut])),
+                              (t.consensus_y, consensus_violation(net, Z[:, cut:]))):
+            assert np.array(column).tobytes() == whole.tobytes()
+
+    def test_memory_does_not_grow_with_N(self):
+        # At dim 64 * 22 = 1408 the block holds 4 * CONSENSUS_CHUNK // dim = 46
+        # rows, fewer than either N, so both runs hold the same block. A run
+        # that kept its iterates would hold N * dim * 8 bytes more at N = 400
+        # (4.5 MB); the per-iteration scalars of the trace are about 2 % of it.
+        cfg = RunConfig(family="matrix_game_random", d_x=11, d_y=11, m=64,
+                        network_kind="ring", epsilon=0.1, seed=0)
+        assert 4 * CONSENSUS_CHUNK // 1408 < 50
+        peaks = {}
+        run_experiment(replace(cfg, N_override=50))  # warm caches and imports
+        for N in (50, 400):
+            tracemalloc.start()
+            try:
+                run_experiment(replace(cfg, N_override=N))
+                peaks[N] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peaks[400] - peaks[50] < 0.1 * 400 * 1408 * 8
 
     def test_stochastic_seeds_differ_and_reproduce(self):
         cfg = small_config(mode="stochastic", sigma=0.1, N_override=15)

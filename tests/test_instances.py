@@ -487,6 +487,21 @@ class TestStochasticOracleModels:
         with pytest.raises(error):
             make_stochastic_oracle(lambda z: z, kind, sigma, 3)
 
+    @pytest.mark.parametrize("dim", [0, -2, 2.0, 2.5, True, None])
+    @pytest.mark.parametrize("sigma", [0.0, 0.3])
+    def test_dim_must_be_a_positive_integer(self, dim, sigma):
+        with pytest.raises(ParameterError, match="dim"):
+            make_stochastic_oracle(lambda z: z, "uniform", sigma, dim)
+
+    @pytest.mark.parametrize("kind", ["uniform", "gaussian"])
+    def test_point_of_another_dimension_is_a_dimension_error(self, kind):
+        oracle = make_stochastic_oracle(lambda z: z, kind, 0.3, 3)
+        gen = np.random.default_rng(0)
+        assert oracle(np.zeros(3), gen).shape == (3,)
+        for shape in ((5,), (2,), (3, 2)):
+            with pytest.raises(DimensionError, match=r"\(3,\)"):
+                oracle(np.zeros(shape), gen)
+
     def test_zero_sigma_returns_exact_oracle(self):
         dim = 3
         oracle = make_stochastic_oracle(lambda z: z * 2.0, "uniform", 0.0, dim)

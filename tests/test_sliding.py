@@ -1,6 +1,7 @@
 """Tests for the sliding solver: schedules, runs, traces, oracle counts."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -69,12 +70,11 @@ class TestDeterministicSchedule:
 
     def test_gamma_one_at_first_iteration(self):
         # gamma_1 = 1: the first sliding point (1 - gamma_1) z_bar_0 +
-        # gamma_1 z_prev is the start z0, bit for bit
-        prob = quadratic_problem()
+        # gamma_1 z_prev, grad_G's first argument, is the start z0, bit for bit
+        rec = Recorder()
         z0 = np.array([0.7, -0.3])
-        _, trace = mps_run(prob, deterministic_schedule(1.0, 1.0, 7), z0,
-                           retain_iterates=True)
-        assert _bits(trace.z_under_snapshots[0]) == _bits(z0)
+        mps_run(rec.wrap(quadratic_problem()), deterministic_schedule(1.0, 1.0, 7), z0)
+        assert _bits(rec.grad_G_args[0]) == _bits(z0)
 
     @pytest.mark.parametrize("L,M,N", [(1.0, 0.0, 1), (2.0, 10.0, 50),
                                        (0.5, 3.0, 17), (100.0, 1.0, 9)])
@@ -238,14 +238,14 @@ class TestDeterministicRun:
         omega_sq = omega_sq_bound(prob.set_geometry, z0)
         assert omega_sq == pytest.approx(4.0)
         sched = deterministic_schedule(prob.L, prob.M, N=16)
-        final, trace = mps_run(prob, sched, z0, retain_iterates=True)
-        for k, zb in enumerate(trace.z_bar_snapshots, start=1):
+        rec = Recorder()
+        final, trace = mps_run(prob, sched, z0, observer=rec.observer)
+        assert len(rec.z_bar) == 16
+        for k, zb in enumerate(rec.z_bar, start=1):
             assert 0.5 * float(zb @ zb) <= 6.0 * prob.L * omega_sq / k ** 2 + 1e-12
-        assert np.allclose(final, trace.z_bar_snapshots[-1])
-        # the returned point owns its memory; the snapshots are rows of one array
-        assert not np.shares_memory(final, trace.z_bar_iterates)
-        assert all(zb.base is trace.z_bar_iterates for zb in trace.z_bar_snapshots)
-        assert mps_run(prob, sched, z0)[1].z_bar_iterates is None
+        assert _bits(final) == _bits(rec.z_bar[-1])
+        # the solver keeps no iterates
+        assert trace.z_bar_snapshots == trace.z_snapshots == trace.z_under_snapshots == []
 
     def test_matching_pennies_reaches_small_gap(self):
         spp = make_matrix_game([MATCHING_PENNIES.copy()], 1)
@@ -412,7 +412,7 @@ def _ref_prox(geom, g, outer, beta, anchor_inner, eta):
     return out
 
 
-def reference_sliding_loop(problem, schedule, z0, h_oracle):
+def reference_sliding_loop(problem, schedule, z0, h_oracle, observer):
     geom = problem.set_geometry
     fset = geom.feasible_set
     trace = RunTrace()
@@ -446,9 +446,7 @@ def reference_sliding_loop(problem, schedule, z0, h_oracle):
         trace.H_calls.append(n_h)
         for column in (trace.gap_estimate, trace.consensus_x, trace.consensus_y):
             column.append(math.nan)
-        trace.z_bar_snapshots.append(z_bar.copy())
-        trace.z_snapshots.append(z_prev.copy())
-        trace.z_under_snapshots.append(z_under.copy())
+        observer(k, z_bar)
     return z_bar, trace
 
 
@@ -472,18 +470,62 @@ def _bits(a):
     return np.asarray(a, dtype=float).view(np.int64).tolist()
 
 
+class Recorder:
+    """Copies of what one run hands out: z_bar_k from the observer, and the
+    argument of every grad_G call (the sliding point z_under_k) and H call
+    (the inner iterates z_k^{t-1} and z_tilde_k^t). The solver's are views
+    of work buffers that later steps overwrite."""
+
+    def __init__(self):
+        self.z_bar, self.grad_G_args, self.H_args = [], [], []
+
+    def observer(self, k, z_bar):
+        assert k == len(self.z_bar) + 1
+        self.z_bar.append(z_bar.copy())
+
+    @staticmethod
+    def log(fn, args):
+        def logged(z, *rest):
+            args.append(z.copy())
+            return fn(z, *rest)
+
+        return logged
+
+    def wrap(self, problem):
+        """``problem`` with its grad_G, H and H_stochastic logged."""
+        logged = dict(grad_G=self.log(problem.grad_G, self.grad_G_args),
+                      H=self.log(problem.H, self.H_args))
+        if problem.H_stochastic is not None:
+            logged["H_stochastic"] = self.log(problem.H_stochastic, self.H_args)
+        return replace(problem, **logged)
+
+
+def solve(run, problem, schedule, z0, **kwargs):
+    """``run`` (mps_run or smps_run) with its oracles and iterates recorded."""
+    rec = Recorder()
+    return (*run(rec.wrap(problem), schedule, z0, observer=rec.observer, **kwargs), rec)
+
+
+def reference(problem, schedule, z0, h_oracle=None):
+    """The reference loop, recorded as :func:`solve` records a run; it calls
+    ``h_oracle`` for H when given, ``problem.H`` otherwise."""
+    rec = Recorder()
+    logged = rec.wrap(problem)
+    h = logged.H if h_oracle is None else rec.log(h_oracle, rec.H_args)
+    return (*reference_sliding_loop(logged, schedule, z0, h, rec.observer), rec)
+
+
 def assert_same_run(got, ref):
-    (z, trace), (z_ref, trace_ref) = got, ref
+    (z, trace, rec), (z_ref, trace_ref, rec_ref) = got, ref
     assert _bits(z) == _bits(z_ref)
     for name in ("inner_steps", "grad_G_calls", "H_calls", "communication_rounds"):
         assert getattr(trace, name) == getattr(trace_ref, name), name
     for name in ("gap_estimate", "consensus_x", "consensus_y"):
         assert _bits(getattr(trace, name)) == _bits(getattr(trace_ref, name)), name
-    for name in ("z_bar_snapshots", "z_snapshots", "z_under_snapshots"):
-        assert _bits(getattr(trace, name)) == _bits(getattr(trace_ref, name)), name
-    if trace.z_bar_snapshots:
-        assert _bits(trace.z_bar_iterates) == _bits(trace_ref.z_bar_snapshots)
-    assert trace.N == len(trace.wall_ms)
+    for name in ("z_bar", "grad_G_args", "H_args"):
+        assert _bits(getattr(rec, name)) == _bits(getattr(rec_ref, name)), name
+    assert len(rec.z_bar) == trace.N == len(trace.wall_ms)
+    assert trace.z_bar_snapshots == trace.z_snapshots == trace.z_under_snapshots == []
 
 
 # (kind, block width, block count) runs; a run of equal kind and width
@@ -528,8 +570,7 @@ class TestWorkspaceLoopMatchesReference:
         prob = _affine_problem(fset, SQUARED_EUCLIDEAN, r, M=M)
         z0 = fset.sample(r, 1)[0]
         sched = deterministic_schedule(prob.L, prob.M, N)
-        assert_same_run(mps_run(prob, sched, z0, retain_iterates=True),
-                        reference_sliding_loop(prob, sched, z0, prob.H))
+        assert_same_run(solve(mps_run, prob, sched, z0), reference(prob, sched, z0))
 
     @given(_simplex_runs, st.integers(1, 4), st.integers(0, 2 ** 32 - 1))
     @settings(max_examples=30, deadline=None)
@@ -541,10 +582,10 @@ class TestWorkspaceLoopMatchesReference:
         prob = _affine_problem(fset, NEGATIVE_ENTROPY, r, scale=1e5)
         z0 = fset.center()
         sched = deterministic_schedule(prob.L, prob.M, N)
-        got = mps_run(prob, sched, z0, retain_iterates=True)
-        assert_same_run(got, reference_sliding_loop(prob, sched, z0, prob.H))
+        got = solve(mps_run, prob, sched, z0)
+        assert_same_run(got, reference(prob, sched, z0))
         if any(d > 1 for _, d, _ in runs):
-            assert min(np.min(z) for z in got[1].z_snapshots) < 1e-29
+            assert min(np.min(z) for z in got[2].H_args) < 1e-29
 
     @given(_euclid_runs, st.sampled_from(["uniform", "gaussian"]), st.integers(1, 3),
            st.integers(0, 2 ** 32 - 1))
@@ -563,10 +604,10 @@ class TestWorkspaceLoopMatchesReference:
         ref_rng = np.random.default_rng(seed)
         z0 = fset.center()
         sched = deterministic_schedule(prob.L, prob.M, N)
-        got = smps_run(prob, sched, z0, seed=seed, retain_iterates=True)
+        got = solve(smps_run, prob, sched, z0, seed=seed)
         assert got[1].total_H > 2 * rows
-        assert_same_run(got, reference_sliding_loop(
-            prob, sched, z0, lambda z: _read_only(per_call(z, ref_rng))))
+        assert_same_run(got, reference(prob, sched, z0,
+                                       lambda z: _read_only(per_call(z, ref_rng))))
 
 
 class TestLoopGuards:
@@ -578,8 +619,7 @@ class TestLoopGuards:
                          grad_G=lambda z: g, L=1.0, H=lambda z: h, M=3.0, delta=0.0)
         sched = deterministic_schedule(1.0, 3.0, 4)
         z0 = fset.center()
-        assert_same_run(mps_run(prob, sched, z0, retain_iterates=True),
-                        reference_sliding_loop(prob, sched, z0, prob.H))
+        assert_same_run(solve(mps_run, prob, sched, z0), reference(prob, sched, z0))
         assert np.array_equal(h, np.linspace(-1.0, 1.0, 6))
         assert np.array_equal(g, np.full(6, 0.25))
 
