@@ -36,9 +36,10 @@ def test_rate_sweep_one_solve_equals_a_solve_per_budget(tmp_path, capsys, argv):
     out = tmp_path / "sweep.csv"
     assert script.main(argv + ["--out", str(out)]) == 0
     printed = capsys.readouterr().out.splitlines()
-    vi, z0, omega_sq = script.build_problem(script.parse_args(argv))
+    args = script.parse_args(argv)
+    vi, z0, omega_sq = script.build_problem(args)
     table, csv = [], ["N,gap,bound"]
-    for N in sorted(script.parse_args(argv).budgets):
+    for N in sorted(args.budgets):
         z_bar, _ = mps_run(vi, deterministic_schedule(vi.L, vi.M, N), z0)
         gap = sup_gap_skew_linear(vi, z_bar, restarts=6, seed=0)
         bound = 6.0 * vi.L * omega_sq / N ** 2
