@@ -300,6 +300,17 @@ class ProductSet:
             out[a:b] = 0.5 * (bounds[0] + bounds[1]) if bounds else 1.0 / d
         return out
 
+    def linear_min(self, g) -> float:
+        """min over s in the set of <g, s>, attained at a vertex: the smallest
+        entry of g per simplex block, min(g lower, g upper) per box coordinate."""
+        v = _as_vector(g, self.dim)
+        total = 0.0
+        for _, a, b, d, nb, *bounds in self._groups:
+            w = v[a:b]
+            total += float(np.minimum(w * bounds[0], w * bounds[1]).sum() if bounds
+                           else w.reshape(nb, d).min(axis=1).sum())
+        return total
+
     # Squared euclidean diameter, exact: the sum over blocks of 2 per simplex
     # of dimension > 1 (two vertices) and ||upper - lower||^2 per box.
     def diameter_sq(self) -> float:

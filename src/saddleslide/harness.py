@@ -306,8 +306,8 @@ def make_stochastic_oracle(H: Callable[[np.ndarray], np.ndarray], kind: str,
     generator's only consumer while in use, because draws made elsewhere
     would not shift its rows; a call with another generator drops the block
     and starts from that generator's next draw. ``dim`` must be an integer
-    >= 1, and an ``H(z)`` that does not broadcast against a noise row of
-    length dim raises ``DimensionError``.
+    >= 1, and an ``H(z)`` whose shape is not ``(dim,)`` raises
+    ``DimensionError``.
     """
     if kind not in NOISE_KINDS:
         raise ConfigurationError(f"run.noise_kind must be one of {NOISE_KINDS}, got {kind!r}")
@@ -338,11 +338,10 @@ def make_stochastic_oracle(H: Callable[[np.ndarray], np.ndarray], kind: str,
             gen, block, row = rng, draw(rng, rows), 0
         row += 1
         h = H(z)
-        try:
-            return h + block[row - 1]
-        except ValueError:
+        if h.shape != (dim,):
             raise DimensionError(f"H at a point of shape {np.shape(z)} has shape "
-                                 f"{np.shape(h)}, not that of a noise row ({dim},)") from None
+                                 f"{np.shape(h)}, not that of a noise row ({dim},)")
+        return h + block[row - 1]
 
     return oracle
 

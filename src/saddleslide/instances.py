@@ -8,8 +8,8 @@ operator bounds are analytic. The l1 family puts f_i(x, y) =
 nonsmooth with sign-vector subgradients (sign(0) := 0, the minimal-norm
 choice) and bounds computable from the data norms and box radius.
 
-Also here: numerical certification of the inexact-oracle inequality and the
-sup-gap oracle for penalized bilinear problems.
+Also here: numerical certification of the inexact-oracle inequality and a
+certified (upper, lower) bracket on the sup-gap of penalized bilinear problems.
 """
 
 from __future__ import annotations
@@ -336,61 +336,51 @@ def certify_inexact_oracle(H: Callable[[np.ndarray], np.ndarray],
 
 # -- sup-gap oracle for penalized bilinear problems ----------------------------
 
-def sup_gap_skew_linear(problem: VIProblem, z_bar, restarts: int = 8,
-                        seed=0) -> float:
-    """sup over feasible z of Q(z_bar, z) for skew-linear H and convex G.
+SUP_GAP_RTOL = 1e-9
+SUP_GAP_MAX_ITER = 20_000
+
+
+def sup_gap_skew_linear(problem: VIProblem, z_bar) -> tuple[float, float]:
+    """Bracket sup over feasible z of Q(z_bar, z) for skew-linear H and convex G.
 
     For skew-linear H, <H(z), z_bar - z> = -<H(z_bar), z>, so the supremum is
-    a concave maximization G(z_bar) - min_z [G(z) + <H(z_bar), z>] solved by
-    SLSQP over the simplex/box structure; every local optimum is global, the
-    restarts only guard against solver stalls.
+    G(z_bar) - min phi with the convex phi(z) = G(z) + <H(z_bar), z>. FISTA
+    with gradient restart and step 1 / problem.L minimizes phi from z_bar.
+    Returns ``(upper, lower)``, the best over the iterates z_t of
+    lower = G(z_bar) - phi(z_t) and, by convexity, upper = lower -
+    min_s <grad phi(z_t), s - z_t> (a ``ProductSet.linear_min``), once they
+    are SUP_GAP_RTOL * (1 + |upper|) apart or after SUP_GAP_MAX_ITER steps.
     """
-    # imported here, not at module load: scipy.optimize costs about 49 MB and 0.6 s
-    from scipy import optimize
-
-    geom = problem.set_geometry
-    fset = geom.feasible_set
+    fset = problem.set_geometry.feasible_set
     if problem.value_G is None:
         raise ConfigurationError("sup-gap oracle needs problem.value_G")
+    if not problem.L > 0:
+        raise ParameterError("sup-gap oracle needs problem.L > 0")
     zb = np.asarray(z_bar, dtype=float)
     if not fset.contains(zb):
         raise DomainError("z_bar lies outside the feasible set")
     h_zb = problem.H(zb)
-    skew = abs(float(np.dot(h_zb, zb)))
-    if skew > 1e-8 * (1.0 + np.linalg.norm(h_zb) * np.linalg.norm(zb)):
+    if abs(float(h_zb @ zb)) > 1e-8 * (1.0 + np.linalg.norm(h_zb) * np.linalg.norm(zb)):
         raise ConfigurationError("H is not skew at z_bar; oracle inapplicable")
     G_zb = float(problem.value_G(zb))
 
-    def f(z: np.ndarray) -> float:
-        return float(problem.value_G(z) + h_zb @ z)
-
-    def jac(z: np.ndarray) -> np.ndarray:
-        return problem.grad_G(z) + h_zb
-
-    bounds = []
-    constraints = []
-    for a, b, lo, up in fset._blocks():
-        if lo is not None:
-            bounds.extend(zip(lo, up))
-            continue
-        bounds.extend([(0.0, 1.0)] * (b - a))
-        grad_row = np.zeros(fset.dim)
-        grad_row[a:b] = 1.0
-        constraints.append({
-            "type": "eq",
-            "fun": (lambda z, a=a, b=b: float(z[a:b].sum()) - 1.0),
-            "jac": (lambda z, row=grad_row: row),
-        })
-
-    rng = np.random.default_rng(seed)
-    starts = [zb, fset.center()]
-    if restarts > len(starts):
-        starts.extend(fset.sample(rng, restarts - len(starts)))
-    best = min(f(s) for s in starts)
-    for s in starts:
-        res = optimize.minimize(f, s, jac=jac, method="SLSQP", bounds=bounds,
-                                constraints=constraints,
-                                options={"maxiter": 300, "ftol": 1e-12})
-        cand = fset.project(res.x)
-        best = min(best, f(cand))
-    return G_zb - best
+    upper, lower = math.inf, -math.inf
+    x = y = fset.project(zb)
+    t = 1.0
+    for _ in range(SUP_GAP_MAX_ITER):
+        g_x = problem.grad_G(x) + h_zb
+        value = G_zb - float(problem.value_G(x) + h_zb @ x)
+        lower = max(lower, value)
+        upper = min(upper, value + float(g_x @ x) - fset.linear_min(g_x))
+        if upper - lower <= SUP_GAP_RTOL * (1.0 + abs(upper)):
+            break
+        g_y = g_x if y is x else problem.grad_G(y) + h_zb
+        x_next = fset.project(y - g_y / problem.L)
+        if float(g_y @ (x_next - x)) > 0.0:  # gradient restart: drop the momentum
+            t, y = 1.0, x_next
+        else:
+            t, t_prev = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t * t)), t
+            y = x_next + ((t_prev - 1.0) / t) * (x_next - x)
+        x = x_next
+    # at a converged iterate, rounding can leave upper a few ulps below lower
+    return max(upper, lower), lower

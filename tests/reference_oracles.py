@@ -2,9 +2,10 @@
 
 The package sees a problem only through its stacked operator H. The tests
 check H and the penalty reformulation against independent references kept
-here: per-node oracles of the matrix-game and l1 families, and a
+here: per-node oracles of the matrix-game and l1 families, a
 consensus-constrained QP family with an accelerated projected-gradient
-solver.
+solver, and an SLSQP estimate of the sup-gap that the package's certified
+bracket (``sup_gap_skew_linear``) is checked against.
 """
 
 import math
@@ -12,8 +13,16 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
+from scipy import optimize
 
-from saddleslide import DimensionError, DomainError, NetworkModel, ParameterError
+from saddleslide import (
+    ConfigurationError,
+    DimensionError,
+    DomainError,
+    NetworkModel,
+    ParameterError,
+    VIProblem,
+)
 
 
 # -- per-node oracles -------------------------------------------------------------
@@ -180,3 +189,61 @@ def accelerated_projected_gradient(grad: Callable[[np.ndarray], np.ndarray],
                           f"within {max_iter} iterations")
     return (x, path) if return_path else x
 
+
+# -- sup-gap estimate ------------------------------------------------------------
+
+def sup_gap_slsqp(problem: VIProblem, z_bar, restarts: int = 8, seed=0) -> float:
+    """sup over feasible z of Q(z_bar, z) for skew-linear H and convex G.
+
+    For skew-linear H, <H(z), z_bar - z> = -<H(z_bar), z>, so the supremum is
+    a concave maximization G(z_bar) - min_z [G(z) + <H(z_bar), z>] solved by
+    SLSQP over the simplex/box structure; every local optimum is global, the
+    restarts only guard against solver stalls. A stalled solve returns a
+    value below the supremum, so this is an estimate, not a bound.
+    """
+    geom = problem.set_geometry
+    fset = geom.feasible_set
+    if problem.value_G is None:
+        raise ConfigurationError("sup-gap oracle needs problem.value_G")
+    zb = np.asarray(z_bar, dtype=float)
+    if not fset.contains(zb):
+        raise DomainError("z_bar lies outside the feasible set")
+    h_zb = problem.H(zb)
+    skew = abs(float(np.dot(h_zb, zb)))
+    if skew > 1e-8 * (1.0 + np.linalg.norm(h_zb) * np.linalg.norm(zb)):
+        raise ConfigurationError("H is not skew at z_bar; oracle inapplicable")
+    G_zb = float(problem.value_G(zb))
+
+    def f(z: np.ndarray) -> float:
+        return float(problem.value_G(z) + h_zb @ z)
+
+    def jac(z: np.ndarray) -> np.ndarray:
+        return problem.grad_G(z) + h_zb
+
+    bounds = []
+    constraints = []
+    for a, b, lo, up in fset._blocks():
+        if lo is not None:
+            bounds.extend(zip(lo, up))
+            continue
+        bounds.extend([(0.0, 1.0)] * (b - a))
+        grad_row = np.zeros(fset.dim)
+        grad_row[a:b] = 1.0
+        constraints.append({
+            "type": "eq",
+            "fun": (lambda z, a=a, b=b: float(z[a:b].sum()) - 1.0),
+            "jac": (lambda z, row=grad_row: row),
+        })
+
+    rng = np.random.default_rng(seed)
+    starts = [zb, fset.center()]
+    if restarts > len(starts):
+        starts.extend(fset.sample(rng, restarts - len(starts)))
+    best = min(f(s) for s in starts)
+    for s in starts:
+        res = optimize.minimize(f, s, jac=jac, method="SLSQP", bounds=bounds,
+                                constraints=constraints,
+                                options={"maxiter": 300, "ftol": 1e-12})
+        cand = fset.project(res.x)
+        best = min(best, f(cand))
+    return G_zb - best

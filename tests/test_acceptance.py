@@ -19,6 +19,7 @@ from saddleslide import (
     RunConfig,
     VIProblem,
     build_penalized_vi,
+    build_pipeline,
     build_topology,
     certify_inexact_oracle,
     consensus_violation,
@@ -34,15 +35,14 @@ from saddleslide import (
     sup_gap_skew_linear,
 )
 
-from reference_oracles import accelerated_projected_gradient, make_consensus_qp
+from reference_oracles import (accelerated_projected_gradient, make_consensus_qp,
+                               sup_gap_slsqp)
 
 rng = np.random.default_rng(1207)
 
 
-def test_criterion_1_deterministic_rate():
-    """Smooth bilinear stacked instances obey sup-gap <= 6 L Omega^2 / N^2."""
-    t0 = time.perf_counter()
-    checked = []
+def criterion_1_runs():
+    """(m, N, vi, z_bar_N, Omega^2) for each run of criterion 1."""
     for m in (1, 3):
         spp = make_matrix_game([MATCHING_PENNIES.copy() for _ in range(m)], m)
         if m == 1:
@@ -65,15 +65,36 @@ def test_criterion_1_deterministic_rate():
         for N in (8, 16, 32, 64):
             sched = deterministic_schedule(vi.L, vi.M, N)
             final, _ = mps_run(vi, sched, z0)
-            gap = sup_gap_skew_linear(vi, final, restarts=6, seed=0)
-            bound = 6.0 * vi.L * omega_sq / N ** 2
-            assert gap <= bound + 1e-9, (m, N, gap, bound)
-            checked.append((m, N, gap, bound))
+            yield m, N, vi, final, omega_sq
+
+
+def test_criterion_1_deterministic_rate():
+    """Smooth bilinear stacked instances obey sup-gap <= 6 L Omega^2 / N^2."""
+    t0 = time.perf_counter()
+    checked = []
+    for m, N, vi, final, omega_sq in criterion_1_runs():
+        gap, _ = sup_gap_skew_linear(vi, final)
+        bound = 6.0 * vi.L * omega_sq / N ** 2
+        assert gap <= bound + 1e-9, (m, N, gap, bound)
+        checked.append((m, N, gap, bound))
     elapsed = time.perf_counter() - t0
     assert elapsed < 10.0
     worst = max(g / b for _, _, g, b in checked)
     print(f"criterion 1 PASS: sup-gap <= 6 L Omega^2/N^2 on {len(checked)} "
           f"runs (worst ratio {worst:.3f}, {elapsed:.1f}s)")
+
+
+def test_sup_gap_bracket_is_tight_and_holds_the_slsqp_estimate():
+    """The certified (upper, lower) closes to 1e-9 relative and brackets SLSQP."""
+    cases = [(vi, final) for _, _, vi, final, _ in criterion_1_runs()]
+    _, spp, _, vi = build_pipeline(RunConfig(family="matrix_game_random", network_kind="ring",
+                                             m=8, d_x=3, d_y=2, epsilon=0.05))
+    cases.append((vi, spp.stacked_set().sample(np.random.default_rng(3), 1)[0]))
+    for vi, z in cases:
+        upper, lower = sup_gap_skew_linear(vi, z)
+        assert lower <= upper <= lower + 1e-9 * (1.0 + abs(upper)), (upper, lower)
+        estimate = sup_gap_slsqp(vi, z, restarts=6, seed=0)
+        assert lower - 1e-9 <= estimate <= upper + 1e-9, (lower, estimate, upper)
 
 
 def test_criterion_2_delta_non_accumulation():
@@ -123,7 +144,7 @@ def test_criterion_2_delta_non_accumulation():
         sched = deterministic_schedule(2.0, 2.0, N)
         final, _ = mps_run(vi_run, sched, z0)
         vi_true = replace(vi_run, H=spp.H, delta=0.0)
-        gap = sup_gap_skew_linear(vi_true, final, restarts=6, seed=0)
+        gap, _ = sup_gap_skew_linear(vi_true, final)
         bound = 6.0 * 2.0 * omega_sq / N ** 2 + delta * (1.0 + 1e-6)
         assert gap <= bound, (delta, gap, bound)
     elapsed = time.perf_counter() - t0

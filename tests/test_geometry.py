@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -448,6 +449,26 @@ def test_products_merge_groups_of_one_kind_and_width():
         ProductSet([])
     with pytest.raises(ParameterError):
         ProductSet([Simplex(2), np.ones(2)])
+
+
+def test_linear_min_is_the_best_vertex_of_the_product():
+    s = ProductSet([Box([-1.0, 0.5], [2.0, 0.75]), Simplex(1), Simplex(2), Simplex(3),
+                    Simplex(3), Simplex(4), Box([-3.0], [-1.0]), Box([0.0, 2.0], [4.0, 2.5])])
+    per_block = []
+    for a, b, lo, up in s._blocks():
+        if lo is None:
+            per_block.append(list(np.eye(b - a)))
+        else:
+            per_block.append([np.where(mask, up, lo)
+                              for mask in itertools.product((False, True), repeat=b - a)])
+    vertices = np.array([np.concatenate(v) for v in itertools.product(*per_block)])
+    assert len(vertices) == 4 * 1 * 2 * 3 * 3 * 4 * 2 * 4 and s.contains(vertices)
+    g = np.random.default_rng(3)
+    for c in [np.zeros(s.dim), np.ones(s.dim), *g.normal(size=(5, s.dim)),
+              np.where(g.random(s.dim) < 0.5, 0.0, g.normal(size=s.dim))]:
+        assert s.linear_min(c) == pytest.approx((vertices @ c).min(), abs=1e-12)
+    with pytest.raises(DimensionError):
+        s.linear_min(np.ones(s.dim + 1))
 
 
 def test_non_finite_points_rejected():

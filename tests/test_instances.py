@@ -1,5 +1,7 @@
 """Tests for problem families, gap oracles, certification and the QP baseline."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -30,6 +32,7 @@ from saddleslide import (
     sample_operator_bound,
     sup_gap_skew_linear,
 )
+from saddleslide import instances
 from saddleslide.harness import NOISE_BLOCK
 
 from reference_oracles import L1Node, accelerated_projected_gradient, make_consensus_qp
@@ -354,7 +357,7 @@ class TestSupGapOracle:
             z = spp.stacked_set().sample(rng, 1)[0]
             X, Y = spp.split(z)
             exact = exact_gap_matrix_game(A, X[0], Y[0])
-            numeric = sup_gap_skew_linear(vi, z, restarts=6, seed=2)
+            numeric, _ = sup_gap_skew_linear(vi, z)
             assert numeric == pytest.approx(exact, rel=1e-6, abs=1e-8)
 
     def test_consensual_point_gap_is_m_times_single(self):
@@ -368,8 +371,26 @@ class TestSupGapOracle:
         z_bar = np.concatenate((np.tile(x_hat, m), np.tile(y_hat, m)))  # all x, then all y
         single = exact_gap_matrix_game(MATCHING_PENNIES, x_hat, y_hat)
         assert single == pytest.approx(0.6)
-        stacked = sup_gap_skew_linear(vi, z_bar, restarts=8, seed=0)
+        stacked, _ = sup_gap_skew_linear(vi, z_bar)
         assert stacked == pytest.approx(m * single, rel=1e-6)
+
+    @pytest.mark.parametrize("cap", [1, 2, 5, 50])
+    def test_iteration_cap_still_returns_bounds(self, monkeypatch, cap):
+        spp = random_matrix_game(8, 3, 2, seed=4)
+        vi = build_penalized_vi(spp, build_topology("ring", 8),
+                                PenaltyCoefficients(0.5, 0.5, 0.1))
+        z = spp.stacked_set().sample(np.random.default_rng(8), 1)[0]
+        closed_upper, closed_lower = sup_gap_skew_linear(vi, z)
+        monkeypatch.setattr(instances, "SUP_GAP_MAX_ITER", cap)
+        upper, lower = sup_gap_skew_linear(vi, z)
+        # both brackets hold the supremum, and the capped one is still open
+        assert lower <= closed_upper and closed_lower <= upper
+        assert upper - lower > 1e-6 * (1.0 + closed_upper)
+
+    def test_rejects_a_zero_lipschitz_constant(self):
+        spp, vi = self._single_game_vi(MATCHING_PENNIES.copy())
+        with pytest.raises(ParameterError, match="L > 0"):
+            sup_gap_skew_linear(replace(vi, L=0.0), spp.center())
 
 
 class TestConsensusQP:
@@ -498,7 +519,8 @@ class TestStochasticOracleModels:
         oracle = make_stochastic_oracle(lambda z: z, kind, 0.3, 3)
         gen = np.random.default_rng(0)
         assert oracle(np.zeros(3), gen).shape == (3,)
-        for shape in ((5,), (2,), (3, 2)):
+        # (1,) and (2, 3) would broadcast against the noise row
+        for shape in ((5,), (2,), (3, 2), (1,), (2, 3)):
             with pytest.raises(DimensionError, match=r"\(3,\)"):
                 oracle(np.zeros(shape), gen)
 
