@@ -65,7 +65,6 @@ from .penalty import (
     sample_operator_bound,
 )
 from .sliding import (
-    TRACE_COLUMNS,
     RunTrace,
     SlidingSchedule,
     VIProblem,
@@ -74,7 +73,6 @@ from .sliding import (
     q_gap,
     smps_run,
     stochastic_schedule,
-    trace_to_csv,
 )
 
 __all__ = [
@@ -102,7 +100,6 @@ __all__ = [
     "StackedSPP",
     "TAU_FEAS",
     "TOPOLOGY_KINDS",
-    "TRACE_COLUMNS",
     "VIProblem",
     "bregman_divergence",
     "build_pipeline",
@@ -132,7 +129,6 @@ __all__ = [
     "smps_run",
     "stochastic_schedule",
     "sup_gap_skew_linear",
-    "trace_to_csv",
 ]
 
 __version__ = "0.1.0"

@@ -26,7 +26,7 @@ from .errors import (
     DomainError,
     ParameterError,
 )
-from .harness import RunConfig, build_pipeline, emit_outputs, run_experiment
+from .harness import RunConfig, build_pipeline, emit_outputs, run_experiment, write_files
 from .instances import certify_inexact_oracle
 
 _CONFIG_ERRORS = (ConfigurationError, ParameterError, DimensionError,
@@ -71,11 +71,8 @@ def _cmd_certify(config: RunConfig) -> int:
                                     triples=10000, seed=config.seed)
     print(str(report))
     if config.out_dir is not None:
-        os.makedirs(config.out_dir, exist_ok=True)
-        path = os.path.join(config.out_dir, "certificate.txt")
-        with open(path, "w") as fh:
-            fh.write(str(report) + "\n")
-        print(f"wrote {path}")
+        for path in write_files(config.out_dir, {"certificate.txt": str(report) + "\n"}):
+            print(f"wrote {path}")
     return 0
 
 

@@ -27,7 +27,7 @@ from __future__ import annotations
 import math
 import os
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from typing import Callable, Optional
 
 import numpy as np
@@ -44,8 +44,8 @@ from .instances import (
     random_l1_saddle,
     random_matrix_game,
 )
-from .network import (CONSENSUS_CHUNK, TOPOLOGY_KINDS, NetworkModel, build_topology,
-                      consensus_violation)
+from .network import (CONSENSUS_CHUNK, MAX_NODES, TOPOLOGY_KINDS, NetworkModel,
+                      build_topology, consensus_violation)
 from .penalty import PenaltyCoefficients, StackedSPP, build_penalized_vi, penalty_coefficients
 from .sliding import (
     RunTrace,
@@ -56,7 +56,6 @@ from .sliding import (
     smps_run,
     stochastic_T_raw,
     stochastic_schedule,
-    trace_to_csv,
 )
 
 FAMILIES = ("matching_pennies", "matrix_game_random", "l1_saddle_random")
@@ -145,8 +144,8 @@ class RunConfig:
             raise bad("instance_seed", "must be an integer >= 0")
         if not (_is_real(self.box_radius) and self.box_radius > 0):
             raise bad("box_radius", "must be a positive real")
-        if not (_is_int(self.m) and self.m >= 1):
-            raise bad("m", "must be an integer >= 1")
+        if not (_is_int(self.m) and 1 <= self.m <= MAX_NODES):
+            raise bad("m", f"must be an integer in [1, {MAX_NODES}]")
         if self.m == 1:
             if self.network_kind != "single":
                 raise bad("network_kind", "must be 'single' when m = 1")
@@ -236,8 +235,8 @@ class RunReport:
     ``mode`` is the effective mode: stochastic configs with sigma = 0 run the
     deterministic pipeline and report as such. ``H_calls_per_node`` equals the
     stacked oracle call count (the algorithm is synchronous, every node
-    evaluates its local block on every call). ``final_gap`` is NaN when the
-    family has no exact gap oracle for the given data.
+    evaluates its local block on every call). ``summary_lines`` writes the
+    fields before ``wall_time_s`` in declaration order.
     """
 
     family: str
@@ -271,20 +270,14 @@ class RunReport:
 
     def summary_lines(self) -> list[str]:
         """Stable key/value lines; wall time redacted for reproducibility."""
-        keys = ["family", "mode", "m", "epsilon", "N", "L", "M", "delta", "L0",
-                "sigma", "omega_sq", "R_alpha_sq", "R_beta_sq", "final_gap",
-                "consensus_x", "consensus_y", "communication_rounds",
-                "grad_G_calls", "H_calls_per_node", "predicted_gap_bound",
-                "predicted_rounds", "predicted_H_calls",
-                "predicted_consensus_x", "predicted_consensus_y"]
+        keys = [f.name for f in fields(self)]
+        keys = keys[:keys.index("wall_time_s")]
         if self.mode == "stochastic":
             keys += ["noise_kind", "p_confidence"]
         lines = ["saddleslide-summary 1"]
         for k in keys:
             v = getattr(self, k)
-            if isinstance(v, float):
-                v = repr(v)
-            lines.append(f"{k} {v}")
+            lines.append(f"{k} {v!r}" if isinstance(v, float) else f"{k} {v}")
         lines.append("wall_time_s 0.0")
         return lines
 
@@ -464,12 +457,7 @@ def run_experiment(config: RunConfig) -> RunReport:
         _, trace = mps_run(vi, schedule, z0, observer=observe)
     if N % len(block):
         columns(block[:N % len(block)])
-    trace.gap_estimate[:] = gaps
-    trace.consensus_x[:] = cons_x
-    trace.consensus_y[:] = cons_y
-    final_gap = trace.gap_estimate[-1]
-    consensus_x = trace.consensus_x[-1]
-    consensus_y = trace.consensus_y[-1]
+    trace.gap_estimate, trace.consensus_x, trace.consensus_y = gaps, cons_x, cons_y
 
     if stochastic:
         raw_T = stochastic_T_raw(vi.L, vi.M, config.sigma, omega_sq, N)
@@ -497,9 +485,9 @@ def run_experiment(config: RunConfig) -> RunReport:
         omega_sq=omega_sq,
         R_alpha_sq=coeffs.R_alpha_sq,
         R_beta_sq=coeffs.R_beta_sq,
-        final_gap=final_gap,
-        consensus_x=consensus_x,
-        consensus_y=consensus_y,
+        final_gap=gaps[-1],
+        consensus_x=cons_x[-1],
+        consensus_y=cons_y[-1],
         communication_rounds=trace.communication_rounds,
         grad_G_calls=trace.total_grad_G,
         H_calls_per_node=trace.total_H,
@@ -519,41 +507,41 @@ def run_experiment(config: RunConfig) -> RunReport:
 def emit_outputs(report: RunReport, trace: RunTrace, out_dir) -> list:
     """Write trace.csv, summary.txt and plot_data.csv into ``out_dir``.
 
-    Wall-clock columns are redacted to 0.0 so identical configs yield
-    identical bytes. Returns the written paths.
+    trace.csv ends its lines with CRLF, as the csv module's default dialect
+    does; the other two end theirs with LF. Floats are written as their
+    repr, and the wall-clock column as 0.0, so identical configs yield
+    identical bytes. The trace needs its metric columns, one value per k,
+    as ``run_experiment`` fills them; columns of unequal length raise
+    ValueError. Returns the written paths.
     """
+    rows = ["k,inner_steps,grad_G_calls,H_calls,gap_estimate,consensus_x,consensus_y,wall_ms"]
+    plot = ["k,gap,consensus_x,consensus_y"]
+    for k, (steps, n_grad, n_h, gap, cx, cy) in enumerate(zip(
+            trace.inner_steps, trace.grad_G_calls, trace.H_calls,
+            trace.gap_estimate, trace.consensus_x, trace.consensus_y, strict=True), start=1):
+        metrics = f"{float(gap)!r},{float(cx)!r},{float(cy)!r}"
+        rows.append(f"{k},{steps},{n_grad},{n_h},{metrics},0.0")
+        plot.append(f"{k},{metrics}")
+    return write_files(out_dir, {"trace.csv": "\r\n".join(rows) + "\r\n",
+                                 "summary.txt": "\n".join(report.summary_lines()) + "\n",
+                                 "plot_data.csv": "\n".join(plot) + "\n"})
+
+
+def write_files(out_dir, texts: dict) -> list:
+    """Write each ``name: text`` of ``texts`` to ``out_dir/name``, creating
+    ``out_dir`` if needed, with the text's line endings kept as they are.
+    Returns the written paths; a failure raises OSError naming the path."""
     try:
         os.makedirs(out_dir, exist_ok=True)
     except OSError as e:
         raise OSError(f"cannot create output directory {out_dir}: {e}")
     paths = []
-
-    trace_path = os.path.join(out_dir, "trace.csv")
-    redacted = replace(trace, wall_ms=[0.0] * trace.N)
-    _write_text(trace_path, None, lambda p: trace_to_csv(redacted, p))
-    paths.append(trace_path)
-
-    summary_path = os.path.join(out_dir, "summary.txt")
-    _write_text(summary_path, "\n".join(report.summary_lines()) + "\n")
-    paths.append(summary_path)
-
-    plot_path = os.path.join(out_dir, "plot_data.csv")
-    lines = ["k,gap,consensus_x,consensus_y"]
-    for i in range(trace.N):
-        lines.append(f"{i + 1},{repr(float(trace.gap_estimate[i]))},"
-                     f"{repr(float(trace.consensus_x[i]))},"
-                     f"{repr(float(trace.consensus_y[i]))}")
-    _write_text(plot_path, "\n".join(lines) + "\n")
-    paths.append(plot_path)
-    return paths
-
-
-def _write_text(path, text, writer=None) -> None:
-    try:
-        if writer is not None:
-            writer(path)
-        else:
-            with open(path, "w") as fh:
+    for name, text in texts.items():
+        path = os.path.join(out_dir, name)
+        try:
+            with open(path, "w", newline="") as fh:
                 fh.write(text)
-    except OSError as e:
-        raise OSError(f"failed writing {path}: {e}")
+        except OSError as e:
+            raise OSError(f"failed writing {path}: {e}")
+        paths.append(path)
+    return paths

@@ -31,6 +31,9 @@ TOPOLOGY_KINDS = ("ring", "path", "star", "complete", "erdos_renyi")
 # Eigenvalues below 1e-9 * lambda_max count as zero when locating lambda_min_plus.
 TAU_EIG_REL = 1e-9
 
+# Most nodes a network may have: it stores W_tilde and W as dense m x m arrays.
+MAX_NODES = 512
+
 
 def matrix_sqrt_psd(A: np.ndarray, tol: float = 1e-9) -> np.ndarray:
     """Symmetric PSD square root via eigendecomposition.
@@ -86,8 +89,8 @@ class NetworkModel:
         if not np.isfinite(Wt).all():
             raise DomainError("gossip matrix contains non-finite entries")
         m = Wt.shape[0]
-        if m > 512:
-            raise ParameterError("dense network storage is limited to m <= 512")
+        if m > MAX_NODES:
+            raise ParameterError(f"dense network storage is limited to m <= {MAX_NODES}")
         scale = max(1.0, float(np.max(np.abs(Wt))))
         if np.max(np.abs(Wt - Wt.T)) > 1e-9 * scale:
             raise DomainError("gossip matrix must be symmetric")
@@ -173,9 +176,10 @@ def _topology_edges(kind: str, m: int, p: Optional[float],
         if p is None or not (0.0 < p <= 1.0):
             raise ParameterError("erdos_renyi needs edge probability p in (0, 1]")
         rng = np.random.default_rng(seed)
+        iu, ju = np.triu_indices(m, 1)  # the pairs i < j in row-major order
         for _ in range(10000):
-            edges = [(i, j) for i in range(m) for j in range(i + 1, m)
-                     if rng.random() < p]
+            keep = rng.random(iu.size) < p  # one draw per pair, in pair order
+            edges = list(zip(iu[keep].tolist(), ju[keep].tolist()))
             if _connected(m, edges):
                 return edges
         raise ParameterError(
@@ -205,9 +209,11 @@ def build_topology(kind: str, m: int, p: Optional[float] = None,
 
     ``erdos_renyi`` samples G(m, p) with the given seed and retries until the
     graph is connected; the deterministic kinds are connected by construction.
+    ``m`` must lie in [2, MAX_NODES], which is checked before any edge or
+    matrix is built.
     """
-    if not (isinstance(m, (int, np.integer)) and m >= 2):
-        raise ParameterError("build_topology needs m >= 2")
+    if not (isinstance(m, (int, np.integer)) and 2 <= m <= MAX_NODES):
+        raise ParameterError(f"build_topology needs 2 <= m <= {MAX_NODES}, got {m!r}")
     i, j = np.array(_topology_edges(kind, int(m), p, seed)).T
     A = np.zeros((m, m))
     A[i, j] = A[j, i] = 1.0

@@ -13,7 +13,6 @@ O(L Omega^2 / N^2 + delta) guarantee, with delta entering additively
 
 from __future__ import annotations
 
-import csv
 import math
 import time
 from dataclasses import dataclass, field
@@ -24,9 +23,6 @@ import numpy as np
 from .errors import ConfigurationError, DomainError, ParameterError
 from .geometry import (GeometrySpec, _anchor_term, _as_vector, _bind_prox, _outer_term,
                        _prox_kernel)
-
-TRACE_COLUMNS = ("k", "inner_steps", "grad_G_calls", "H_calls",
-                 "gap_estimate", "consensus_x", "consensus_y", "wall_ms")
 
 
 @dataclass
@@ -176,10 +172,10 @@ class RunTrace:
     """Per-outer-iteration telemetry for one solver run.
 
     ``grad_G_calls`` / ``H_calls`` rows are cumulative counts after outer
-    iteration k. ``gap_estimate`` / ``consensus_x`` / ``consensus_y`` start as
-    NaN: the solver does not know the instance-level gap oracle or the
-    network. ``run_experiment`` fills them from the iterates its observer
-    collects (see :func:`mps_run`).
+    iteration k. The solver leaves ``gap_estimate`` / ``consensus_x`` /
+    ``consensus_y`` empty, since it knows neither the instance-level gap
+    oracle nor the network; ``run_experiment`` assigns them, one value per k,
+    from the iterates its observer streams (see :func:`mps_run`).
 
     The solver keeps no iterates. ``z_bar_snapshots``, ``z_snapshots`` and
     ``z_under_snapshots`` stay empty; only the benchmark in ``perfbench/``
@@ -209,24 +205,6 @@ class RunTrace:
     @property
     def total_H(self) -> int:
         return self.H_calls[-1] if self.H_calls else 0
-
-
-def trace_to_csv(trace: RunTrace, path) -> None:
-    """Write the trace in the stable column order, header always included."""
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(TRACE_COLUMNS)
-        for i in range(trace.N):
-            w.writerow([
-                i + 1,
-                trace.inner_steps[i],
-                trace.grad_G_calls[i],
-                trace.H_calls[i],
-                repr(float(trace.gap_estimate[i])),
-                repr(float(trace.consensus_x[i])),
-                repr(float(trace.consensus_y[i])),
-                repr(float(trace.wall_ms[i])),
-            ])
 
 
 def _check_run_inputs(problem: VIProblem, schedule: SlidingSchedule,
@@ -308,9 +286,6 @@ def _sliding_loop(problem: VIProblem, schedule: SlidingSchedule, z0: np.ndarray,
         trace.inner_steps.append(tk)
         trace.grad_G_calls.append(n_grad)
         trace.H_calls.append(n_h)
-        trace.gap_estimate.append(math.nan)
-        trace.consensus_x.append(math.nan)
-        trace.consensus_y.append(math.nan)
         trace.wall_ms.append((time.perf_counter() - t0) * 1000.0)
         if observer is not None:
             observer(k, z_bar)

@@ -50,6 +50,7 @@ class TestRunConfig:
         (dict(epsilon=-1.0), "run.epsilon"),
         (dict(family="lasso"), "problem.family"),
         (dict(m=0), "network.m"),
+        (dict(m=513), "network.m"),
         (dict(m=3, network_kind="single"), "network.kind"),
         (dict(m=1, network_kind="ring"), "network.kind"),
         (dict(mode="annealed"), "run.mode"),
@@ -264,6 +265,52 @@ class TestEmitOutputs:
         # wall clock redacted in the trace as well
         assert all(line.endswith(",0.0") for line in trace_lines[1:])
 
+    def test_headers_line_endings_and_one_row_per_k(self, tmp_path):
+        rep = run_experiment(small_config(mode="stochastic", sigma=0.1))
+        t = rep.trace
+        names = ("trace.csv", "summary.txt", "plot_data.csv")
+        assert emit_outputs(rep, t, tmp_path) == [str(tmp_path / n) for n in names]
+        lines = {}
+        for name in names:
+            text = (tmp_path / name).read_bytes().decode()
+            end = "\r\n" if name == "trace.csv" else "\n"
+            assert text.endswith(end), name
+            lines[name] = text[:-len(end)].split(end)
+            assert not any("\r" in l or "\n" in l for l in lines[name]), name
+        assert lines["summary.txt"] == rep.summary_lines()
+        assert lines["trace.csv"][0] == ("k,inner_steps,grad_G_calls,H_calls,"
+                                         "gap_estimate,consensus_x,consensus_y,wall_ms")
+        assert lines["plot_data.csv"][0] == "k,gap,consensus_x,consensus_y"
+        metrics = list(zip(t.gap_estimate, t.consensus_x, t.consensus_y))
+        assert len(metrics) == t.N == rep.N
+        trace_rows = [row.split(",") for row in lines["trace.csv"][1:]]
+        plot_rows = [row.split(",") for row in lines["plot_data.csv"][1:]]
+        assert [r[:4] for r in trace_rows] == [
+            [str(k), str(t.inner_steps[k - 1]), str(t.grad_G_calls[k - 1]),
+             str(t.H_calls[k - 1])] for k in range(1, rep.N + 1)]
+        assert [r[4:] for r in trace_rows] == [[*map(repr, v), "0.0"] for v in metrics]
+        assert plot_rows == [[str(k), *map(repr, v)] for k, v in enumerate(metrics, 1)]
+
+    def test_bare_solver_trace_is_refused(self, tmp_path):
+        # mps_run leaves the metric columns empty; no file is written
+        _, spp, _, vi = build_pipeline(small_config())
+        _, trace = mps_run(vi, deterministic_schedule(vi.L, vi.M, 3), spp.center())
+        assert trace.N == 3 and trace.gap_estimate == []
+        rep = run_experiment(small_config(N_override=3))
+        with pytest.raises(ValueError):
+            emit_outputs(rep, trace, tmp_path / "out")
+        assert not (tmp_path / "out").exists()
+
+    def test_unwritable_directory_is_an_os_error_naming_it(self, tmp_path):
+        rep = run_experiment(small_config())
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        with pytest.raises(OSError, match="cannot create output directory"):
+            emit_outputs(rep, rep.trace, blocker / "out")
+        (tmp_path / "out" / "trace.csv").mkdir(parents=True)
+        with pytest.raises(OSError, match="failed writing .*trace.csv"):
+            emit_outputs(rep, rep.trace, tmp_path / "out")
+
     def test_sigma_zero_stochastic_config_reproduces_deterministic_bytes(
             self, tmp_path):
         det = run_experiment(small_config())
@@ -278,23 +325,33 @@ class TestEmitOutputs:
 
 
 # Golden outputs of noisy ring-4 pennies runs (sigma = 0.1, N = 40): the
-# summary lines that differ between the two seeds, and the sha256 of
-# trace.csv. A faster noisy loop must reproduce them bit for bit.
+# summary lines that differ between the two seeds, and the sha256 of each
+# emitted file. A faster noisy loop must reproduce them bit for bit.
 PINNED_STOCHASTIC = {
     0: (["final_gap 0.0003198676908852116",
          "consensus_x 2.101403233826361e-05",
          "consensus_y 3.691024811816174e-05"],
-        "dfcebb5363bbcd322027bb348dc7470bb3db0c0717364cb8323f744488f1ad34"),
+        {"trace.csv": "dfcebb5363bbcd322027bb348dc7470bb3db0c0717364cb8323f744488f1ad34",
+         "summary.txt": "a8e86260152abcc07e01ef558c069b070b6de0e425193f8d940c89837f9c6204",
+         "plot_data.csv": "d78c3d95dd1831fa11417b2bca748930a0e651fec79f101160edfeb48798dbeb"}),
     1: (["final_gap 3.626769535691743e-05",
          "consensus_x 2.822650503127089e-05",
          "consensus_y 1.220252565456868e-05"],
-        "a85724eedc679f53549738bc8f3b9b3d0b78eac76ccd84125640d10b64e73a71"),
+        {"trace.csv": "a85724eedc679f53549738bc8f3b9b3d0b78eac76ccd84125640d10b64e73a71",
+         "summary.txt": "d4715cd0cdcda3362fb8e3d138829f948e9d7d508d6bbff6dbaa118102f0774e",
+         "plot_data.csv": "4fa2144137947bc2118247d1fa58ebe1ebf948015f66d59452111925617063d1"}),
 }
+
+
+def assert_files_match(out_dir, shas):
+    """Each emitted file named in ``shas`` has the pinned sha256."""
+    for name, sha in shas.items():
+        assert hashlib.sha256((out_dir / name).read_bytes()).hexdigest() == sha, name
 
 
 @pytest.mark.parametrize("seed", sorted(PINNED_STOCHASTIC))
 def test_stochastic_outputs_match_pinned_bytes(tmp_path, seed):
-    varying, trace_sha = PINNED_STOCHASTIC[seed]
+    varying, shas = PINNED_STOCHASTIC[seed]
     rep = run_experiment(small_config(mode="stochastic", sigma=0.1,
                                       noise_kind="uniform", p_confidence=0.25,
                                       N_override=40, seed=seed))
@@ -309,12 +366,11 @@ def test_stochastic_outputs_match_pinned_bytes(tmp_path, seed):
         "predicted_consensus_y 0.1", "noise_kind uniform", "p_confidence 0.25",
         "wall_time_s 0.0"]
     emit_outputs(rep, rep.trace, tmp_path)
-    data = (tmp_path / "trace.csv").read_bytes()
-    assert hashlib.sha256(data).hexdigest() == trace_sha
+    assert_files_match(tmp_path, shas)
 
 
 # Golden outputs of a deterministic l1 ring run (m = 5, d_x = 3, d_y = 2,
-# N = 12): every summary line and the sha256 of trace.csv. L0, and with it
+# N = 12): every summary line and the sha256 of each emitted file. L0, and with it
 # M, L, the schedule and every iterate, comes from H sampled on 2000 points,
 # so a one-ulp drift in a batched H shows here.
 PINNED_L1 = (
@@ -329,18 +385,19 @@ PINNED_L1 = (
      "predicted_H_calls 36.94602793478503",
      "predicted_consensus_x 0.26981957097703174",
      "predicted_consensus_y 0.34606388114522957", "wall_time_s 0.0"],
-    "628ec241cb3f8a711d540d7b1445cca14cd4cb7f52045ebfedd026f664839a30",
+    {"trace.csv": "628ec241cb3f8a711d540d7b1445cca14cd4cb7f52045ebfedd026f664839a30",
+     "summary.txt": "3d231a4310c2cb1a2bab0c263374aef7489156adf60fb5dbb66a6d6c59a16c8e",
+     "plot_data.csv": "89da6e354e467a93ce2d97b0579acfec6622bca607f54e9642ba9c9876bb614c"},
 )
 
 
 def test_l1_outputs_match_pinned_bytes(tmp_path):
-    lines, trace_sha = PINNED_L1
+    lines, shas = PINNED_L1
     rep = run_experiment(small_config(family="l1_saddle_random", m=5, d_x=3,
                                       d_y=2, epsilon=0.4, N_override=12))
     assert rep.summary_lines() == lines
     emit_outputs(rep, rep.trace, tmp_path)
-    data = (tmp_path / "trace.csv").read_bytes()
-    assert hashlib.sha256(data).hexdigest() == trace_sha
+    assert_files_match(tmp_path, shas)
 
 
 # Golden outputs of a deterministic random-game ring run (m = 6, d_x = 3,
@@ -360,18 +417,19 @@ PINNED_GAME = (
      "predicted_H_calls 41.206082053536385",
      "predicted_consensus_x 0.06781508387190653",
      "predicted_consensus_y 0.07754847676954861", "wall_time_s 0.0"],
-    "cd8953feb5d10cd68f20c33c60be74be22870beb652d6ed3c1269f4d3b3fd466",
+    {"trace.csv": "cd8953feb5d10cd68f20c33c60be74be22870beb652d6ed3c1269f4d3b3fd466",
+     "summary.txt": "848182a56289ad73ddadbf6e057f71d9df24a5f48d465b857dce7250a6380015",
+     "plot_data.csv": "589f23253d3968eb4dff937fc58056542931ba82ff27f74bf0f9295b0375bcd4"},
 )
 
 
 def test_game_outputs_match_pinned_bytes(tmp_path):
-    lines, trace_sha = PINNED_GAME
+    lines, shas = PINNED_GAME
     rep = run_experiment(small_config(family="matrix_game_random", m=6, d_x=3,
                                       d_y=2, N_override=12))
     assert rep.summary_lines() == lines
     emit_outputs(rep, rep.trace, tmp_path)
-    data = (tmp_path / "trace.csv").read_bytes()
-    assert hashlib.sha256(data).hexdigest() == trace_sha
+    assert_files_match(tmp_path, shas)
 
 
 class TestCLI:
@@ -436,6 +494,11 @@ class TestCLI:
         path = self._write_config(tmp_path)
         assert cli.main(["certify", "--config", str(path)]) == 0
         assert "certified" in capsys.readouterr().out
+        out = tmp_path / "cert"
+        assert cli.main(["certify", "--config", str(path), "--out", str(out)]) == 0
+        printed = capsys.readouterr().out.split("\n")
+        assert printed[-2] == f"wrote {out / 'certificate.txt'}"
+        assert (out / "certificate.txt").read_text() == printed[0] + "\n"
 
         def boom(*args, **kwargs):
             raise CertificationError("violated")

@@ -1,6 +1,7 @@
 """Tests for network topologies, spectra and gossip products."""
 
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from saddleslide import (
     consensus_violation,
     matrix_sqrt_psd,
 )
+from saddleslide.network import MAX_NODES
 
 rng = np.random.default_rng(1207)
 
@@ -32,6 +34,13 @@ def topology(kind, m):
     if kind == "single":
         return NetworkModel.single_node()
     return build_topology(kind, m, p=0.4 if kind == "erdos_renyi" else None, seed=3)
+
+
+def laplacian(m, edges):
+    A = np.zeros((m, m))
+    for i, j in edges:
+        A[i, j] = A[j, i] = 1.0
+    return np.diag(A.sum(axis=1)) - A
 
 
 def two_pass_block_product(net, V):
@@ -191,6 +200,18 @@ class TestTopologyBuilding:
         with pytest.raises(ParameterError):
             build_topology("ring", 1)
 
+    def test_too_many_nodes_rejected_before_any_matrix_is_built(self):
+        # a dense 4096 x 4096 float matrix alone is 134 MB
+        tracemalloc.start()
+        try:
+            with pytest.raises(ParameterError, match="m <= 512"):
+                build_topology("ring", 4096)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+        assert build_topology("ring", MAX_NODES).m == MAX_NODES
+
     def test_unknown_kind_rejected(self):
         with pytest.raises(ParameterError):
             build_topology("torus", 4)
@@ -203,6 +224,18 @@ class TestTopologyBuilding:
         assert eigs[1] > 1e-9
         again = build_topology("erdos_renyi", 8, p=0.4, seed=seed)
         assert np.array_equal(net.W_tilde, again.W_tilde)
+
+    @pytest.mark.parametrize("m,p", [(3, 0.5), (4, 1.0), (8, 0.2), (40, 0.05), (40, 0.5)])
+    def test_erdos_renyi_edges_match_a_draw_per_pair(self, m, p):
+        # one rng.random() per pair i < j, in row-major order, per attempt
+        for seed in range(3):
+            rng = np.random.default_rng(seed)
+            while True:
+                edges = [(i, j) for i in range(m) for j in range(i + 1, m)
+                         if rng.random() < p]
+                if np.linalg.eigvalsh(laplacian(m, edges))[1] > 1e-9:
+                    break
+            assert build_topology("erdos_renyi", m, p=p, seed=seed).edges == edges
 
     def test_erdos_renyi_needs_probability(self):
         with pytest.raises(ParameterError):
