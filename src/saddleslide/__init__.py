@@ -24,9 +24,7 @@ from .geometry import (
     GeometrySpec,
     ProductSet,
     Simplex,
-    bregman_divergence,
     omega_sq_bound,
-    prox_two_anchor,
 )
 from .harness import (
     RunConfig,
@@ -55,7 +53,6 @@ from .network import (
     NetworkModel,
     build_topology,
     consensus_violation,
-    matrix_sqrt_psd,
 )
 from .penalty import (
     PenaltyCoefficients,
@@ -70,7 +67,6 @@ from .sliding import (
     VIProblem,
     deterministic_schedule,
     mps_run,
-    q_gap,
     smps_run,
     stochastic_schedule,
 )
@@ -101,7 +97,6 @@ __all__ = [
     "TAU_FEAS",
     "TOPOLOGY_KINDS",
     "VIProblem",
-    "bregman_divergence",
     "build_pipeline",
     "build_penalized_vi",
     "build_topology",
@@ -114,14 +109,11 @@ __all__ = [
     "make_l1_saddle",
     "make_matrix_game",
     "make_stochastic_oracle",
-    "matrix_sqrt_psd",
     "mps_run",
     "omega_sq_bound",
     "operator_bound_L0",
     "penalty_coefficients",
     "pick_N",
-    "prox_two_anchor",
-    "q_gap",
     "random_l1_saddle",
     "random_matrix_game",
     "run_experiment",

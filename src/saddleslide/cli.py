@@ -13,7 +13,7 @@ certification finds a violating triple.
 from __future__ import annotations
 
 import argparse
-import os
+import io
 import sys
 
 import numpy as np
@@ -87,13 +87,13 @@ def _cmd_spectrum(config: RunConfig) -> int:
     print(f"sqrt_residual_fro {repr(residual)}")
     print("eigenvalues " + " ".join(repr(float(v)) for v in eigs))
     if config.out_dir is not None:
-        os.makedirs(config.out_dir, exist_ok=True)
-        lap = os.path.join(config.out_dir, "laplacian.csv")
-        root = os.path.join(config.out_dir, "sqrt.csv")
-        np.savetxt(lap, net.W_tilde, delimiter=",")
-        np.savetxt(root, net.W, delimiter=",")
-        print(f"wrote {lap}")
-        print(f"wrote {root}")
+        texts = {}
+        for name, matrix in (("laplacian.csv", net.W_tilde), ("sqrt.csv", net.W)):
+            buf = io.StringIO()
+            np.savetxt(buf, matrix, delimiter=",")
+            texts[name] = buf.getvalue()
+        for path in write_files(config.out_dir, texts):
+            print(f"wrote {path}")
     return 0
 
 

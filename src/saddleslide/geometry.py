@@ -7,11 +7,6 @@ blocks (see its docstring). ``Box`` and ``Simplex`` are its one-group
 constructors. A geometry pairs a set with a distance generating function:
 squared euclidean distance (any set) or negative entropy (simplex blocks
 only).
-
-The divergence convention is ``bregman_divergence(geom, a, b)`` = divergence
-of ``a`` relative to the anchor ``b``; for entropy that is KL(a || b). The
-solver measures distances from an anchor via ``bregman_divergence(geom, z,
-anchor)``, which is the quantity the two-anchor prox penalizes.
 """
 
 from __future__ import annotations
@@ -178,10 +173,9 @@ class ProductSet:
     ``omega_sq_bound`` and the entropy prox run a handful of array operations
     per group, whatever the number of blocks; ``sample`` makes one generator
     call per group, which draws bitwise what one call per block would, in the
-    same order. Only ``diameter_sq`` treats each block on its own, in order.
-    ``Box`` and ``Simplex`` construct one-group sets. A
-    product appends its factors' groups at their offsets and merges a group
-    into the previous one when kind and d match.
+    same order. ``Box`` and ``Simplex`` construct one-group sets. A product
+    appends its factors' groups at their offsets and merges a group into the
+    previous one when kind and d match.
     """
 
     def __init__(self, factors):
@@ -208,18 +202,6 @@ class ProductSet:
         self._groups = [tuple(run[:5]) if run[0] == "simplex" else
                         (*run[:5], np.concatenate(run[5]), np.concatenate(run[6]))
                         for run in runs]
-
-    def _blocks(self):
-        """``(a, b, lower, upper)`` for every block on ``[a, b)``, in order;
-        ``lower`` and ``upper`` are the box bounds, None for a simplex."""
-        for _, a, b, d, _, *bounds in self._groups:
-            if bounds:
-                lower, upper = bounds
-                for s in range(0, b - a, d):
-                    yield a + s, a + s + d, lower[s:s + d], upper[s:s + d]
-            else:
-                for s in range(a, b, d):
-                    yield s, s + d, None, None
 
     def contains(self, p, tol: float = TAU_FEAS) -> bool:
         """True if the point ``p`` lies in the set up to ``tol``.
@@ -311,14 +293,6 @@ class ProductSet:
                            else w.reshape(nb, d).min(axis=1).sum())
         return total
 
-    # Squared euclidean diameter, exact: the sum over blocks of 2 per simplex
-    # of dimension > 1 (two vertices) and ||upper - lower||^2 per box.
-    def diameter_sq(self) -> float:
-        total = 0.0
-        for a, b, lo, up in self._blocks():
-            total += (2.0 if b - a > 1 else 0.0) if lo is None else float(np.sum((up - lo) ** 2))
-        return total
-
     # n independent feasible points, one per row: uniform on a box, flat
     # Dirichlet on a simplex, one generator call per group. A Generator
     # fills its (nb, n, d) output in C order, so it consumes the stream as
@@ -401,32 +375,6 @@ class GeometrySpec:
         return self.feasible_set.dim
 
 
-def _entropy_divergence(a: np.ndarray, b: np.ndarray) -> float:
-    if np.any(b <= 0.0):
-        raise DomainError("entropy divergence needs a strictly interior anchor")
-    # a_i = 0 contributes exactly 0 because 0 * log(clip) = 0
-    return float(np.dot(a, np.log(np.maximum(a, ENTROPY_CLIP)) - np.log(b)))
-
-
-def bregman_divergence(geom: GeometrySpec, a, b) -> float:
-    """Divergence of ``a`` relative to the anchor ``b`` under ``geom.dgf``.
-
-    Squared euclidean gives ``0.5 * ||a - b||**2``; negative entropy on
-    simplex blocks gives ``KL(a || b)``, which requires ``b`` strictly
-    interior. Nonnegative, and zero exactly at ``a == b``.
-    """
-    va = _as_vector(a, geom.dim)
-    vb = _as_vector(b, geom.dim)
-    if not geom.feasible_set.contains(va):
-        raise DomainError("first argument lies outside the feasible set")
-    if not geom.feasible_set.contains(vb):
-        raise DomainError("anchor lies outside the feasible set")
-    if geom.dgf == SQUARED_EUCLIDEAN:
-        d = va - vb
-        return 0.5 * float(np.dot(d, d))
-    return _entropy_divergence(va, vb)
-
-
 def _outer_term(geom: GeometrySpec, anchor_outer: np.ndarray,
                 beta: float) -> np.ndarray:
     """The outer anchor's share of the prox argument: ``beta * a_out`` for
@@ -461,7 +409,9 @@ def _bind_prox(geom: GeometrySpec, arg: np.ndarray, dst: np.ndarray):
 
 def _prox_kernel(g: np.ndarray, anchor: np.ndarray, w, arg: np.ndarray,
                  into) -> None:
-    """Unchecked two-anchor prox; callers guarantee feasible finite inputs.
+    """Unchecked two-anchor prox: the minimizer over the set of ``<g, z> +
+    beta*V(z, a_out) + eta*V(z, a_in)``, V the divergence of ``geom.dgf``
+    from an anchor. Callers guarantee feasible finite inputs.
 
     Writes the prox argument ``(anchor - g) / w`` into ``arg`` and runs
     ``into``, a ``_bind_prox(geom, arg, dst)`` that maps it into ``dst``.
@@ -471,42 +421,6 @@ def _prox_kernel(g: np.ndarray, anchor: np.ndarray, w, arg: np.ndarray,
     np.subtract(anchor, g, arg)
     np.divide(arg, w, arg)
     into()
-
-
-def prox_two_anchor(geom: GeometrySpec, g, anchor_outer, beta: float,
-                    anchor_inner, eta: float) -> np.ndarray:
-    """Minimize ``<g, z> + beta*V(z, anchor_outer) + eta*V(z, anchor_inner)``.
-
-    ``V(z, anchor)`` is ``bregman_divergence(geom, z, anchor)``. Closed forms:
-    squared euclidean projects ``(beta*a_out + eta*a_in - g) / (beta + eta)``
-    onto the set; negative entropy is a per-block softmax of
-    ``(beta*log a_out + eta*log a_in - g) / (beta + eta)``, evaluated in log
-    space with max subtraction and clipped at the entropy floor.
-
-    Parameters
-    ----------
-    g : array
-        Linear term.
-    anchor_outer, anchor_inner : array
-        Feasible anchors; for entropy they must be strictly positive.
-    beta, eta : float
-        Nonnegative weights with ``beta + eta > 0``.
-    """
-    if not (np.isfinite(beta) and np.isfinite(eta)) or beta < 0 or eta < 0 or beta + eta <= 0:
-        raise ParameterError("prox weights need beta >= 0, eta >= 0, beta + eta > 0")
-    vg = _as_vector(g, geom.dim)
-    ao = _as_vector(anchor_outer, geom.dim)
-    ai = _as_vector(anchor_inner, geom.dim)
-    if not geom.feasible_set.contains(ao):
-        raise DomainError("outer anchor lies outside the feasible set")
-    if not geom.feasible_set.contains(ai):
-        raise DomainError("inner anchor lies outside the feasible set")
-    if geom.dgf == NEGATIVE_ENTROPY and (np.any(ao <= 0.0) or np.any(ai <= 0.0)):
-        raise DomainError("entropy prox needs strictly positive anchors")
-    anchor, arg, out = (np.empty(geom.dim) for _ in range(3))
-    _anchor_term(geom, _outer_term(geom, ao, beta), eta, ai, anchor)
-    _prox_kernel(vg, anchor, beta + eta, arg, _bind_prox(geom, arg, out))
-    return out
 
 
 def omega_sq_bound(geom: GeometrySpec, z0) -> float:

@@ -49,7 +49,6 @@ from .network import (CONSENSUS_CHUNK, MAX_NODES, TOPOLOGY_KINDS, NetworkModel,
 from .penalty import PenaltyCoefficients, StackedSPP, build_penalized_vi, penalty_coefficients
 from .sliding import (
     RunTrace,
-    VIProblem,
     deterministic_T_raw,
     deterministic_schedule,
     mps_run,
@@ -289,7 +288,8 @@ def make_stochastic_oracle(H: Callable[[np.ndarray], np.ndarray], kind: str,
     ``uniform`` draws each coordinate from [-a, a] with a = sigma sqrt(3/dim),
     which meets the variance budget with equality; ``gaussian`` draws
     coordinate std sigma/sqrt(dim) truncated at four stds, keeping the noise
-    bounded (slightly under budget). sigma = 0 returns the exact oracle.
+    bounded (slightly under budget). At sigma = 0 every draw is +0.0, so the
+    oracle returns values equal to H's.
 
     The oracle ``(z, rng)`` owns a noise block: it draws about
     ``NOISE_BLOCK`` floats at once from ``rng``, as rows of length dim, and
@@ -308,8 +308,6 @@ def make_stochastic_oracle(H: Callable[[np.ndarray], np.ndarray], kind: str,
         raise ParameterError("sigma must be a finite nonnegative real")
     if not (isinstance(dim, (int, np.integer)) and not isinstance(dim, bool) and dim >= 1):
         raise ParameterError(f"dim must be an integer >= 1, got {dim!r}")
-    if sigma == 0.0:
-        return lambda z, rng: H(z)
     if kind == "uniform":
         a = sigma * math.sqrt(3.0 / dim)
 
@@ -509,10 +507,10 @@ def emit_outputs(report: RunReport, trace: RunTrace, out_dir) -> list:
 
     trace.csv ends its lines with CRLF, as the csv module's default dialect
     does; the other two end theirs with LF. Floats are written as their
-    repr, and the wall-clock column as 0.0, so identical configs yield
-    identical bytes. The trace needs its metric columns, one value per k,
-    as ``run_experiment`` fills them; columns of unequal length raise
-    ValueError. Returns the written paths.
+    repr, and the wall-clock column, which the solver does not measure,
+    as 0.0, so identical configs yield identical bytes. The trace needs its
+    metric columns, one value per k, as ``run_experiment`` fills them;
+    columns of unequal length raise ValueError. Returns the written paths.
     """
     rows = ["k,inner_steps,grad_G_calls,H_calls,gap_estimate,consensus_x,consensus_y,wall_ms"]
     plot = ["k,gap,consensus_x,consensus_y"]

@@ -304,8 +304,8 @@ def certify_inexact_oracle(H: Callable[[np.ndarray], np.ndarray],
     Returns the report with the worst (smallest) observed slack; a violated
     triple raises CertificationError carrying the witness on the exception.
     """
-    if triples < 1:
-        raise ParameterError("triples must be >= 1")
+    if isinstance(triples, bool) or not isinstance(triples, (int, np.integer)) or triples < 1:
+        raise ParameterError(f"triples must be an integer >= 1, got {triples!r}")
     if not (np.isfinite(M) and M >= 0 and np.isfinite(delta) and delta >= 0):
         raise ParameterError("certification needs finite M >= 0 and delta >= 0")
     rng = np.random.default_rng(seed)

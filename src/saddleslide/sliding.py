@@ -1,4 +1,4 @@
-"""Mirror-prox sliding: outer/inner iteration, parameter schedules, gap function.
+"""Mirror-prox sliding: outer/inner iteration and parameter schedules.
 
 The method solves the monotone variational inequality of a convex-concave
 saddle problem whose operator splits as grad G + H: find z* in Z with
@@ -14,7 +14,6 @@ O(L Omega^2 / N^2 + delta) guarantee, with delta entering additively
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -188,7 +187,6 @@ class RunTrace:
     gap_estimate: list = field(default_factory=list)
     consensus_x: list = field(default_factory=list)
     consensus_y: list = field(default_factory=list)
-    wall_ms: list = field(default_factory=list)
     communication_rounds: int = 0
     z_bar_snapshots: list = field(default_factory=list)
     z_snapshots: list = field(default_factory=list)
@@ -249,7 +247,6 @@ def _sliding_loop(problem: VIProblem, schedule: SlidingSchedule, z0: np.ndarray,
     n_h = 0
     L = schedule.L
     for k, tk in enumerate(schedule.T.tolist(), start=1):
-        t0 = time.perf_counter()
         # the closed forms of SlidingSchedule
         gk = 2.0 / (k + 1.0)
         bk = 2.0 * L / k
@@ -286,7 +283,6 @@ def _sliding_loop(problem: VIProblem, schedule: SlidingSchedule, z0: np.ndarray,
         trace.inner_steps.append(tk)
         trace.grad_G_calls.append(n_grad)
         trace.H_calls.append(n_h)
-        trace.wall_ms.append((time.perf_counter() - t0) * 1000.0)
         if observer is not None:
             observer(k, z_bar)
     return z_bar, trace
@@ -341,17 +337,3 @@ def smps_run(problem: VIProblem, schedule: SlidingSchedule, z0, seed: int,
 
     return _sliding_loop(problem, schedule, v0, h_noisy, observer)
 
-
-def q_gap(problem: VIProblem, z_bar, z) -> float:
-    """Gap function Q(z_bar, z) = G(z_bar) - G(z) + <H(z), z_bar - z>."""
-    geom = problem.set_geometry
-    v1 = _as_vector(z_bar, geom.dim)
-    v2 = _as_vector(z, geom.dim)
-    if not geom.feasible_set.contains(v1):
-        raise DomainError("z_bar lies outside the feasible set")
-    if not geom.feasible_set.contains(v2):
-        raise DomainError("z lies outside the feasible set")
-    if problem.value_G is None:
-        raise ConfigurationError("q_gap needs problem.value_G")
-    return float(problem.value_G(v1) - problem.value_G(v2)
-                 + np.dot(problem.H(v2), v1 - v2))

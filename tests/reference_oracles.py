@@ -6,6 +6,15 @@ here: per-node oracles of the matrix-game and l1 families, a
 consensus-constrained QP family with an accelerated projected-gradient
 solver, and an SLSQP estimate of the sup-gap that the package's certified
 bracket (``sup_gap_skew_linear``) is checked against.
+
+The geometry references are a feasible set's blocks one at a time
+(``blocks``) and its exact squared diameter (``diameter_sq``), the Bregman
+divergence, and ``prox_two_anchor``, a checked entry to the solver's
+unchecked prox kernels. The divergence convention is
+``bregman_divergence(geom, a, b)`` = divergence of ``a`` relative to the
+anchor ``b``; for entropy that is KL(a || b). The prox penalizes
+``bregman_divergence(geom, z, anchor)``, the distance of its output ``z``
+from each anchor.
 """
 
 import math
@@ -16,13 +25,100 @@ import numpy as np
 from scipy import optimize
 
 from saddleslide import (
+    ENTROPY_CLIP,
+    NEGATIVE_ENTROPY,
+    SQUARED_EUCLIDEAN,
     ConfigurationError,
     DimensionError,
     DomainError,
+    GeometrySpec,
     NetworkModel,
     ParameterError,
+    ProductSet,
     VIProblem,
 )
+from saddleslide.geometry import (_anchor_term, _as_vector, _bind_prox, _outer_term,
+                                  _prox_kernel)
+
+
+# -- Bregman geometry --------------------------------------------------------------
+
+def blocks(fset: ProductSet):
+    """``(a, b, lower, upper)`` for every block of ``fset`` on ``[a, b)``, in
+    order; ``lower`` and ``upper`` are the box bounds, None for a simplex."""
+    for _, a, b, d, _, *bounds in fset._groups:
+        if bounds:
+            lower, upper = bounds
+            for s in range(0, b - a, d):
+                yield a + s, a + s + d, lower[s:s + d], upper[s:s + d]
+        else:
+            for s in range(a, b, d):
+                yield s, s + d, None, None
+
+
+def diameter_sq(fset: ProductSet) -> float:
+    """Squared euclidean diameter, exact: the sum over blocks of 2 per simplex
+    of dimension > 1 (two vertices) and ||upper - lower||^2 per box."""
+    total = 0.0
+    for a, b, lo, up in blocks(fset):
+        total += (2.0 if b - a > 1 else 0.0) if lo is None else float(np.sum((up - lo) ** 2))
+    return total
+
+
+def _entropy_divergence(a: np.ndarray, b: np.ndarray) -> float:
+    if np.any(b <= 0.0):
+        raise DomainError("entropy divergence needs a strictly interior anchor")
+    # a_i = 0 contributes exactly 0 because 0 * log(clip) = 0
+    return float(np.dot(a, np.log(np.maximum(a, ENTROPY_CLIP)) - np.log(b)))
+
+
+def bregman_divergence(geom: GeometrySpec, a, b) -> float:
+    """Divergence of ``a`` relative to the anchor ``b`` under ``geom.dgf``.
+
+    Squared euclidean gives ``0.5 * ||a - b||**2``; negative entropy on
+    simplex blocks gives ``KL(a || b)``, which requires ``b`` strictly
+    interior. Nonnegative, and zero exactly at ``a == b``.
+    """
+    va = _as_vector(a, geom.dim)
+    vb = _as_vector(b, geom.dim)
+    if not geom.feasible_set.contains(va):
+        raise DomainError("first argument lies outside the feasible set")
+    if not geom.feasible_set.contains(vb):
+        raise DomainError("anchor lies outside the feasible set")
+    if geom.dgf == SQUARED_EUCLIDEAN:
+        d = va - vb
+        return 0.5 * float(np.dot(d, d))
+    return _entropy_divergence(va, vb)
+
+
+def prox_two_anchor(geom: GeometrySpec, g, anchor_outer, beta: float,
+                    anchor_inner, eta: float) -> np.ndarray:
+    """Minimize ``<g, z> + beta*V(z, anchor_outer) + eta*V(z, anchor_inner)``
+    through the solver's kernels, after checking the inputs.
+
+    ``V(z, anchor)`` is ``bregman_divergence(geom, z, anchor)``. Closed forms:
+    squared euclidean projects ``(beta*a_out + eta*a_in - g) / (beta + eta)``
+    onto the set; negative entropy is a per-block softmax of
+    ``(beta*log a_out + eta*log a_in - g) / (beta + eta)``, evaluated in log
+    space with max subtraction and clipped at the entropy floor. The anchors
+    must be feasible, and strictly positive for entropy; the weights need
+    ``beta, eta >= 0`` and ``beta + eta > 0``.
+    """
+    if not (np.isfinite(beta) and np.isfinite(eta)) or beta < 0 or eta < 0 or beta + eta <= 0:
+        raise ParameterError("prox weights need beta >= 0, eta >= 0, beta + eta > 0")
+    vg = _as_vector(g, geom.dim)
+    ao = _as_vector(anchor_outer, geom.dim)
+    ai = _as_vector(anchor_inner, geom.dim)
+    if not geom.feasible_set.contains(ao):
+        raise DomainError("outer anchor lies outside the feasible set")
+    if not geom.feasible_set.contains(ai):
+        raise DomainError("inner anchor lies outside the feasible set")
+    if geom.dgf == NEGATIVE_ENTROPY and (np.any(ao <= 0.0) or np.any(ai <= 0.0)):
+        raise DomainError("entropy prox needs strictly positive anchors")
+    anchor, arg, out = (np.empty(geom.dim) for _ in range(3))
+    _anchor_term(geom, _outer_term(geom, ao, beta), eta, ai, anchor)
+    _prox_kernel(vg, anchor, beta + eta, arg, _bind_prox(geom, arg, out))
+    return out
 
 
 # -- per-node oracles -------------------------------------------------------------
@@ -222,7 +318,7 @@ def sup_gap_slsqp(problem: VIProblem, z_bar, restarts: int = 8, seed=0) -> float
 
     bounds = []
     constraints = []
-    for a, b, lo, up in fset._blocks():
+    for a, b, lo, up in blocks(fset):
         if lo is not None:
             bounds.extend(zip(lo, up))
             continue

@@ -35,8 +35,8 @@ from saddleslide import (
     sup_gap_skew_linear,
 )
 
-from reference_oracles import (accelerated_projected_gradient, make_consensus_qp,
-                               sup_gap_slsqp)
+from reference_oracles import (accelerated_projected_gradient, diameter_sq,
+                               make_consensus_qp, sup_gap_slsqp)
 
 rng = np.random.default_rng(1207)
 
@@ -120,7 +120,7 @@ def test_criterion_2_delta_non_accumulation():
     spp = make_matrix_game([MATCHING_PENNIES.copy()], 1)
     fset = spp.stacked_set()
     geom = spp.stacked_geometry()
-    diam = float(np.sqrt(fset.diameter_sq()))
+    diam = float(np.sqrt(diameter_sq(fset)))
     center = fset.center()
     z0 = np.array([0.9, 0.1, 0.2, 0.8])
     omega_sq = omega_sq_bound(geom, z0)

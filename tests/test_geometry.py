@@ -18,11 +18,11 @@ from saddleslide import (
     ProductSet,
     SQUARED_EUCLIDEAN,
     Simplex,
-    bregman_divergence,
     omega_sq_bound,
-    prox_two_anchor,
 )
 from saddleslide.geometry import _project_simplex_rows
+
+from reference_oracles import blocks, bregman_divergence, prox_two_anchor
 
 rng = np.random.default_rng(1207)
 
@@ -55,7 +55,7 @@ def random_feasible(s):
     # block by block in layout order: uniform in a box, normalized uniform
     # weights on a simplex
     parts = []
-    for a, b, lo, up in s._blocks():
+    for a, b, lo, up in blocks(s):
         if lo is not None:
             parts.append(lo + rng.random(b - a) * (up - lo))
         else:
@@ -379,7 +379,7 @@ def test_omega_dominates_sampled_divergences():
 def _omega_per_block(geom, z0):
     # reference: one block at a time, each term added to a running float
     total = 0.0
-    for a, b, lo, up in geom.feasible_set._blocks():
+    for a, b, lo, up in blocks(geom.feasible_set):
         z = z0[a:b]
         if geom.dgf == NEGATIVE_ENTROPY:
             total += float(np.max(np.log(1.0 / z)))
@@ -410,7 +410,7 @@ def test_omega_equals_per_block_sum_bitwise(runs, entropy, seed):
         if entropy:
             z0 = np.maximum(z0, 1e-3)
             z0 = np.concatenate([z0[a:b] / z0[a:b].sum()
-                                 for a, b, _, _ in geom.feasible_set._blocks()])
+                                 for a, b, _, _ in blocks(geom.feasible_set)])
         assert omega_sq_bound(geom, z0) == _omega_per_block(geom, z0)
 
 
@@ -443,8 +443,8 @@ def test_products_merge_groups_of_one_kind_and_width():
                                           ("box", 10, 11, 1, 1), ("simplex", 11, 14, 3, 1)]
     np.testing.assert_array_equal(s._groups[1][5], [0.0, 1.0, -1.0, 0.0])
     np.testing.assert_array_equal(s._groups[1][6], [1.0, 2.0, 0.0, 3.0])
-    assert [b[:2] for b in s._blocks()] == [(0, 3), (3, 6), (6, 8), (8, 10), (10, 11),
-                                            (11, 14)]
+    assert [b[:2] for b in blocks(s)] == [(0, 3), (3, 6), (6, 8), (8, 10), (10, 11),
+                                          (11, 14)]
     with pytest.raises(ParameterError):
         ProductSet([])
     with pytest.raises(ParameterError):
@@ -455,7 +455,7 @@ def test_linear_min_is_the_best_vertex_of_the_product():
     s = ProductSet([Box([-1.0, 0.5], [2.0, 0.75]), Simplex(1), Simplex(2), Simplex(3),
                     Simplex(3), Simplex(4), Box([-3.0], [-1.0]), Box([0.0, 2.0], [4.0, 2.5])])
     per_block = []
-    for a, b, lo, up in s._blocks():
+    for a, b, lo, up in blocks(s):
         if lo is None:
             per_block.append(list(np.eye(b - a)))
         else:
@@ -570,7 +570,7 @@ def _sample_per_block(s, rng, n):
     # reproduce bit for bit, stream position included
     return np.hstack([rng.dirichlet(np.ones(b - a), size=n) if lo is None
                       else rng.uniform(lo, up, size=(n, b - a))
-                      for a, b, lo, up in s._blocks()])
+                      for a, b, lo, up in blocks(s)])
 
 
 def _contains_reference(s, p, tol=1e-9):

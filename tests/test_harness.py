@@ -301,7 +301,7 @@ class TestEmitOutputs:
             emit_outputs(rep, trace, tmp_path / "out")
         assert not (tmp_path / "out").exists()
 
-    def test_unwritable_directory_is_an_os_error_naming_it(self, tmp_path):
+    def test_unwritable_directory_is_an_os_error_naming_it(self, tmp_path, capsys):
         rep = run_experiment(small_config())
         blocker = tmp_path / "file"
         blocker.write_text("")
@@ -310,6 +310,17 @@ class TestEmitOutputs:
         (tmp_path / "out" / "trace.csv").mkdir(parents=True)
         with pytest.raises(OSError, match="failed writing .*trace.csv"):
             emit_outputs(rep, rep.trace, tmp_path / "out")
+        # spectrum --out writes through the same function: exit 2, path named
+        cfg = tmp_path / "cfg.yaml"
+        cfg.write_text(small_config().to_yaml())
+        spectrum = ["spectrum", "--config", str(cfg), "--out"]
+        assert cli.main(spectrum + [str(blocker / "spec")]) == 2
+        assert "cannot create output directory" in capsys.readouterr().err
+        (tmp_path / "spec" / "sqrt.csv").mkdir(parents=True)
+        assert cli.main(spectrum + [str(tmp_path / "spec")]) == 2
+        err = capsys.readouterr().err
+        assert "failed writing" in err and "sqrt.csv" in err
+        assert (tmp_path / "spec" / "laplacian.csv").exists()
 
     def test_sigma_zero_stochastic_config_reproduces_deterministic_bytes(
             self, tmp_path):

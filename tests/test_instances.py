@@ -338,9 +338,10 @@ class TestCertification:
         with pytest.raises(Exception):
             certify_inexact_oracle(lambda z: z, box, M=-1.0, delta=0.0,
                                    triples=10, seed=0)
-        with pytest.raises(Exception):
-            certify_inexact_oracle(lambda z: z, box, M=1.0, delta=0.0,
-                                   triples=0, seed=0)
+        for triples in (2.5, True, 0):
+            with pytest.raises(ParameterError, match="triples"):
+                certify_inexact_oracle(lambda z: z, box, M=1.0, delta=0.0,
+                                       triples=triples, seed=0)
 
 
 class TestSupGapOracle:
@@ -514,9 +515,10 @@ class TestStochasticOracleModels:
         with pytest.raises(ParameterError, match="dim"):
             make_stochastic_oracle(lambda z: z, "uniform", sigma, dim)
 
+    @pytest.mark.parametrize("sigma", [0.0, 0.3])
     @pytest.mark.parametrize("kind", ["uniform", "gaussian"])
-    def test_point_of_another_dimension_is_a_dimension_error(self, kind):
-        oracle = make_stochastic_oracle(lambda z: z, kind, 0.3, 3)
+    def test_point_of_another_dimension_is_a_dimension_error(self, kind, sigma):
+        oracle = make_stochastic_oracle(lambda z: z, kind, sigma, 3)
         gen = np.random.default_rng(0)
         assert oracle(np.zeros(3), gen).shape == (3,)
         # (1,) and (2, 3) would broadcast against the noise row

@@ -19,9 +19,8 @@ from saddleslide import (
     TOPOLOGY_KINDS,
     build_topology,
     consensus_violation,
-    matrix_sqrt_psd,
 )
-from saddleslide.network import MAX_NODES
+from saddleslide.network import MAX_NODES, matrix_sqrt_psd
 
 rng = np.random.default_rng(1207)
 

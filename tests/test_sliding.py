@@ -28,7 +28,6 @@ from saddleslide import (
     make_stochastic_oracle,
     mps_run,
     omega_sq_bound,
-    q_gap,
     smps_run,
     stochastic_schedule,
 )
@@ -197,34 +196,6 @@ class TestStochasticSchedule:
             stochastic_schedule(1.0, 1.0, -0.1, 1.0, 3)
         with pytest.raises(ParameterError):
             stochastic_schedule(1.0, 1.0, 0.5, 0.0, 3)
-
-
-class TestQGap:
-    def test_frozen_quadratic_value(self):
-        D = np.diag([2.0, 1.0])
-        c = np.array([1.0, -1.0])
-        prob = VIProblem(
-            set_geometry=box_geometry(2, 2.0),
-            grad_G=lambda z: D @ z + c,
-            L=2.0,
-            H=lambda z: np.zeros(2),
-            M=0.0,
-            delta=0.0,
-            value_G=lambda z: 0.5 * float(z @ D @ z) + float(c @ z),
-        )
-        val = q_gap(prob, np.array([0.5, 0.25]), np.array([0.1, 0.9]))
-        assert val == pytest.approx(0.91625, abs=1e-12)
-
-    def test_zero_at_identical_points(self):
-        prob = quadratic_problem()
-        z = np.array([0.3, -0.4])
-        assert q_gap(prob, z, z) == pytest.approx(0.0, abs=1e-15)
-
-    def test_requires_value_G(self):
-        prob = quadratic_problem()
-        prob.value_G = None
-        with pytest.raises(ConfigurationError):
-            q_gap(prob, np.zeros(2), np.zeros(2))
 
 
 class TestDeterministicRun:
@@ -507,7 +478,7 @@ def assert_same_run(got, ref):
     assert trace.gap_estimate == trace.consensus_x == trace.consensus_y == []
     for name in ("z_bar", "grad_G_args", "H_args"):
         assert _bits(getattr(rec, name)) == _bits(getattr(rec_ref, name)), name
-    assert len(rec.z_bar) == trace.N == len(trace.wall_ms)
+    assert len(rec.z_bar) == trace.N
     assert trace.z_bar_snapshots == trace.z_snapshots == trace.z_under_snapshots == []
 
 
