@@ -338,10 +338,13 @@ class TestCertification:
         with pytest.raises(Exception):
             certify_inexact_oracle(lambda z: z, box, M=-1.0, delta=0.0,
                                    triples=10, seed=0)
-        for triples in (2.5, True, 0):
-            with pytest.raises(ParameterError, match="triples"):
-                certify_inexact_oracle(lambda z: z, box, M=1.0, delta=0.0,
-                                       triples=triples, seed=0)
+
+    @pytest.mark.parametrize("triples", [2.5, True, 0])
+    def test_triples_that_is_not_a_positive_integer_is_a_parameter_error(self, triples):
+        box = Box(np.zeros(2), np.ones(2))
+        with pytest.raises(ParameterError, match="triples"):
+            certify_inexact_oracle(lambda z: z, box, M=1.0, delta=0.0,
+                                   triples=triples, seed=0)
 
 
 class TestSupGapOracle:
