@@ -59,7 +59,6 @@ from .penalty import (
     StackedSPP,
     build_penalized_vi,
     penalty_coefficients,
-    sample_operator_bound,
 )
 from .sliding import (
     RunTrace,
@@ -117,7 +116,6 @@ __all__ = [
     "random_l1_saddle",
     "random_matrix_game",
     "run_experiment",
-    "sample_operator_bound",
     "smps_run",
     "stochastic_schedule",
     "sup_gap_skew_linear",

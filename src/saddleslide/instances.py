@@ -27,9 +27,18 @@ from .errors import (
     DomainError,
     ParameterError,
 )
-from .geometry import SQUARED_EUCLIDEAN, Box, ProductSet, Simplex
-from .penalty import StackedSPP, _einsum, sample_operator_bound
+from .geometry import Box, ProductSet, Simplex
+from .penalty import StackedSPP
 from .sliding import VIProblem
+
+try:
+    # np.einsum without optimize forwards its arguments to this C function
+    # unchanged; calling it directly skips about 1 us of Python dispatch per
+    # call, which matters for H on small problems called tens of thousands
+    # of times per solve. Older numpy keeps the public function.
+    from numpy._core.multiarray import c_einsum as _einsum
+except ImportError:
+    _einsum = np.einsum
 
 MATCHING_PENNIES = np.array([[1.0, -1.0], [-1.0, 1.0]])
 
@@ -42,10 +51,15 @@ def make_matrix_game(A_list, m: int) -> StackedSPP:
     The average matrix is kept in ``meta["A_bar"]`` for the exact gap oracle.
     Subgradient and operator bounds are exact: over the simplices,
     sup ||A^T y|| is the largest row norm and sup ||A x|| the largest column
-    norm, both attained at vertices. H is stored row-sparse (see
-    ``StackedSPP``): the x rows of node i hold the columns of A_i against y_i,
-    the y rows the negated rows of A_i against x_i, so k = max(d_x, d_y)
-    entries per row.
+    norm, both attained at vertices.
+
+    H is linear and stored row-sparse, k = max(d_x, d_y) entries per row
+    (ELL form): ``vals`` and ``cols`` both have shape (dim, k), and row r of
+    H(z) is sum_j vals[r, j] * z[cols[r, j]]. The x rows of node i hold the
+    columns of A_i against y_i, the y rows the negated rows of A_i against
+    x_i, each in ascending column order, short rows padded with column 0 and
+    value 0.0. Node i's operator depends only on node i's block, so an H call
+    costs O(dim k), never O(dim^2). ``vals`` is also kept as ``linear_H``.
     """
     if m < 1 or len(A_list) != m:
         raise DimensionError(f"need exactly m = {m} payoff matrices, got {len(A_list)}")
@@ -73,15 +87,17 @@ def make_matrix_game(A_list, m: int) -> StackedSPP:
     cols[cut:, :d_x] = np.broadcast_to(d_x * nodes + np.arange(d_x),
                                        (m, d_y, d_x)).reshape(m * d_y, d_x)
 
+    def batched_H(z: np.ndarray) -> np.ndarray:
+        return _einsum("rk,...rk->...r", vals, z.take(cols, axis=-1))
+
     return StackedSPP(
         m=m,
         d_x=d_x,
         d_y=d_y,
         set_x=Simplex(d_x),
         set_y=Simplex(d_y),
-        dgf=SQUARED_EUCLIDEAN,
+        batched_H=batched_H,
         linear_H=vals,
-        linear_H_cols=cols,
         subgrad_bound_x=math.sqrt(float(maxrow_sq.sum())),
         subgrad_bound_y=math.sqrt(float(maxcol_sq.sum())),
         operator_bound=math.sqrt(float(maxrow_sq.sum() + maxcol_sq.sum())),
@@ -190,7 +206,6 @@ def make_l1_saddle(b_list, c_list, C_list, box_radius: float) -> StackedSPP:
         d_y=d_y,
         set_x=Box(-r * np.ones(d_x), r * np.ones(d_x)),
         set_y=Box(-r * np.ones(d_y), r * np.ones(d_y)),
-        dgf=SQUARED_EUCLIDEAN,
         batched_H=batched_H,
         subgrad_bound_x=math.sqrt(float(np.sum(bx ** 2))),
         subgrad_bound_y=math.sqrt(float(np.sum(by ** 2))),
@@ -267,11 +282,20 @@ def operator_bound_L0(spp: StackedSPP, samples: int, seed) -> float:
     """Uniform bound on ||H|| over the stacked feasible set.
 
     Matrix games return the analytic supremum (exact, attained at vertices);
-    other families return the sampled maximum inflated by 1.1.
+    other families return 1.1 (a safety factor) times the maximum of ||H||
+    over ``samples`` feasible stacked points drawn with ``seed``.
+    H is evaluated on all sampled points in one call (``spp.H`` acts row-wise
+    along the last axis), and the norms are taken per point.
     """
+    if samples < 1:
+        raise ParameterError("samples must be >= 1")
     if spp.meta.get("family") == "matrix_game":
         return float(spp.operator_bound)
-    return sample_operator_bound(spp, samples, seed, inflate=1.1)
+    rng = np.random.default_rng(seed)
+    Hs = spp.H(spp.stacked_set().sample(rng, samples))
+    # np.vecdot runs the ddot of np.linalg.norm on each row, so each norm is
+    # bitwise the single-vector norm
+    return 1.1 * float(np.sqrt(np.vecdot(Hs, Hs)).max())
 
 
 @dataclass(frozen=True)

@@ -69,14 +69,23 @@ class NetworkModel:
     lambda_max: float
     lambda_min_plus: Optional[float]
     chi: Optional[float]
-    _edge_i: np.ndarray = field(repr=False, default=None)
-    _edge_j: np.ndarray = field(repr=False, default=None)
-    _edge_w: np.ndarray = field(repr=False, default=None)
-    _degree: np.ndarray = field(repr=False, default=None)
+    # the edges (see ``edges``), their weights -W_tilde[i, j] and the degrees
+    # diag(W_tilde), derived from W_tilde on construction
+    _edge_i: np.ndarray = field(init=False, repr=False)
+    _edge_j: np.ndarray = field(init=False, repr=False)
+    _edge_w: np.ndarray = field(init=False, repr=False)
+    _degree: np.ndarray = field(init=False, repr=False)
     # block width -> (flat destination indices, flat source indices, weights)
     # of the per-edge exchanges, built by the first block_product of that width
     _flat_exchanges: dict = field(init=False, repr=False, compare=False,
                                   default_factory=dict)
+
+    def __post_init__(self):
+        Wt = np.asarray(self.W_tilde, dtype=float)
+        scale = max(1.0, float(np.max(np.abs(Wt))))
+        self._edge_i, self._edge_j = np.nonzero(np.abs(np.triu(Wt, 1)) > 1e-12 * scale)
+        self._edge_w = -Wt[self._edge_i, self._edge_j]
+        self._degree = np.diag(Wt).copy()
 
     @staticmethod
     def from_matrix(W_tilde: np.ndarray) -> "NetworkModel":
@@ -110,10 +119,8 @@ class NetworkModel:
         lam_min_plus = float(positive.min()) if positive.size else None
         chi = lam_max / lam_min_plus if lam_min_plus else None
         W = matrix_sqrt_psd(Wt, tol=1e-9 * scale) if lam_max > 0 else np.zeros_like(Wt)
-        ei, ej = np.nonzero(np.abs(np.triu(Wt, 1)) > 1e-12 * scale)
         return NetworkModel(m=m, W_tilde=Wt, W=W, lambda_max=lam_max,
-                            lambda_min_plus=lam_min_plus, chi=chi, _edge_i=ei,
-                            _edge_j=ej, _edge_w=-Wt[ei, ej], _degree=np.diag(Wt).copy())
+                            lambda_min_plus=lam_min_plus, chi=chi)
 
     @property
     def edges(self) -> list:

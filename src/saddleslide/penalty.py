@@ -32,15 +32,6 @@ from .geometry import SQUARED_EUCLIDEAN, GeometrySpec, ProductSet
 from .network import NetworkModel
 from .sliding import VIProblem
 
-try:
-    # np.einsum without optimize forwards its arguments to this C function
-    # unchanged; calling it directly skips about 1 us of Python dispatch per
-    # call, which matters for H on small problems called tens of thousands
-    # of times per solve. Older numpy keeps the public function.
-    from numpy._core.multiarray import c_einsum as _einsum
-except ImportError:
-    _einsum = np.einsum
-
 
 @dataclass
 class StackedSPP:
@@ -51,18 +42,14 @@ class StackedSPP:
     lists all x blocks, then all y blocks, so dim = m (d_x + d_y). The
     problem is seen only through its stacked monotone operator
     H(z) = (subgrad_x f_i(x_i, y_i); subgrad_y(-f_i)(x_i, y_i))_i, which
-    :meth:`H` evaluates through ``batched_H`` or ``linear_H`` (exactly one
-    is set). ``batched_H`` maps stacked points z of shape (..., dim) to
-    H(z) of the same shape, each row on its own.
+    :meth:`H` evaluates through ``batched_H``: it maps stacked points z of
+    shape (..., dim) to H(z) of the same shape, each row on its own. How H
+    is stored is the instance family's business (see ``instances``).
 
-    ``linear_H`` / ``linear_H_cols`` store a linear H (bilinear saddles)
-    row-sparse, k entries per row (ELL form): both have shape (dim, k), and
-    row r of H(z) is sum_j linear_H[r, j] * z[linear_H_cols[r, j]]. Each
-    row lists its entries in ascending column order, short rows padded with
-    column 0 and value 0.0. Node i's operator depends only on node i's
-    block, so k is a per-node size and an H call costs O(dim k), never
-    O(dim^2). The benchmark in ``perfbench/`` reports ``linear_H.nbytes``
-    (the value array only) as ``penalty.linear_H_bytes``.
+    ``linear_H`` is not read here: the matrix-game factory stores its
+    row-sparse operator values in it, because the benchmark in
+    ``perfbench/`` reports ``linear_H.nbytes`` as ``penalty.linear_H_bytes``.
+    Other families leave it None.
 
     ``subgrad_bound_x`` / ``subgrad_bound_y`` bound the stacked x and y
     subgradient norms over the feasible set, and ``operator_bound`` bounds
@@ -77,10 +64,8 @@ class StackedSPP:
     subgrad_bound_x: float
     subgrad_bound_y: float
     operator_bound: float
-    batched_H: Optional[Callable[[np.ndarray], np.ndarray]] = None
-    dgf: str = SQUARED_EUCLIDEAN
+    batched_H: Callable[[np.ndarray], np.ndarray]
     linear_H: Optional[np.ndarray] = None
-    linear_H_cols: Optional[np.ndarray] = None
     meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
@@ -88,17 +73,8 @@ class StackedSPP:
             raise ParameterError("StackedSPP needs m >= 1 nodes")
         if self.set_x.dim != self.d_x or self.set_y.dim != self.d_y:
             raise DimensionError("per-node set dimensions must match d_x / d_y")
-        if (self.batched_H is None) == (self.linear_H is None):
-            raise ParameterError("StackedSPP needs exactly one of batched_H "
-                                 "and linear_H")
-        if self.linear_H is not None:
-            vals, cols = self.linear_H, self.linear_H_cols
-            if vals.ndim != 2 or vals.shape[0] != self.dim:
-                raise DimensionError("linear_H must have shape (dim, k)")
-            if cols is None or cols.shape != vals.shape:
-                raise DimensionError("linear_H_cols must have the shape of linear_H")
-            if not (0 <= cols.min() and cols.max() < self.dim):
-                raise DimensionError("linear_H_cols must index into [0, dim)")
+        if not callable(self.batched_H):
+            raise ParameterError("StackedSPP needs a callable batched_H")
 
     @property
     def dim(self) -> int:
@@ -120,16 +96,13 @@ class StackedSPP:
         of ``z``. Rows of a batch are evaluated independently, and each row
         is bitwise equal to the single-point call on it.
         """
-        if self.linear_H is not None:
-            return _einsum("rk,...rk->...r", self.linear_H,
-                           z.take(self.linear_H_cols, axis=-1))
         return self.batched_H(z)
 
     def stacked_set(self) -> ProductSet:
         return ProductSet([self.set_x] * self.m + [self.set_y] * self.m)
 
     def stacked_geometry(self) -> GeometrySpec:
-        return GeometrySpec(dgf=self.dgf, feasible_set=self.stacked_set())
+        return GeometrySpec(dgf=SQUARED_EUCLIDEAN, feasible_set=self.stacked_set())
 
     def center(self) -> np.ndarray:
         """Canonical start: per-block set centers, stacked."""
@@ -177,24 +150,6 @@ def penalty_coefficients(spp: StackedSPP, net: NetworkModel, epsilon: float,
         R_alpha_sq=bound_x ** 2 / net.lambda_min_plus,
         R_beta_sq=bound_y ** 2 / net.lambda_min_plus,
         epsilon=float(epsilon))
-
-
-def sample_operator_bound(spp: StackedSPP, samples: int, seed,
-                          inflate: float = 1.1) -> float:
-    """Empirical uniform bound on ||H||: max over sampled feasible stacked
-    points, inflated by a safety factor.
-
-    H is evaluated on all sampled points in one call (``spp.H`` acts row-wise
-    along the last axis), and the norms are taken per point.
-    """
-    if samples < 1:
-        raise ParameterError("samples must be >= 1")
-    rng = np.random.default_rng(seed)
-    Hs = spp.H(spp.stacked_set().sample(rng, samples))
-    # np.vecdot runs the ddot of np.linalg.norm on each row, so each norm is
-    # bitwise the single-vector norm
-    worst = float(np.sqrt(np.vecdot(Hs, Hs)).max())
-    return inflate * worst
 
 
 def build_penalized_vi(spp: StackedSPP, net: NetworkModel,

@@ -106,6 +106,10 @@ def test_benchmark_reads_snapshot_lists_and_linear_H():
     for name in ("z_bar_snapshots", "z_snapshots", "z_under_snapshots"):
         assert getattr(trace, name) == []
     assert "linear_H" in {f.name for f in dataclasses.fields(StackedSPP)}
+    # a factory that stopped filling linear_H would read 0 bytes silently
+    game = random_matrix_game(3, 3, 2, seed=0)
+    assert game.linear_H.shape == (game.dim, 3)
+    assert random_l1_saddle(3, 2, 2, seed=0).linear_H is None
 
 
 @pytest.mark.parametrize("case", ["l1-deterministic", "game-deterministic",

@@ -29,7 +29,6 @@ from saddleslide import (
     operator_bound_L0,
     random_l1_saddle,
     random_matrix_game,
-    sample_operator_bound,
     sup_gap_skew_linear,
 )
 from saddleslide import instances
@@ -153,8 +152,15 @@ class TestMatrixGames:
 
     def test_sampled_bound_below_analytic(self):
         spp = random_matrix_game(2, 3, 3, seed=4)
-        sampled = sample_operator_bound(spp, 500, seed=2, inflate=1.0)
-        assert sampled <= spp.operator_bound + 1e-12
+        Hs = spp.H(spp.stacked_set().sample(np.random.default_rng(2), 500))
+        sampled = float(np.linalg.norm(Hs, axis=1).max())
+        assert sampled <= operator_bound_L0(spp, samples=10, seed=0) + 1e-12
+
+    @pytest.mark.parametrize("samples", [0, -1])
+    def test_no_samples_rejected(self, samples):
+        for spp in (random_l1_saddle(2, 2, 2, seed=0), random_matrix_game(2, 2, 2, seed=0)):
+            with pytest.raises(ParameterError, match="samples"):
+                operator_bound_L0(spp, samples, seed=0)
 
 
 @pytest.mark.parametrize("m, d_x, d_y", [(1, 1, 1), (3, 2, 4), (4, 3, 3), (7, 5, 2)])
@@ -508,7 +514,7 @@ class TestStochasticOracleModels:
         ("foo", 0.0, ConfigurationError), ("foo", 0.3, ConfigurationError),
         ("uniform", np.nan, ParameterError), ("gaussian", np.inf, ParameterError),
         ("uniform", -0.1, ParameterError)])
-    def test_arguments_are_checked_before_the_zero_sigma_shortcut(self, kind, sigma, error):
+    def test_bad_kind_or_sigma_is_rejected(self, kind, sigma, error):
         with pytest.raises(error):
             make_stochastic_oracle(lambda z: z, kind, sigma, 3)
 

@@ -156,6 +156,17 @@ class TestCommunication:
         with pytest.raises(DimensionError):
             net.block_product(np.ones(shape))
 
+    @pytest.mark.parametrize("kind,m", [("ring", 5), ("erdos_renyi", 9)])
+    def test_model_built_from_its_public_fields_gossips_as_from_matrix(self, kind, m):
+        net = topology(kind, m)
+        direct = NetworkModel(m=net.m, W_tilde=net.W_tilde, W=net.W,
+                              lambda_max=net.lambda_max,
+                              lambda_min_plus=net.lambda_min_plus, chi=net.chi)
+        assert direct.edges == net.edges
+        for width in (1, 3):
+            V = rng.normal(size=(m, width))
+            assert_same_bits(direct.block_product(V), net.block_product(V))
+
     def test_consensus_vector_is_annihilated(self):
         net = build_topology("complete", 5)
         V = np.tile(rng.normal(size=3), (5, 1))

@@ -26,10 +26,10 @@ from saddleslide import (
     make_l1_saddle,
     make_matrix_game,
     mps_run,
+    operator_bound_L0,
     penalty_coefficients,
     random_l1_saddle,
     random_matrix_game,
-    sample_operator_bound,
 )
 
 from reference_oracles import BilinearNode, L1Node
@@ -202,7 +202,6 @@ class TestStackedSPP:
            seed=st.integers(0, 2 ** 16))
     def test_linear_H_fast_path_matches_per_node_oracles(self, m, d_x, d_y, seed):
         for spp in (pennies_stack(m), random_matrix_game(m, d_x, d_y, seed=seed)):
-            assert spp.linear_H is not None and spp.batched_H is None
             A = spp.meta["A"]
             for z in spp.stacked_set().sample(np.random.default_rng(seed), 5):
                 X, Y = spp.split(z)
@@ -211,49 +210,28 @@ class TestStackedSPP:
                 assert np.allclose(spp.H(z), ref, rtol=0.0, atol=1e-12)
 
     def test_game_operator_is_row_sparse(self):
-        # k = max(d_x, d_y) entries per row: a dim x dim operator cannot
+        # k = max(d_x, d_y) entries per row: every array the game's operator
+        # closes over has shape (dim, k), so a dim x dim operator cannot
         # come back unnoticed
         for m, d_x, d_y in ((1, 2, 2), (3, 1, 4), (64, 3, 2)):
             spp = random_matrix_game(m, d_x, d_y, seed=m)
-            assert spp.linear_H.shape == (spp.dim, max(d_x, d_y))
-            assert spp.linear_H_cols.shape == (spp.dim, max(d_x, d_y))
-            assert spp.linear_H_cols.dtype == np.intp
+            arrays = [cell.cell_contents for cell in spp.batched_H.__closure__
+                      if isinstance(cell.cell_contents, np.ndarray)]
+            assert arrays
+            assert all(a.shape == (spp.dim, max(d_x, d_y)) for a in arrays)
 
     def test_no_nodes_rejected(self):
         with pytest.raises(ParameterError):
             replace(pennies_stack(2), m=0)
 
-    def test_neither_H_path_rejected(self):
-        with pytest.raises(ParameterError):
-            replace(random_l1_saddle(2, 2, 2, seed=0), batched_H=None)
-
-    def test_both_H_paths_rejected(self):
-        l1 = random_l1_saddle(2, 2, 2, seed=0)
-        with pytest.raises(ParameterError):
-            replace(pennies_stack(2), batched_H=l1.batched_H)
-
-    def test_linear_H_without_dim_rows_rejected(self):
+    @pytest.mark.parametrize("bad", [None, "row-sparse values", "dense matrix"])
+    def test_operator_that_is_not_callable_rejected(self, bad):
         game = pennies_stack(2)
-        with pytest.raises(DimensionError):
-            replace(game, linear_H=game.linear_H[:-1],
-                    linear_H_cols=game.linear_H_cols[:-1])
-
-    def test_linear_H_without_columns_rejected(self):
-        with pytest.raises(DimensionError):
-            replace(pennies_stack(2), linear_H_cols=None)
-
-    def test_linear_H_columns_of_another_shape_rejected(self):
-        game = pennies_stack(2)
-        with pytest.raises(DimensionError):
-            replace(game, linear_H_cols=game.linear_H_cols[:, :1])
-
-    @pytest.mark.parametrize("bad", [-1, 8])
-    def test_linear_H_columns_outside_dim_rejected(self, bad):
-        game = pennies_stack(2)
-        cols = game.linear_H_cols.copy()
-        cols[3, 1] = bad
-        with pytest.raises(DimensionError):
-            replace(game, linear_H_cols=cols)
+        bad = {"row-sparse values": game.linear_H,
+               "dense matrix": np.zeros((game.dim, game.dim))}.get(bad)
+        for spp in (random_l1_saddle(2, 2, 2, seed=0), game):
+            with pytest.raises(ParameterError, match="batched_H"):
+                replace(spp, batched_H=bad)
 
     def test_center_is_feasible_consensus(self):
         spp = pennies_stack(3)
@@ -262,13 +240,11 @@ class TestStackedSPP:
         X, Y = spp.split(z)
         assert np.max(np.abs(X - X[0])) == 0.0
 
-    def test_sample_operator_bound_dominates_samples(self):
-        spp = pennies_stack(2)
-        bound = sample_operator_bound(spp, 200, seed=5, inflate=1.0)
+    def test_sampled_operator_bound_is_the_inflated_sample_max(self):
+        spp = random_l1_saddle(2, 2, 3, seed=5)
         pts = spp.stacked_set().sample(np.random.default_rng(5), 200)
         worst = max(float(np.linalg.norm(spp.H(p))) for p in pts)
-        assert bound == pytest.approx(worst)
-        assert sample_operator_bound(spp, 200, seed=5) == pytest.approx(1.1 * worst)
+        assert operator_bound_L0(spp, 200, seed=5) == pytest.approx(1.1 * worst)
 
 
 # Leading shapes of a batch of points: one point, a row of points, a grid.
@@ -354,7 +330,6 @@ class TestRowWiseH:
            seed=st.integers(0, 2 ** 16))
     def test_matrix_game_H_matches_dense_operator(self, m, d_x, d_y, lead, seed):
         for spp in (pennies_stack(m), random_matrix_game(m, d_x, d_y, seed=seed)):
-            assert spp.linear_H is not None and spp.batched_H is None
             Z = batch_of_points(spp, lead, seed + 1)
             ref = Z @ dense_game_operator(spp.meta["A"]).T
             assert np.allclose(spp.H(Z), ref, rtol=0.0, atol=1e-12)
@@ -373,14 +348,13 @@ class TestRowWiseH:
 
     @settings(max_examples=30, deadline=None)
     @given(m=dims, d_x=dims, d_y=dims, samples=st.integers(1, 300),
-           seed=st.integers(0, 2 ** 16),
-           inflate=st.sampled_from([1.0, 1.1, 1.7]))
-    def test_sample_operator_bound_equals_row_by_row_max_bitwise(
-            self, m, d_x, d_y, samples, seed, inflate):
+           seed=st.integers(0, 2 ** 16))
+    def test_sampled_operator_bound_equals_row_by_row_max_bitwise(
+            self, m, d_x, d_y, samples, seed):
         spp = random_l1_saddle(m, d_x, d_y, seed=seed)
         pts = spp.stacked_set().sample(np.random.default_rng(seed), samples)
         worst = max(float(np.linalg.norm(spp.H(row))) for row in pts)
-        assert sample_operator_bound(spp, samples, seed, inflate) == inflate * worst
+        assert operator_bound_L0(spp, samples, seed) == 1.1 * worst
 
 
 class TestRowWiseOracles:
