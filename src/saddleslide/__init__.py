@@ -29,6 +29,7 @@ from .geometry import (
 from .harness import (
     RunConfig,
     RunReport,
+    RunTrace,
     build_pipeline,
     emit_outputs,
     make_stochastic_oracle,
@@ -61,7 +62,6 @@ from .penalty import (
     penalty_coefficients,
 )
 from .sliding import (
-    RunTrace,
     SlidingSchedule,
     VIProblem,
     deterministic_schedule,

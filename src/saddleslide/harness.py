@@ -27,7 +27,7 @@ from __future__ import annotations
 import math
 import os
 import time
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, field, fields, replace
 from typing import Callable, Optional
 
 import numpy as np
@@ -48,7 +48,6 @@ from .network import (CONSENSUS_CHUNK, MAX_NODES, TOPOLOGY_KINDS, NetworkModel,
                       build_topology, consensus_violation)
 from .penalty import PenaltyCoefficients, StackedSPP, build_penalized_vi, penalty_coefficients
 from .sliding import (
-    RunTrace,
     deterministic_T_raw,
     deterministic_schedule,
     mps_run,
@@ -113,7 +112,7 @@ class RunConfig:
     network_kind: str = "single"
     m: int = 1
     network_p: Optional[float] = None
-    network_seed: Optional[int] = None
+    network_seed: int = 0
     epsilon: float = 0.05
     mode: str = "deterministic"
     sigma: float = 0.0
@@ -152,9 +151,8 @@ class RunConfig:
             raise bad("network_kind", f"must be one of {TOPOLOGY_KINDS} when m >= 2")
         if not (self.network_p is None or _is_real(self.network_p)):
             raise bad("network_p", "must be a real or null")
-        if not (self.network_seed is None
-                or (_is_int(self.network_seed) and self.network_seed >= 0)):
-            raise bad("network_seed", "must be an integer >= 0 or null")
+        if not (_is_int(self.network_seed) and self.network_seed >= 0):
+            raise bad("network_seed", "must be an integer >= 0")
         if not (_is_real(self.epsilon) and self.epsilon > 0):
             raise bad("epsilon", "must be a positive real")
         if self.mode not in ("deterministic", "stochastic"):
@@ -228,14 +226,38 @@ class RunConfig:
 
 
 @dataclass
+class RunTrace:
+    """The columns of one run, one entry per outer iteration k = 1..N: T_k,
+    which fixes the cost columns (k grad_G calls and 2 (T_1 + ... + T_k) H
+    calls by iteration k), and the gap and consensus columns that
+    ``run_experiment`` streams from the solver's observer. The snapshot lists
+    stay empty, since no run keeps iterates; only the benchmark in
+    ``perfbench/`` reads them, summing their ``nbytes``."""
+
+    inner_steps: list
+    gap_estimate: list
+    consensus_x: list
+    consensus_y: list
+    z_bar_snapshots: list = field(default_factory=list)
+    z_snapshots: list = field(default_factory=list)
+    z_under_snapshots: list = field(default_factory=list)
+
+    @property
+    def N(self) -> int:
+        return len(self.inner_steps)
+
+
+@dataclass
 class RunReport:
     """Measured outcomes of one run next to the instantiated theorem bounds.
 
     ``mode`` is the effective mode: stochastic configs with sigma = 0 run the
-    deterministic pipeline and report as such. ``H_calls_per_node`` equals the
-    stacked oracle call count (the algorithm is synchronous, every node
-    evaluates its local block on every call). ``summary_lines`` writes the
-    fields before ``wall_time_s`` in declaration order.
+    deterministic pipeline and report as such. The call counts follow from
+    the schedule (see :func:`mps_run`): ``grad_G_calls`` is N, and
+    ``H_calls_per_node`` is 2 (T_1 + ... + T_N), the stacked oracle call
+    count (the algorithm is synchronous, every node evaluates its local block
+    on every call). ``summary_lines`` writes the fields before
+    ``wall_time_s`` in declaration order.
     """
 
     family: str
@@ -449,13 +471,13 @@ def run_experiment(config: RunConfig) -> RunReport:
         schedule = stochastic_schedule(vi.L, vi.M, config.sigma, omega_sq, N)
         noisy = make_stochastic_oracle(vi.H, config.noise_kind, config.sigma, dim)
         problem = replace(vi, H_stochastic=noisy)
-        _, trace = smps_run(problem, schedule, z0, seed=config.seed, observer=observe)
+        smps_run(problem, schedule, z0, seed=config.seed, observer=observe)
     else:
         schedule = deterministic_schedule(vi.L, vi.M, N)
-        _, trace = mps_run(vi, schedule, z0, observer=observe)
+        mps_run(vi, schedule, z0, observer=observe)
     if N % len(block):
         columns(block[:N % len(block)])
-    trace.gap_estimate, trace.consensus_x, trace.consensus_y = gaps, cons_x, cons_y
+    trace = RunTrace(schedule.T.tolist(), gaps, cons_x, cons_y)
 
     if stochastic:
         raw_T = stochastic_T_raw(vi.L, vi.M, config.sigma, omega_sq, N)
@@ -486,9 +508,9 @@ def run_experiment(config: RunConfig) -> RunReport:
         final_gap=gaps[-1],
         consensus_x=cons_x[-1],
         consensus_y=cons_y[-1],
-        communication_rounds=trace.communication_rounds,
-        grad_G_calls=trace.total_grad_G,
-        H_calls_per_node=trace.total_H,
+        communication_rounds=N * vi.rounds_per_grad_G,
+        grad_G_calls=N,
+        H_calls_per_node=2 * sum(trace.inner_steps),
         predicted_gap_bound=predicted_gap,
         predicted_rounds=N * vi.rounds_per_grad_G,
         predicted_H_calls=predicted_H,
@@ -508,17 +530,20 @@ def emit_outputs(report: RunReport, trace: RunTrace, out_dir) -> list:
     trace.csv ends its lines with CRLF, as the csv module's default dialect
     does; the other two end theirs with LF. Floats are written as their
     repr, and the wall-clock column, which the solver does not measure,
-    as 0.0, so identical configs yield identical bytes. The trace needs its
-    metric columns, one value per k, as ``run_experiment`` fills them;
-    columns of unequal length raise ValueError. Returns the written paths.
+    as 0.0, so identical configs yield identical bytes. The grad_G_calls
+    and H_calls columns are the cumulative counts k and 2 (T_1 + ... + T_k).
+    Columns of unequal length raise ValueError before any file is written.
+    Returns the written paths.
     """
     rows = ["k,inner_steps,grad_G_calls,H_calls,gap_estimate,consensus_x,consensus_y,wall_ms"]
     plot = ["k,gap,consensus_x,consensus_y"]
-    for k, (steps, n_grad, n_h, gap, cx, cy) in enumerate(zip(
-            trace.inner_steps, trace.grad_G_calls, trace.H_calls,
-            trace.gap_estimate, trace.consensus_x, trace.consensus_y, strict=True), start=1):
+    n_h = 0
+    for k, (steps, gap, cx, cy) in enumerate(zip(
+            trace.inner_steps, trace.gap_estimate, trace.consensus_x, trace.consensus_y,
+            strict=True), start=1):
+        n_h += 2 * steps
         metrics = f"{float(gap)!r},{float(cx)!r},{float(cy)!r}"
-        rows.append(f"{k},{steps},{n_grad},{n_h},{metrics},0.0")
+        rows.append(f"{k},{steps},{k},{n_h},{metrics},0.0")
         plot.append(f"{k},{metrics}")
     return write_files(out_dir, {"trace.csv": "\r\n".join(rows) + "\r\n",
                                  "summary.txt": "\n".join(report.summary_lines()) + "\n",

@@ -248,9 +248,9 @@ def consensus_violation(net: NetworkModel, stacked):
     network, where the result is 0.0.
     """
     v = np.asarray(stacked, dtype=float)
-    if v.ndim == 0 or v.shape[-1] % net.m != 0:
-        raise DimensionError(f"stacked points of shape {v.shape} need a last axis "
-                             f"that is a multiple of m = {net.m}")
+    if v.ndim == 0 or v.shape[-1] == 0 or v.shape[-1] % net.m != 0:
+        raise DimensionError(f"stacked points of shape {v.shape} need a nonempty last "
+                             f"axis that is a multiple of m = {net.m}")
     lead, w = v.shape[:-1], v.shape[-1] // net.m
     V = v.reshape(-1, net.m, w)
     out = np.empty(len(V))

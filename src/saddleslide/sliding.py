@@ -14,7 +14,7 @@ O(L Omega^2 / N^2 + delta) guarantee, with delta entering additively
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -34,8 +34,8 @@ class VIProblem:
     inequality. ``H_stochastic(z, rng)``, when set, is an unbiased noisy
     version of ``H`` for :func:`smps_run`; its variance bound sigma^2 enters
     only through the schedule (:func:`stochastic_schedule`).
-    ``rounds_per_grad_G`` tells the solver how many communication rounds one
-    grad_G evaluation costs (0 for centralized problems). ``H`` and
+    ``rounds_per_grad_G`` is the number of communication rounds one grad_G
+    evaluation costs (0 for centralized problems). ``H`` and
     ``H_stochastic`` are handed the solver's work buffers, which later inner
     steps overwrite: they must copy an argument they keep, and must not write
     into it.
@@ -121,6 +121,14 @@ def _check_LMN(L: float, M: float, N: int) -> None:
         raise ParameterError("schedule needs integer N >= 1")
 
 
+def _square(x: float) -> float:
+    """x ** 2, or inf where Python's float power would raise OverflowError."""
+    try:
+        return x ** 2
+    except OverflowError:
+        return math.inf
+
+
 def deterministic_T_raw(L: float, M: float, N: int) -> np.ndarray:
     """k M / L for k = 1..N: the deterministic T_k before rounding up."""
     ks = np.arange(1, N + 1, dtype=float)
@@ -132,7 +140,23 @@ def stochastic_T_raw(L: float, M: float, sigma: float, omega_sq: float,
     """sqrt(3) k M / L + N k^2 sigma^2 / (omega_sq L^2) for k = 1..N: the
     stochastic T_k before rounding up."""
     ks = np.arange(1, N + 1, dtype=float)
-    return math.sqrt(3.0) * ks * M / L + N * ks ** 2 * sigma ** 2 / (omega_sq * L ** 2)
+    return (math.sqrt(3.0) * ks * M / L
+            + N * ks ** 2 * _square(sigma) / (omega_sq * _square(L)))
+
+
+def _schedule(L: float, M: float, T_raw, *args) -> SlidingSchedule:
+    """The schedule whose T_k are ``T_raw(L, M, *args)`` rounded up and
+    floored at 1. A raw length that is not finite or reaches 2**62, past
+    which the int64 cast would wrap, raises ParameterError."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        raw = T_raw(L, M, *args)
+        if not np.all(raw < 2.0 ** 62):  # also rejects nan
+            raise ParameterError("T_k must be finite and below 2**62; the raw inner-loop "
+                                 f"lengths reach {float(np.max(raw))!r}")
+    sched = SlidingSchedule(L=float(L), M=float(M),
+                            T=np.maximum(1, np.ceil(raw)).astype(np.int64))
+    sched.validate()
+    return sched
 
 
 def deterministic_schedule(L: float, M: float, N: int) -> SlidingSchedule:
@@ -143,10 +167,7 @@ def deterministic_schedule(L: float, M: float, N: int) -> SlidingSchedule:
     H-oracle satisfies the (M, delta) inequality.
     """
     _check_LMN(L, M, N)
-    T = np.maximum(1, np.ceil(deterministic_T_raw(L, M, N))).astype(np.int64)
-    sched = SlidingSchedule(L=float(L), M=float(M), T=T)
-    sched.validate()
-    return sched
+    return _schedule(L, M, deterministic_T_raw, N)
 
 
 def stochastic_schedule(L: float, M: float, sigma: float, omega_sq: float,
@@ -159,50 +180,7 @@ def stochastic_schedule(L: float, M: float, sigma: float, omega_sq: float,
         raise ParameterError("schedule needs sigma >= 0")
     if not (np.isfinite(omega_sq) and omega_sq > 0):
         raise ParameterError("schedule needs omega_sq > 0")
-    raw = stochastic_T_raw(L, M, sigma, omega_sq, N)
-    T = np.maximum(1, np.ceil(raw)).astype(np.int64)
-    sched = SlidingSchedule(L=float(L), M=float(M), T=T)
-    sched.validate()
-    return sched
-
-
-@dataclass
-class RunTrace:
-    """Per-outer-iteration telemetry for one solver run.
-
-    ``grad_G_calls`` / ``H_calls`` rows are cumulative counts after outer
-    iteration k. The solver leaves ``gap_estimate`` / ``consensus_x`` /
-    ``consensus_y`` empty, since it knows neither the instance-level gap
-    oracle nor the network; ``run_experiment`` assigns them, one value per k,
-    from the iterates its observer streams (see :func:`mps_run`).
-
-    The solver keeps no iterates. ``z_bar_snapshots``, ``z_snapshots`` and
-    ``z_under_snapshots`` stay empty; only the benchmark in ``perfbench/``
-    reads them, summing their ``nbytes`` as its retained-bytes metric.
-    """
-
-    inner_steps: list = field(default_factory=list)
-    grad_G_calls: list = field(default_factory=list)
-    H_calls: list = field(default_factory=list)
-    gap_estimate: list = field(default_factory=list)
-    consensus_x: list = field(default_factory=list)
-    consensus_y: list = field(default_factory=list)
-    communication_rounds: int = 0
-    z_bar_snapshots: list = field(default_factory=list)
-    z_snapshots: list = field(default_factory=list)
-    z_under_snapshots: list = field(default_factory=list)
-
-    @property
-    def N(self) -> int:
-        return len(self.inner_steps)
-
-    @property
-    def total_grad_G(self) -> int:
-        return self.grad_G_calls[-1] if self.grad_G_calls else 0
-
-    @property
-    def total_H(self) -> int:
-        return self.H_calls[-1] if self.H_calls else 0
+    return _schedule(L, M, stochastic_T_raw, sigma, omega_sq, N)
 
 
 def _check_run_inputs(problem: VIProblem, schedule: SlidingSchedule,
@@ -223,10 +201,9 @@ def _check_run_inputs(problem: VIProblem, schedule: SlidingSchedule,
 def _sliding_loop(problem: VIProblem, schedule: SlidingSchedule, z0: np.ndarray,
                   h_oracle: Callable[[np.ndarray], np.ndarray],
                   observer: Optional[Callable[[int, np.ndarray], None]]
-                  ) -> tuple[np.ndarray, RunTrace]:
+                  ) -> np.ndarray:
     geom = problem.set_geometry
     fset = geom.feasible_set
-    trace = RunTrace()
     # One workspace per solve. The inner loop writes z_tilde_k^t into z_tilde
     # and z_k^t into the other buffer of the rotating pair (cur, nxt), each
     # through a prox map bound to that buffer once here; ``anchor`` holds the
@@ -243,8 +220,6 @@ def _sliding_loop(problem: VIProblem, schedule: SlidingSchedule, z0: np.ndarray,
     np.copyto(z_a, z0)
     z_bar = z0.copy()
     z_prev = z_a
-    n_grad = 0
-    n_h = 0
     L = schedule.L
     for k, tk in enumerate(schedule.T.tolist(), start=1):
         # the closed forms of SlidingSchedule
@@ -253,8 +228,6 @@ def _sliding_loop(problem: VIProblem, schedule: SlidingSchedule, z0: np.ndarray,
         e1 = L * tk / k  # eta_k^1
         z_under = (1.0 - gk) * z_bar + gk * z_prev
         g_cached = problem.grad_G(z_under)  # constant across the inner loop
-        n_grad += 1
-        trace.communication_rounds += problem.rounds_per_grad_G
         outer = _outer_term(geom, z_prev, bk)  # z_prev anchors every inner prox
         z_tilde_sum.fill(0.0)
         for t in range(1, tk + 1):
@@ -267,7 +240,6 @@ def _sliding_loop(problem: VIProblem, schedule: SlidingSchedule, z0: np.ndarray,
             _prox_kernel(gh, anchor, w, arg, into_tilde)
             np.add(g_cached, h_oracle(z_tilde), gh)
             _prox_kernel(gh, anchor, w, arg, nxt[1])
-            n_h += 2
             z_tilde_sum += z_tilde
             cur, nxt = nxt, cur
         z_bar = (1.0 - gk) * z_bar + gk * (z_tilde_sum / tk)
@@ -280,17 +252,14 @@ def _sliding_loop(problem: VIProblem, schedule: SlidingSchedule, z0: np.ndarray,
             raise DomainError(f"non-finite iterate produced at outer iteration {k}") from None
         if not inside:
             raise DomainError(f"iterate left the feasible set at outer iteration {k}")
-        trace.inner_steps.append(tk)
-        trace.grad_G_calls.append(n_grad)
-        trace.H_calls.append(n_h)
         if observer is not None:
             observer(k, z_bar)
-    return z_bar, trace
+    return z_bar
 
 
 def mps_run(problem: VIProblem, schedule: SlidingSchedule, z0,
             observer: Optional[Callable[[int, np.ndarray], None]] = None
-            ) -> tuple[np.ndarray, RunTrace]:
+            ) -> np.ndarray:
     """Run the deterministic mirror-prox sliding method.
 
     Parameters
@@ -310,8 +279,10 @@ def mps_run(problem: VIProblem, schedule: SlidingSchedule, z0,
 
     Returns
     -------
-    (z_bar_N, RunTrace)
-        The ergodic output point and per-iteration telemetry.
+    z_bar_N : np.ndarray
+        The ergodic output point. The schedule fixes the run's cost: N
+        grad_G calls, each costing ``problem.rounds_per_grad_G``
+        communication rounds, and 2 T_k H calls in outer iteration k.
     """
     schedule.validate()
     v0 = _check_run_inputs(problem, schedule, z0)
@@ -320,7 +291,7 @@ def mps_run(problem: VIProblem, schedule: SlidingSchedule, z0,
 
 def smps_run(problem: VIProblem, schedule: SlidingSchedule, z0, seed: int,
              observer: Optional[Callable[[int, np.ndarray], None]] = None
-             ) -> tuple[np.ndarray, RunTrace]:
+             ) -> np.ndarray:
     """Run the stochastic variant: identical control flow to :func:`mps_run`
     with the two inner prox calls fed fresh independent samples
     H(z_k^{t-1}; zeta) and H(z_tilde_k^t; zeta'). Fully reproducible per seed.

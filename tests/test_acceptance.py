@@ -64,7 +64,7 @@ def criterion_1_runs():
         omega_sq = omega_sq_bound(vi.set_geometry, z0)
         for N in (8, 16, 32, 64):
             sched = deterministic_schedule(vi.L, vi.M, N)
-            final, _ = mps_run(vi, sched, z0)
+            final = mps_run(vi, sched, z0)
             yield m, N, vi, final, omega_sq
 
 
@@ -142,7 +142,7 @@ def test_criterion_2_delta_non_accumulation():
                            L=2.0, H=biased, M=2.0, delta=delta,
                            value_G=lambda z: 0.0)
         sched = deterministic_schedule(2.0, 2.0, N)
-        final, _ = mps_run(vi_run, sched, z0)
+        final = mps_run(vi_run, sched, z0)
         vi_true = replace(vi_run, H=spp.H, delta=0.0)
         gap, _ = sup_gap_skew_linear(vi_true, final)
         bound = 6.0 * 2.0 * omega_sq / N ** 2 + delta * (1.0 + 1e-6)

@@ -12,7 +12,10 @@ import saddleslide.cli as cli
 from saddleslide import (
     CertificationError,
     ConfigurationError,
+    NetworkModel,
     RunConfig,
+    RunTrace,
+    StackedSPP,
     build_pipeline,
     consensus_violation,
     deterministic_schedule,
@@ -67,6 +70,7 @@ class TestRunConfig:
         (dict(epsilon=True), "run.epsilon"),
         (dict(instance_seed="abc"), "problem.seed"),
         (dict(network_seed="x"), "network.seed"),
+        (dict(network_seed=None), "network.seed"),
         (dict(network_kind="erdos_renyi", network_p="0.5"), "network.p"),
         (dict(instance_seed=-1), "problem.seed"),
         (dict(N_override=True), "run.N_override"),
@@ -139,10 +143,42 @@ class TestRunExperiment:
         assert rep.consensus_x == 0.0 and rep.consensus_y == 0.0
         _, spp, _, vi = build_pipeline(cfg)
         sched = deterministic_schedule(vi.L, vi.M, 40)
-        final, _ = mps_run(vi, sched, spp.center())
+        final = mps_run(vi, sched, spp.center())
         X, Y = spp.split(final)
         manual_gap = exact_gap_matrix_game(spp.meta["A_bar"], X[0], Y[0])
         assert rep.final_gap == pytest.approx(manual_gap, abs=1e-15)
+
+    def test_erdos_renyi_run_without_network_seed_is_reproducible(self):
+        cfg = RunConfig.from_yaml(
+            "problem: {family: matrix_game_random}\n"
+            "network: {kind: erdos_renyi, m: 8, p: 0.4}\n"
+            "run: {N_override: 20}\n")
+        assert cfg.network_seed == 0
+        assert run_experiment(cfg).summary_lines() == run_experiment(cfg).summary_lines()
+
+    def test_derived_call_counts_equal_the_real_calls(self, monkeypatch, tmp_path):
+        # a game's setup makes no H call, and consensus makes no gossip, so
+        # every counted H call is the solver's, and every gossip a grad_G call
+        counts = {"H": 0, "gossip": 0}
+        H, gossip = StackedSPP.H, NetworkModel.block_product
+
+        def counting_H(self, z):
+            counts["H"] += 1
+            return H(self, z)
+
+        def counting_gossip(self, V):
+            counts["gossip"] += 1
+            return gossip(self, V)
+
+        monkeypatch.setattr(StackedSPP, "H", counting_H)
+        monkeypatch.setattr(NetworkModel, "block_product", counting_gossip)
+        rep = run_experiment(RunConfig(family="matrix_game_random", d_x=3, d_y=2,
+                                       m=4, network_kind="ring", epsilon=0.2, seed=0))
+        assert counts["H"] == rep.H_calls_per_node > 2 * rep.N
+        assert counts["gossip"] == rep.communication_rounds == rep.grad_G_calls == rep.N
+        emit_outputs(rep, rep.trace, tmp_path)
+        last = (tmp_path / "trace.csv").read_text().split()[-1].split(",")
+        assert (int(last[2]), int(last[3])) == (counts["gossip"], counts["H"])
 
     def test_l1_family_fills_gap_and_consensus_columns(self):
         cfg = RunConfig(family="l1_saddle_random", d_x=2, d_y=2,
@@ -285,20 +321,23 @@ class TestEmitOutputs:
         assert len(metrics) == t.N == rep.N
         trace_rows = [row.split(",") for row in lines["trace.csv"][1:]]
         plot_rows = [row.split(",") for row in lines["plot_data.csv"][1:]]
+        # by outer iteration k: k grad_G calls and 2 (T_1 + ... + T_k) H calls
         assert [r[:4] for r in trace_rows] == [
-            [str(k), str(t.inner_steps[k - 1]), str(t.grad_G_calls[k - 1]),
-             str(t.H_calls[k - 1])] for k in range(1, rep.N + 1)]
+            [str(k), str(t.inner_steps[k - 1]), str(k), str(2 * sum(t.inner_steps[:k]))]
+            for k in range(1, rep.N + 1)]
+        assert int(trace_rows[-1][3]) == rep.H_calls_per_node
         assert [r[4:] for r in trace_rows] == [[*map(repr, v), "0.0"] for v in metrics]
         assert plot_rows == [[str(k), *map(repr, v)] for k, v in enumerate(metrics, 1)]
 
-    def test_bare_solver_trace_is_refused(self, tmp_path):
-        # mps_run leaves the metric columns empty; no file is written
-        _, spp, _, vi = build_pipeline(small_config())
-        _, trace = mps_run(vi, deterministic_schedule(vi.L, vi.M, 3), spp.center())
-        assert trace.N == 3 and trace.gap_estimate == []
+    @pytest.mark.parametrize("short", range(4))
+    def test_trace_with_a_missing_column_is_refused(self, tmp_path, short):
+        # one of the four columns is a row short; no file is written
         rep = run_experiment(small_config(N_override=3))
+        t = rep.trace
+        columns = [t.inner_steps, t.gap_estimate, t.consensus_x, t.consensus_y]
+        columns[short] = columns[short][:-1]
         with pytest.raises(ValueError):
-            emit_outputs(rep, trace, tmp_path / "out")
+            emit_outputs(rep, RunTrace(*columns), tmp_path / "out")
         assert not (tmp_path / "out").exists()
 
     def test_unwritable_directory_is_an_os_error_naming_it(self, tmp_path, capsys):
@@ -489,6 +528,15 @@ class TestCLI:
         path.write_text(text)
         assert cli.main(["run", "--config", str(path)]) == 2
         assert needle in capsys.readouterr().err
+
+    @pytest.mark.parametrize("sigma", ["1.0e+200", "1.0e+100"])
+    def test_huge_sigma_exits_two(self, tmp_path, capsys, sigma):
+        # sigma^2 overflows a float at 1e+200, and at 1e+100 T_k passes the
+        # int64 range
+        path = tmp_path / "cfg.yaml"
+        path.write_text(f"run:\n  mode: stochastic\n  sigma: {sigma}\n")
+        assert cli.main(["run", "--config", str(path)]) == 2
+        assert "T_k must be finite and below 2**62" in capsys.readouterr().err
 
     @pytest.mark.parametrize("epsilon", ["1.0e-300", "1.0e-150"])
     def test_tiny_epsilon_exits_two_promptly(self, tmp_path, capsys, epsilon):

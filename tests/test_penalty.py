@@ -164,7 +164,7 @@ class TestBuildPenalizedVI:
         bound = 6.0 * vi.L * omega_sq / N ** 2
         assert bound <= 0.05
         sched = deterministic_schedule(vi.L, vi.M, N)
-        final, _ = mps_run(vi, sched, z0)
+        final = mps_run(vi, sched, z0)
         X, Y = spp.split(final)
         gap = exact_gap_matrix_game(spp.meta["A_bar"], X[0], Y[0])
         assert gap <= bound
@@ -414,8 +414,9 @@ class TestRowWiseOracles:
 
     def test_oracles_reject_mismatched_batches(self):
         net = build_topology("ring", 3)
-        with pytest.raises(DimensionError):
-            consensus_violation(net, np.zeros((2, 4)))
+        for shape in ((2, 4), (0,), (2, 0)):
+            with pytest.raises(DimensionError):
+                consensus_violation(net, np.zeros(shape))
         spp = random_l1_saddle(2, 2, 2, seed=0)
         with pytest.raises(DimensionError):
             l1_saddle_gap(spp, np.zeros((3, 2)), np.zeros((2, 2)))

@@ -40,7 +40,7 @@ def test_rate_sweep_one_solve_equals_a_solve_per_budget(tmp_path, capsys, argv):
     vi, z0, omega_sq = script.build_problem(args)
     table, csv = [], ["N,gap,bound"]
     for N in sorted(args.budgets):
-        z_bar, _ = mps_run(vi, deterministic_schedule(vi.L, vi.M, N), z0)
+        z_bar = mps_run(vi, deterministic_schedule(vi.L, vi.M, N), z0)
         gap, _ = sup_gap_skew_linear(vi, z_bar)
         bound = 6.0 * vi.L * omega_sq / N ** 2
         table.append(f"{N:>6} {gap:>12.4e} {bound:>12.4e} {gap / bound:>8.3f}")
