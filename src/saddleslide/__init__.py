@@ -66,7 +66,6 @@ from .sliding import (
     VIProblem,
     deterministic_schedule,
     mps_run,
-    smps_run,
     stochastic_schedule,
 )
 
@@ -116,7 +115,6 @@ __all__ = [
     "random_l1_saddle",
     "random_matrix_game",
     "run_experiment",
-    "smps_run",
     "stochastic_schedule",
     "sup_gap_skew_linear",
 ]

@@ -51,15 +51,23 @@ from .sliding import (
     deterministic_T_raw,
     deterministic_schedule,
     mps_run,
-    smps_run,
     stochastic_T_raw,
     stochastic_schedule,
 )
+
+# Not a second solver: the benchmark's tracer (perfbench/tracer.py) still
+# patches harness.smps_run. ROADMAP item 1 moves the tracer off this name and
+# deletes the alias.
+smps_run = mps_run
 
 FAMILIES = ("matching_pennies", "matrix_game_random", "l1_saddle_random")
 NOISE_KINDS = ("uniform", "gaussian")
 # Floats per noise block of make_stochastic_oracle (32 kB).
 NOISE_BLOCK = 4096
+# Largest N a run accepts, whether picked or overridden: past it, consecutive
+# N^2 stop being exact floats, and pick_N's search could step through equal
+# values forever.
+MAX_N = 2 ** 26
 SCHEMA_VERSION = 1
 
 
@@ -168,8 +176,8 @@ class RunConfig:
         if self.mode == "stochastic" and not (0.0 < self.p_confidence < 1.0):
             raise bad("p_confidence", "must lie in (0, 1) in stochastic mode")
         if self.N_override is not None and not (
-                _is_int(self.N_override) and self.N_override >= 1):
-            raise bad("N_override", "must be an integer >= 1 or null")
+                _is_int(self.N_override) and 1 <= self.N_override <= MAX_N):
+            raise bad("N_override", f"must be an integer in [1, {MAX_N}] or null")
         if not (_is_int(self.seed) and self.seed >= 0):
             raise bad("seed", "must be an integer >= 0")
         if not (self.out_dir is None or isinstance(self.out_dir, (str, os.PathLike))):
@@ -304,7 +312,7 @@ class RunReport:
 
 
 def make_stochastic_oracle(H: Callable[[np.ndarray], np.ndarray], kind: str,
-                           sigma: float, dim: int):
+                           sigma: float, dim: int, seed: int):
     """Additive-noise oracle H(z) + zeta with E zeta = 0 and E||zeta||^2 <= sigma^2.
 
     ``uniform`` draws each coordinate from [-a, a] with a = sigma sqrt(3/dim),
@@ -313,16 +321,13 @@ def make_stochastic_oracle(H: Callable[[np.ndarray], np.ndarray], kind: str,
     bounded (slightly under budget). At sigma = 0 every draw is +0.0, so the
     oracle returns values equal to H's.
 
-    The oracle ``(z, rng)`` owns a noise block: it draws about
-    ``NOISE_BLOCK`` floats at once from ``rng``, as rows of length dim, and
-    serves one row per call. numpy's Generator fills an array in sequence, so
-    each row is bitwise the ``rng.uniform(-a, a, dim)`` (or clipped
-    ``rng.normal``) that a draw per call would give. The oracle must be its
-    generator's only consumer while in use, because draws made elsewhere
-    would not shift its rows; a call with another generator drops the block
-    and starts from that generator's next draw. ``dim`` must be an integer
-    >= 1, and an ``H(z)`` whose shape is not ``(dim,)`` raises
-    ``DimensionError``.
+    The returned ``oracle(z)`` owns its noise stream,
+    ``np.random.default_rng(seed)``, and a noise block: it draws about
+    ``NOISE_BLOCK`` floats at once, as rows of length dim, and serves one row
+    per call. numpy's Generator fills an array in sequence, so each row is
+    bitwise the ``rng.uniform(-a, a, dim)`` (or clipped ``rng.normal``) that
+    a draw per call would give. ``dim`` must be an integer >= 1, and an
+    ``H(z)`` whose shape is not ``(dim,)`` raises ``DimensionError``.
     """
     if kind not in NOISE_KINDS:
         raise ConfigurationError(f"run.noise_kind must be one of {NOISE_KINDS}, got {kind!r}")
@@ -330,25 +335,26 @@ def make_stochastic_oracle(H: Callable[[np.ndarray], np.ndarray], kind: str,
         raise ParameterError("sigma must be a finite nonnegative real")
     if not (isinstance(dim, (int, np.integer)) and not isinstance(dim, bool) and dim >= 1):
         raise ParameterError(f"dim must be an integer >= 1, got {dim!r}")
+    rng = np.random.default_rng(seed)
+    rows = max(1, NOISE_BLOCK // dim)
     if kind == "uniform":
         a = sigma * math.sqrt(3.0 / dim)
 
-        def draw(rng: np.random.Generator, rows: int) -> np.ndarray:
+        def draw() -> np.ndarray:
             return rng.uniform(-a, a, (rows, dim))
     else:
         s = sigma / math.sqrt(dim)
         cap = 4.0 * s
 
-        def draw(rng: np.random.Generator, rows: int) -> np.ndarray:
+        def draw() -> np.ndarray:
             return np.clip(rng.normal(0.0, s, (rows, dim)), -cap, cap)
-    rows = max(1, NOISE_BLOCK // dim)
-    gen = block = None
+    block = None
     row = rows
 
-    def oracle(z: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-        nonlocal gen, block, row
-        if row == rows or rng is not gen:
-            gen, block, row = rng, draw(rng, rows), 0
+    def oracle(z: np.ndarray) -> np.ndarray:
+        nonlocal block, row
+        if row == rows:
+            block, row = draw(), 0
         row += 1
         h = H(z)
         if h.shape != (dim,):
@@ -418,16 +424,15 @@ def _gap_oracle(spp: StackedSPP) -> Callable[[np.ndarray], np.ndarray]:
 
 
 def pick_N(L: float, omega_sq: float, target: float) -> int:
-    """Smallest N with 6 L omega_sq / N^2 <= target, up to N = 2**26: past
-    that, consecutive N^2 stop being exact floats and the search could step
-    through equal values forever, so a larger N is a configuration error."""
+    """Smallest N with 6 L omega_sq / N^2 <= target, up to N = ``MAX_N``; a
+    larger N is a configuration error."""
     if not (target > 0):
         raise ConfigurationError("accuracy target must be positive")
     num = 6.0 * L * omega_sq
-    if not num / target <= 2.0 ** 52:   # also rejects inf
+    if not num / target <= float(MAX_N) ** 2:   # also rejects inf
         raise ConfigurationError(
             f"config field 'run.epsilon' is too small: 6 L omega_sq / target = "
-            f"{num / target!r} needs N > 2**26")
+            f"{num / target!r} needs N > {MAX_N}")
     n = math.isqrt(max(0, math.ceil(num / target) - 1)) + 1
     while num / (n * n) > target:
         n += 1
@@ -469,12 +474,12 @@ def run_experiment(config: RunConfig) -> RunReport:
 
     if stochastic:
         schedule = stochastic_schedule(vi.L, vi.M, config.sigma, omega_sq, N)
-        noisy = make_stochastic_oracle(vi.H, config.noise_kind, config.sigma, dim)
-        problem = replace(vi, H_stochastic=noisy)
-        smps_run(problem, schedule, z0, seed=config.seed, observer=observe)
+        problem = replace(vi, H=make_stochastic_oracle(vi.H, config.noise_kind, config.sigma,
+                                                       dim, config.seed))
     else:
         schedule = deterministic_schedule(vi.L, vi.M, N)
-        mps_run(vi, schedule, z0, observer=observe)
+        problem = vi
+    mps_run(problem, schedule, z0, observer=observe)
     if N % len(block):
         columns(block[:N % len(block)])
     trace = RunTrace(schedule.T.tolist(), gaps, cons_x, cons_y)

@@ -31,13 +31,13 @@ class VIProblem:
     ``grad_G`` is the gradient of the convex potential ``value_G``, with
     Lipschitz constant ``L``. ``H`` is the (possibly nonsmooth) monotone
     operator, and ``(M, delta)`` are the constants of its inexact-oracle
-    inequality. ``H_stochastic(z, rng)``, when set, is an unbiased noisy
-    version of ``H`` for :func:`smps_run`; its variance bound sigma^2 enters
-    only through the schedule (:func:`stochastic_schedule`).
-    ``rounds_per_grad_G`` is the number of communication rounds one grad_G
-    evaluation costs (0 for centralized problems). ``H`` and
-    ``H_stochastic`` are handed the solver's work buffers, which later inner
-    steps overwrite: they must copy an argument they keep, and must not write
+    inequality. For the stochastic variant, ``H`` is an unbiased noisy
+    oracle of the operator (``harness.make_stochastic_oracle``); its variance
+    bound sigma^2 enters only through the schedule
+    (:func:`stochastic_schedule`). ``rounds_per_grad_G`` is the number of
+    communication rounds one grad_G evaluation costs (0 for centralized
+    problems). ``H`` is handed the solver's work buffers, which later inner
+    steps overwrite: it must copy an argument it keeps, and must not write
     into it.
     """
 
@@ -48,7 +48,6 @@ class VIProblem:
     M: float
     delta: float
     value_G: Optional[Callable[[np.ndarray], float]] = None
-    H_stochastic: Optional[Callable[[np.ndarray, np.random.Generator], np.ndarray]] = None
     rounds_per_grad_G: int = 0
 
     def __post_init__(self):
@@ -147,16 +146,21 @@ def stochastic_T_raw(L: float, M: float, sigma: float, omega_sq: float,
 def _schedule(L: float, M: float, T_raw, *args) -> SlidingSchedule:
     """The schedule whose T_k are ``T_raw(L, M, *args)`` rounded up and
     floored at 1. A raw length that is not finite or reaches 2**62, past
-    which the int64 cast would wrap, raises ParameterError."""
+    which the int64 cast would wrap, raises ParameterError.
+
+    The result needs no :meth:`SlidingSchedule.validate`, which could not
+    fail here: the caller's ``_check_LMN`` has checked L and M; T is a 1-D
+    int64 array of N >= 1 entries, each >= 1, by construction; and both raw
+    lengths are >= k M / L, so beta_k + eta_k^1 = L (2 + T_k)/k
+    >= 2L/k + M > M, with the check's 1e-9 slack covering rounding.
+    :func:`mps_run` still validates every schedule it is given."""
     with np.errstate(over="ignore", invalid="ignore"):
         raw = T_raw(L, M, *args)
         if not np.all(raw < 2.0 ** 62):  # also rejects nan
             raise ParameterError("T_k must be finite and below 2**62; the raw inner-loop "
                                  f"lengths reach {float(np.max(raw))!r}")
-    sched = SlidingSchedule(L=float(L), M=float(M),
-                            T=np.maximum(1, np.ceil(raw)).astype(np.int64))
-    sched.validate()
-    return sched
+    return SlidingSchedule(L=float(L), M=float(M),
+                           T=np.maximum(1, np.ceil(raw)).astype(np.int64))
 
 
 def deterministic_schedule(L: float, M: float, N: int) -> SlidingSchedule:
@@ -174,6 +178,9 @@ def stochastic_schedule(L: float, M: float, sigma: float, omega_sq: float,
                         N: int) -> SlidingSchedule:
     """Stochastic-variant schedule; only T_k changes:
     T_k = ceil(sqrt(3) k M / L + N k^2 sigma^2 / (omega_sq L^2)).
+
+    The stochastic variant is :func:`mps_run` with this schedule on a
+    problem whose ``H`` is a noisy oracle with variance at most sigma^2.
     """
     _check_LMN(L, M, N)
     if not (np.isfinite(sigma) and sigma >= 0):
@@ -198,10 +205,39 @@ def _check_run_inputs(problem: VIProblem, schedule: SlidingSchedule,
     return v0
 
 
-def _sliding_loop(problem: VIProblem, schedule: SlidingSchedule, z0: np.ndarray,
-                  h_oracle: Callable[[np.ndarray], np.ndarray],
-                  observer: Optional[Callable[[int, np.ndarray], None]]
-                  ) -> np.ndarray:
+def mps_run(problem: VIProblem, schedule: SlidingSchedule, z0,
+            observer: Optional[Callable[[int, np.ndarray], None]] = None
+            ) -> np.ndarray:
+    """Run the mirror-prox sliding method. The stochastic variant is this
+    run on a problem whose ``H`` is a noisy oracle, with a schedule from
+    :func:`stochastic_schedule`: its two prox calls per inner step are then
+    fed independent samples H(z_k^{t-1}; zeta) and H(z_tilde_k^t; zeta').
+
+    Parameters
+    ----------
+    problem : VIProblem
+        Its ``H`` is called twice per inner step, its ``grad_G`` once per outer iteration (cached at the
+        sliding point, which does not change within the inner loop).
+    schedule : SlidingSchedule
+        From :func:`deterministic_schedule` or :func:`stochastic_schedule`.
+    z0 : array
+        Feasible start.
+    observer : callable, optional
+        Called as ``observer(k, z_bar_k)`` once per outer iteration k, after
+        the feasibility check. ``z_bar_k`` must not be written into, and an
+        observer that keeps it past the call must copy it, since it may be
+        the returned point.
+
+    Returns
+    -------
+    z_bar_N : np.ndarray
+        The ergodic output point. The schedule fixes the run's cost: N
+        grad_G calls, each costing ``problem.rounds_per_grad_G``
+        communication rounds, and 2 T_k H calls in outer iteration k.
+    """
+    schedule.validate()
+    z0 = _check_run_inputs(problem, schedule, z0)
+    H = problem.H
     geom = problem.set_geometry
     fset = geom.feasible_set
     # One workspace per solve. The inner loop writes z_tilde_k^t into z_tilde
@@ -236,9 +272,9 @@ def _sliding_loop(problem: VIProblem, schedule: SlidingSchedule, z0: np.ndarray,
             w[()] = bk + et
             z_t = cur[0]
             _anchor_term(geom, outer, eta, z_t, anchor)
-            np.add(g_cached, h_oracle(z_t), gh)
+            np.add(g_cached, H(z_t), gh)
             _prox_kernel(gh, anchor, w, arg, into_tilde)
-            np.add(g_cached, h_oracle(z_tilde), gh)
+            np.add(g_cached, H(z_tilde), gh)
             _prox_kernel(gh, anchor, w, arg, nxt[1])
             z_tilde_sum += z_tilde
             cur, nxt = nxt, cur
@@ -255,56 +291,3 @@ def _sliding_loop(problem: VIProblem, schedule: SlidingSchedule, z0: np.ndarray,
         if observer is not None:
             observer(k, z_bar)
     return z_bar
-
-
-def mps_run(problem: VIProblem, schedule: SlidingSchedule, z0,
-            observer: Optional[Callable[[int, np.ndarray], None]] = None
-            ) -> np.ndarray:
-    """Run the deterministic mirror-prox sliding method.
-
-    Parameters
-    ----------
-    problem : VIProblem
-        Its ``H`` is called twice per inner step, its ``grad_G`` once per outer iteration (cached at the
-        sliding point, which does not change within the inner loop).
-    schedule : SlidingSchedule
-        Typically from :func:`deterministic_schedule`.
-    z0 : array
-        Feasible start.
-    observer : callable, optional
-        Called as ``observer(k, z_bar_k)`` once per outer iteration k, after
-        the feasibility check. ``z_bar_k`` must not be written into, and an
-        observer that keeps it past the call must copy it, since it may be
-        the returned point.
-
-    Returns
-    -------
-    z_bar_N : np.ndarray
-        The ergodic output point. The schedule fixes the run's cost: N
-        grad_G calls, each costing ``problem.rounds_per_grad_G``
-        communication rounds, and 2 T_k H calls in outer iteration k.
-    """
-    schedule.validate()
-    v0 = _check_run_inputs(problem, schedule, z0)
-    return _sliding_loop(problem, schedule, v0, problem.H, observer)
-
-
-def smps_run(problem: VIProblem, schedule: SlidingSchedule, z0, seed: int,
-             observer: Optional[Callable[[int, np.ndarray], None]] = None
-             ) -> np.ndarray:
-    """Run the stochastic variant: identical control flow to :func:`mps_run`
-    with the two inner prox calls fed fresh independent samples
-    H(z_k^{t-1}; zeta) and H(z_tilde_k^t; zeta'). Fully reproducible per seed.
-    ``observer`` is called as in :func:`mps_run`.
-    """
-    schedule.validate()
-    if problem.H_stochastic is None:
-        raise ConfigurationError("smps_run needs problem.H_stochastic")
-    v0 = _check_run_inputs(problem, schedule, z0)
-    rng = np.random.default_rng(seed)
-
-    def h_noisy(z: np.ndarray) -> np.ndarray:
-        return problem.H_stochastic(z, rng)
-
-    return _sliding_loop(problem, schedule, v0, h_noisy, observer)
-

@@ -121,6 +121,15 @@ class TestPickN:
         assert pick_N(640.0, 2.0, 0.05) == 392
         assert pick_N(640.0, 2.0, 0.25 * 0.05) == 784
 
+    def test_picked_and_overridden_N_share_one_cap(self):
+        cap = harness.MAX_N
+        assert pick_N(1.0, 1.0, 6.0 / cap ** 2) == cap
+        with pytest.raises(ConfigurationError, match="run.epsilon"):
+            pick_N(1.0, 1.0, 6.0 / (cap + 1) ** 2)
+        small_config(N_override=cap).validate()
+        with pytest.raises(ConfigurationError, match="run.N_override"):
+            small_config(N_override=cap + 1).validate()
+
 
 class TestRunExperiment:
     def test_deterministic_report_invariants(self):
@@ -156,7 +165,12 @@ class TestRunExperiment:
         assert cfg.network_seed == 0
         assert run_experiment(cfg).summary_lines() == run_experiment(cfg).summary_lines()
 
-    def test_derived_call_counts_equal_the_real_calls(self, monkeypatch, tmp_path):
+    @pytest.mark.parametrize("cfg", [
+        RunConfig(family="matrix_game_random", d_x=3, d_y=2, m=4, network_kind="ring",
+                  epsilon=0.2, seed=0),
+        small_config(mode="stochastic", sigma=0.1, N_override=None, epsilon=0.4),
+    ], ids=["game", "stochastic-pennies"])
+    def test_derived_call_counts_equal_the_real_calls(self, monkeypatch, tmp_path, cfg):
         # a game's setup makes no H call, and consensus makes no gossip, so
         # every counted H call is the solver's, and every gossip a grad_G call
         counts = {"H": 0, "gossip": 0}
@@ -172,8 +186,8 @@ class TestRunExperiment:
 
         monkeypatch.setattr(StackedSPP, "H", counting_H)
         monkeypatch.setattr(NetworkModel, "block_product", counting_gossip)
-        rep = run_experiment(RunConfig(family="matrix_game_random", d_x=3, d_y=2,
-                                       m=4, network_kind="ring", epsilon=0.2, seed=0))
+        rep = run_experiment(cfg)
+        assert rep.mode == cfg.mode
         assert counts["H"] == rep.H_calls_per_node > 2 * rep.N
         assert counts["gossip"] == rep.communication_rounds == rep.grad_G_calls == rep.N
         emit_outputs(rep, rep.trace, tmp_path)
@@ -548,6 +562,21 @@ class TestCLI:
         assert cli.main(["run", "--config", str(path)]) == 2
         assert time.perf_counter() - t0 < 5.0
         assert "run.epsilon" in capsys.readouterr().err
+
+    def test_huge_N_override_exits_two_before_anything_is_built(self, tmp_path, capsys,
+                                                                monkeypatch):
+        # N = 2**40 would ask the schedule for 8 TiB of T_k
+        def unreachable(*args, **kwargs):
+            raise AssertionError("a pipeline was built for an N past MAX_N")
+
+        monkeypatch.setattr(harness, "build_topology", unreachable)
+        monkeypatch.setattr(harness, "_build_instance", unreachable)
+        with pytest.raises(ConfigurationError, match="run.N_override"):
+            run_experiment(small_config(N_override=2 ** 40))
+        path = tmp_path / "cfg.yaml"
+        path.write_text(f"run:\n  N_override: {2 ** 40}\n")
+        assert cli.main(["run", "--config", str(path)]) == 2
+        assert "run.N_override" in capsys.readouterr().err
 
     def test_certify_exit_codes(self, tmp_path, capsys, monkeypatch):
         path = self._write_config(tmp_path)

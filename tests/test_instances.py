@@ -465,9 +465,8 @@ class TestStochasticOracleModels:
     def test_uniform_noise_meets_variance_budget(self):
         dim, sigma = 8, 0.3
         oracle = make_stochastic_oracle(lambda z: np.zeros(dim), "uniform",
-                                        sigma, dim)
-        gen = np.random.default_rng(0)
-        draws = np.array([oracle(np.zeros(dim), gen) for _ in range(4000)])
+                                        sigma, dim, 0)
+        draws = np.array([oracle(np.zeros(dim)) for _ in range(4000)])
         assert abs(draws.mean()) <= 0.01
         assert np.mean(np.sum(draws ** 2, axis=1)) == pytest.approx(
             sigma ** 2, rel=0.1)
@@ -475,9 +474,8 @@ class TestStochasticOracleModels:
     def test_gaussian_noise_bounded_and_under_budget(self):
         dim, sigma = 4, 0.5
         oracle = make_stochastic_oracle(lambda z: np.zeros(dim), "gaussian",
-                                        sigma, dim)
-        gen = np.random.default_rng(1)
-        draws = np.array([oracle(np.zeros(dim), gen) for _ in range(4000)])
+                                        sigma, dim, 1)
+        draws = np.array([oracle(np.zeros(dim)) for _ in range(4000)])
         assert np.max(np.abs(draws)) <= 4.0 * sigma / np.sqrt(dim) + 1e-12
         assert np.mean(np.sum(draws ** 2, axis=1)) <= sigma ** 2 * 1.05
 
@@ -486,9 +484,9 @@ class TestStochasticOracleModels:
     def test_noise_blocks_equal_per_call_draws(self, kind, dim):
         sigma = 0.7
         base = np.linspace(-1.0, 1.0, dim)
-        oracle = make_stochastic_oracle(lambda z: base + z, kind, sigma, dim)
+        oracle = make_stochastic_oracle(lambda z: base + z, kind, sigma, dim, 11)
         rows = max(1, NOISE_BLOCK // dim)
-        gen, ref = np.random.default_rng(11), np.random.default_rng(11)
+        ref = np.random.default_rng(11)
         a = sigma * np.sqrt(3.0 / dim)
         s = sigma / np.sqrt(dim)
         for i in range(3 * rows + 2):  # crosses three refills
@@ -497,18 +495,24 @@ class TestStochasticOracleModels:
                 noise = ref.uniform(-a, a, dim)
             else:
                 noise = np.clip(ref.normal(0.0, s, dim), -4.0 * s, 4.0 * s)
-            assert np.array_equal(oracle(z, gen), base + z + noise), i
+            assert np.array_equal(oracle(z), base + z + noise), i
 
-    def test_noise_restarts_from_a_new_generators_first_draw(self):
-        dim, a = 16, 0.5 * np.sqrt(3.0 / 16)
-        oracle = make_stochastic_oracle(lambda z: np.zeros(dim), "uniform", 0.5, dim)
-        first = np.random.default_rng(1)
-        oracle(np.zeros(dim), first)
-        oracle(np.zeros(dim), first)
-        second = np.random.default_rng(2)
-        expected = np.random.default_rng(2).uniform(-a, a, (2, dim))
-        assert np.array_equal(oracle(np.zeros(dim), second), expected[0])
-        assert np.array_equal(oracle(np.zeros(dim), second), expected[1])
+    @pytest.mark.parametrize("kind", ["uniform", "gaussian"])
+    def test_oracles_of_one_seed_called_in_alternation_keep_their_own_streams(self, kind):
+        # each oracle owns its generator, so interleaved calls of another
+        # oracle, even one of the same seed, do not shift its noise rows
+        dim = 16
+        calls = 2 * (NOISE_BLOCK // dim) + 3  # crosses two refills
+
+        def oracle():
+            return make_stochastic_oracle(lambda z: z, kind, 0.5, dim, 7)
+
+        alone = oracle()
+        expected = [alone(np.zeros(dim)) for _ in range(calls)]
+        first, second = oracle(), oracle()
+        for i in range(calls):
+            assert np.array_equal(first(np.zeros(dim)), expected[i]), i
+            assert np.array_equal(second(np.zeros(dim)), expected[i]), i
 
     @pytest.mark.parametrize("kind,sigma,error", [
         ("foo", 0.0, ConfigurationError), ("foo", 0.3, ConfigurationError),
@@ -516,27 +520,26 @@ class TestStochasticOracleModels:
         ("uniform", -0.1, ParameterError)])
     def test_bad_kind_or_sigma_is_rejected(self, kind, sigma, error):
         with pytest.raises(error):
-            make_stochastic_oracle(lambda z: z, kind, sigma, 3)
+            make_stochastic_oracle(lambda z: z, kind, sigma, 3, 0)
 
     @pytest.mark.parametrize("dim", [0, -2, 2.0, 2.5, True, None])
     @pytest.mark.parametrize("sigma", [0.0, 0.3])
     def test_dim_must_be_a_positive_integer(self, dim, sigma):
         with pytest.raises(ParameterError, match="dim"):
-            make_stochastic_oracle(lambda z: z, "uniform", sigma, dim)
+            make_stochastic_oracle(lambda z: z, "uniform", sigma, dim, 0)
 
     @pytest.mark.parametrize("sigma", [0.0, 0.3])
     @pytest.mark.parametrize("kind", ["uniform", "gaussian"])
     def test_point_of_another_dimension_is_a_dimension_error(self, kind, sigma):
-        oracle = make_stochastic_oracle(lambda z: z, kind, sigma, 3)
-        gen = np.random.default_rng(0)
-        assert oracle(np.zeros(3), gen).shape == (3,)
+        oracle = make_stochastic_oracle(lambda z: z, kind, sigma, 3, 0)
+        assert oracle(np.zeros(3)).shape == (3,)
         # (1,) and (2, 3) would broadcast against the noise row
         for shape in ((5,), (2,), (3, 2), (1,), (2, 3)):
             with pytest.raises(DimensionError, match=r"\(3,\)"):
-                oracle(np.zeros(shape), gen)
+                oracle(np.zeros(shape))
 
     def test_zero_sigma_returns_exact_oracle(self):
         dim = 3
-        oracle = make_stochastic_oracle(lambda z: z * 2.0, "uniform", 0.0, dim)
+        oracle = make_stochastic_oracle(lambda z: z * 2.0, "uniform", 0.0, dim, 0)
         z = np.arange(3.0)
-        assert np.array_equal(oracle(z, np.random.default_rng(0)), 2.0 * z)
+        assert np.array_equal(oracle(z), 2.0 * z)

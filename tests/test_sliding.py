@@ -28,7 +28,6 @@ from saddleslide import (
     make_stochastic_oracle,
     mps_run,
     omega_sq_bound,
-    smps_run,
     stochastic_schedule,
 )
 from saddleslide import sliding
@@ -280,45 +279,36 @@ class TestDeterministicRun:
 class TestStochasticRun:
     SIGMA = 0.2
 
-    def _noisy_problem(self, sigma=SIGMA):
-        dim = 2
-        prob = quadratic_problem(dim)
-        a = sigma * np.sqrt(3.0 / dim)
-        prob.H_stochastic = lambda z, gen: gen.uniform(-a, a, dim)
-        return prob
+    def _noisy_problem(self, seed, sigma=SIGMA):
+        # the stochastic variant is mps_run on a problem whose H is noisy
+        prob = quadratic_problem()
+        return replace(prob, H=make_stochastic_oracle(prob.H, "uniform", sigma, 2, seed))
 
     def test_same_seed_reproduces_bitwise(self):
-        prob = self._noisy_problem()
+        prob = self._noisy_problem(42)
         sched = stochastic_schedule(prob.L, prob.M, self.SIGMA, 4.0, 8)
         z0 = np.array([1.0, -1.0])
-        f1 = smps_run(prob, sched, z0, seed=42)
-        f2 = smps_run(prob, sched, z0, seed=42)
+        f1 = mps_run(prob, sched, z0)
+        f2 = mps_run(self._noisy_problem(42), sched, z0)
         assert np.array_equal(f1, f2)
-        f3 = smps_run(prob, sched, z0, seed=43)
+        f3 = mps_run(self._noisy_problem(43), sched, z0)
         assert not np.array_equal(f1, f3)
 
     def test_zero_noise_matches_deterministic_run_bitwise(self):
         prob = quadratic_problem()
-        prob.H_stochastic = lambda z, gen: prob.H(z)
         sched = deterministic_schedule(prob.L, prob.M, 10)
         z0 = np.array([0.7, -0.2])
         f_det = mps_run(prob, sched, z0)
-        f_sto = smps_run(prob, sched, z0, seed=0)
+        f_sto = mps_run(self._noisy_problem(0, sigma=0.0), sched, z0)
         assert np.array_equal(f_det, f_sto)
 
-    def test_requires_stochastic_oracle(self):
-        prob = quadratic_problem()
-        sched = deterministic_schedule(1.0, 0.0, 2)
-        with pytest.raises(ConfigurationError):
-            smps_run(prob, sched, np.zeros(2), seed=0)
-
     def test_noise_still_converges_in_expectation_scale(self):
-        prob = self._noisy_problem(sigma=0.05)
+        prob = self._noisy_problem(3, sigma=0.05)
         z0 = np.array([1.0, 1.0])
         omega_sq = omega_sq_bound(prob.set_geometry, z0)
         sched = stochastic_schedule(prob.L, max(prob.M, 1.0), 0.05,
                                     omega_sq, 20)
-        final = smps_run(prob, sched, z0, seed=3)
+        final = mps_run(prob, sched, z0)
         # generous envelope: rate bound plus variance slack
         assert 0.5 * float(final @ final) <= 6.0 * omega_sq / 20 ** 2 + 0.1
 
@@ -377,7 +367,7 @@ def _ref_prox(geom, g, outer, beta, anchor_inner, eta):
     return out
 
 
-def reference_sliding_loop(problem, schedule, z0, h_oracle, observer):
+def reference_sliding_loop(problem, schedule, z0, observer):
     geom = problem.set_geometry
     fset = geom.feasible_set
     z_bar = z0.copy()
@@ -393,8 +383,8 @@ def reference_sliding_loop(problem, schedule, z0, h_oracle, observer):
         z_tilde_sum = np.zeros_like(z_t)
         for t in range(1, tk + 1):
             et = bk * (t - 1) + e1
-            z_tilde_t = _ref_prox(geom, g_cached + h_oracle(z_t), outer, bk, z_t, et)
-            z_next = _ref_prox(geom, g_cached + h_oracle(z_tilde_t), outer, bk, z_t, et)
+            z_tilde_t = _ref_prox(geom, g_cached + problem.H(z_t), outer, bk, z_t, et)
+            z_next = _ref_prox(geom, g_cached + problem.H(z_tilde_t), outer, bk, z_t, et)
             z_tilde_sum += z_tilde_t
             z_t = z_next
         z_tilde = z_tilde_sum / tk
@@ -447,27 +437,21 @@ class Recorder:
         return logged
 
     def wrap(self, problem):
-        """``problem`` with its grad_G, H and H_stochastic logged."""
-        logged = dict(grad_G=self.log(problem.grad_G, self.grad_G_args),
-                      H=self.log(problem.H, self.H_args))
-        if problem.H_stochastic is not None:
-            logged["H_stochastic"] = self.log(problem.H_stochastic, self.H_args)
-        return replace(problem, **logged)
+        """``problem`` with its grad_G and H logged."""
+        return replace(problem, grad_G=self.log(problem.grad_G, self.grad_G_args),
+                       H=self.log(problem.H, self.H_args))
 
 
-def solve(run, problem, schedule, z0, **kwargs):
-    """``run`` (mps_run or smps_run) with its oracles and iterates recorded."""
+def solve(problem, schedule, z0):
+    """``mps_run`` with its oracles and iterates recorded."""
     rec = Recorder()
-    return run(rec.wrap(problem), schedule, z0, observer=rec.observer, **kwargs), rec
+    return mps_run(rec.wrap(problem), schedule, z0, observer=rec.observer), rec
 
 
-def reference(problem, schedule, z0, h_oracle=None):
-    """The reference loop, recorded as :func:`solve` records a run; it calls
-    ``h_oracle`` for H when given, ``problem.H`` otherwise."""
+def reference(problem, schedule, z0):
+    """The reference loop, recorded as :func:`solve` records a run."""
     rec = Recorder()
-    logged = rec.wrap(problem)
-    h = logged.H if h_oracle is None else rec.log(h_oracle, rec.H_args)
-    return reference_sliding_loop(logged, schedule, z0, h, rec.observer), rec
+    return reference_sliding_loop(rec.wrap(problem), schedule, z0, rec.observer), rec
 
 
 def assert_same_run(got, ref):
@@ -521,7 +505,7 @@ class TestWorkspaceLoopMatchesReference:
         prob = _affine_problem(fset, SQUARED_EUCLIDEAN, r, M=M)
         z0 = fset.sample(r, 1)[0]
         sched = deterministic_schedule(prob.L, prob.M, N)
-        assert_same_run(solve(mps_run, prob, sched, z0), reference(prob, sched, z0))
+        assert_same_run(solve(prob, sched, z0), reference(prob, sched, z0))
 
     @given(_simplex_runs, st.integers(1, 4), st.integers(0, 2 ** 32 - 1))
     @settings(max_examples=30, deadline=None)
@@ -533,7 +517,7 @@ class TestWorkspaceLoopMatchesReference:
         prob = _affine_problem(fset, NEGATIVE_ENTROPY, r, scale=1e5)
         z0 = fset.center()
         sched = deterministic_schedule(prob.L, prob.M, N)
-        got = solve(mps_run, prob, sched, z0)
+        got = solve(prob, sched, z0)
         assert_same_run(got, reference(prob, sched, z0))
         if any(d > 1 for _, d, _ in runs):
             assert min(np.min(z) for z in got[1].H_args) < 1e-29
@@ -549,16 +533,15 @@ class TestWorkspaceLoopMatchesReference:
         # oracle refills its block at least twice
         M = math.ceil((3 * rows) / (N * (N + 1)))
         prob = _affine_problem(fset, SQUARED_EUCLIDEAN, r, M=M)
-        blocked = make_stochastic_oracle(prob.H, kind, 0.3, fset.dim)
-        prob.H_stochastic = lambda z, rng: _read_only(blocked(z, rng))
+        blocked = make_stochastic_oracle(prob.H, kind, 0.3, fset.dim, seed)
         per_call = _per_call_oracle(prob.H, kind, 0.3, fset.dim)
         ref_rng = np.random.default_rng(seed)
         z0 = fset.center()
         sched = deterministic_schedule(prob.L, prob.M, N)
-        got = solve(smps_run, prob, sched, z0, seed=seed)
+        got = solve(replace(prob, H=lambda z: _read_only(blocked(z))), sched, z0)
         assert len(got[1].H_args) > 2 * rows
-        assert_same_run(got, reference(prob, sched, z0,
-                                       lambda z: _read_only(per_call(z, ref_rng))))
+        assert_same_run(got, reference(
+            replace(prob, H=lambda z: _read_only(per_call(z, ref_rng))), sched, z0))
 
 
 class TestLoopGuards:
@@ -570,7 +553,7 @@ class TestLoopGuards:
                          grad_G=lambda z: g, L=1.0, H=lambda z: h, M=3.0, delta=0.0)
         sched = deterministic_schedule(1.0, 3.0, 4)
         z0 = fset.center()
-        assert_same_run(solve(mps_run, prob, sched, z0), reference(prob, sched, z0))
+        assert_same_run(solve(prob, sched, z0), reference(prob, sched, z0))
         assert np.array_equal(h, np.linspace(-1.0, 1.0, 6))
         assert np.array_equal(g, np.full(6, 0.25))
 
