@@ -55,7 +55,7 @@ def parse_args(argv=None):
 def build_problem(args):
     """The game's VI with the exact oracle, the start z0 and Omega^2."""
     if args.game == "pennies":
-        spp = make_matrix_game([MATCHING_PENNIES.copy()], 1)
+        spp = make_matrix_game([MATCHING_PENNIES.copy()])
     else:
         spp = random_matrix_game(1, args.d, args.d, seed=args.instance_seed)
     A = spp.meta["A_bar"]

@@ -28,6 +28,7 @@ from .errors import (
 )
 from .harness import RunConfig, build_pipeline, emit_outputs, run_experiment, write_files
 from .instances import certify_inexact_oracle
+from .network import build_topology
 
 _CONFIG_ERRORS = (ConfigurationError, ParameterError, DimensionError,
                   DomainError, OSError, yaml.YAMLError)
@@ -77,15 +78,15 @@ def _cmd_certify(config: RunConfig) -> int:
 
 
 def _cmd_spectrum(config: RunConfig) -> int:
-    net, _, _, _ = build_pipeline(config)
-    eigs = np.sort(np.linalg.eigvalsh(net.W_tilde))
+    net = build_topology(config.network_kind, config.m, p=config.network_p,
+                         seed=config.network_seed)
     residual = float(np.linalg.norm(net.W @ net.W - net.W_tilde))
     print(f"m {net.m}")
     print(f"lambda_max {repr(net.lambda_max)}")
     print(f"lambda_min_plus {repr(net.lambda_min_plus)}")
     print(f"chi {repr(net.chi)}")
     print(f"sqrt_residual_fro {repr(residual)}")
-    print("eigenvalues " + " ".join(repr(float(v)) for v in eigs))
+    print("eigenvalues " + " ".join(repr(float(v)) for v in net.eigenvalues))
     if config.out_dir is not None:
         texts = {}
         for name, matrix in (("laplacian.csv", net.W_tilde), ("sqrt.csv", net.W)):
@@ -106,6 +107,7 @@ def main(argv=None) -> int:
             config.seed = args.seed
         if args.out is not None:
             config.out_dir = args.out
+        config.validate()
         if args.command == "run":
             return _cmd_run(config)
         if args.command == "certify":

@@ -2,8 +2,8 @@
 
 Contracts distinguish bad data (DomainError), bad scalar arguments
 (ParameterError), incompatible objects handed to a run (ConfigurationError),
-a failed oracle certificate (CertificationError) and networks without a
-positive Laplacian eigenvalue (DegenerateNetworkError). The CLI maps
+a failed oracle certificate (CertificationError) and gossip matrices of
+disconnected networks (DegenerateNetworkError). The CLI maps
 ConfigurationError to exit code 2 and CertificationError to exit code 3.
 """
 
@@ -29,4 +29,5 @@ class CertificationError(RuntimeError):
 
 
 class DegenerateNetworkError(ValueError):
-    """The gossip matrix has no strictly positive eigenvalue."""
+    """The gossip matrix's kernel is larger than the consensus line (a
+    disconnected network of m >= 2 nodes)."""

@@ -44,9 +44,9 @@ from .instances import (
     random_l1_saddle,
     random_matrix_game,
 )
-from .network import (CONSENSUS_CHUNK, MAX_NODES, TOPOLOGY_KINDS, NetworkModel,
-                      build_topology, consensus_violation)
-from .penalty import PenaltyCoefficients, StackedSPP, build_penalized_vi, penalty_coefficients
+from .network import (CONSENSUS_CHUNK, MAX_NODES, TOPOLOGY_KINDS, build_topology,
+                      consensus_violation)
+from .penalty import StackedSPP, build_penalized_vi, penalty_coefficients
 from .sliding import (
     deterministic_T_raw,
     deterministic_schedule,
@@ -133,8 +133,9 @@ class RunConfig:
 
     def validate(self) -> None:
         def bad(fld: str, why: str):
-            return ConfigurationError(
-                f"config field {_KEY_NAMES.get(fld, fld)!r} {why}")
+            v = getattr(self, fld)
+            return ConfigurationError(f"config field {_KEY_NAMES.get(fld, fld)!r} {why}, "
+                                      f"got {v!r} ({type(v).__name__})")
 
         if not (_is_int(self.schema_version) and self.schema_version == SCHEMA_VERSION):
             raise bad("schema_version", f"must be {SCHEMA_VERSION}")
@@ -367,8 +368,7 @@ def make_stochastic_oracle(H: Callable[[np.ndarray], np.ndarray], kind: str,
 
 def _build_instance(config: RunConfig) -> StackedSPP:
     if config.family == "matching_pennies":
-        return make_matrix_game([MATCHING_PENNIES.copy() for _ in range(config.m)],
-                                config.m)
+        return make_matrix_game([MATCHING_PENNIES.copy() for _ in range(config.m)])
     if config.family == "matrix_game_random":
         return random_matrix_game(config.m, config.d_x, config.d_y,
                                   config.instance_seed)
@@ -381,23 +381,17 @@ def _build_instance(config: RunConfig) -> StackedSPP:
 def build_pipeline(config: RunConfig):
     """Network + instance + penalty coefficients + penalized VIProblem.
 
-    Single-node configs have no penalty: coefficients are zero and the VI
-    reduces to the centralized problem (G identically 0).
+    A single-node network has W_tilde = 0, so its penalty coefficients are
+    zero and the VI is the centralized problem (G identically 0).
     """
     config.validate()
-    if config.m == 1:
-        net = NetworkModel.single_node()
-    else:
-        net = build_topology(config.network_kind, config.m, p=config.network_p,
-                             seed=config.network_seed)
+    net = build_topology(config.network_kind, config.m, p=config.network_p,
+                         seed=config.network_seed)
     spp = _build_instance(config)
     spp.operator_bound = operator_bound_L0(spp, samples=2000,
                                            seed=config.instance_seed)
-    if config.m == 1:
-        coeffs = PenaltyCoefficients(0.0, 0.0, config.epsilon)
-    else:
-        coeffs = penalty_coefficients(spp, net, config.epsilon,
-                                      spp.subgrad_bound_x, spp.subgrad_bound_y)
+    coeffs = penalty_coefficients(spp, net, config.epsilon,
+                                  spp.subgrad_bound_x, spp.subgrad_bound_y)
     vi = build_penalized_vi(spp, net, coeffs)
     return net, spp, coeffs, vi
 

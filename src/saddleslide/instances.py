@@ -45,8 +45,9 @@ MATCHING_PENNIES = np.array([[1.0, -1.0], [-1.0, 1.0]])
 
 # -- matrix games --------------------------------------------------------------
 
-def make_matrix_game(A_list, m: int) -> StackedSPP:
-    """Stacked zero-sum game: node i plays f_i(x_i, y_i) = y_i^T A_i x_i.
+def make_matrix_game(A_list) -> StackedSPP:
+    """Stacked zero-sum game: node i plays f_i(x_i, y_i) = y_i^T A_i x_i,
+    one node per payoff matrix of ``A_list``.
 
     The average matrix is kept in ``meta["A_bar"]`` for the exact gap oracle.
     Subgradient and operator bounds are exact: over the simplices,
@@ -61,8 +62,9 @@ def make_matrix_game(A_list, m: int) -> StackedSPP:
     value 0.0. Node i's operator depends only on node i's block, so an H call
     costs O(dim k), never O(dim^2). ``vals`` is also kept as ``linear_H``.
     """
-    if m < 1 or len(A_list) != m:
-        raise DimensionError(f"need exactly m = {m} payoff matrices, got {len(A_list)}")
+    m = len(A_list)
+    if m < 1:
+        raise DimensionError("need at least one payoff matrix")
     mats = [np.asarray(A, dtype=float) for A in A_list]
     for A in mats:
         if A.ndim != 2 or A.shape != mats[0].shape:
@@ -92,8 +94,6 @@ def make_matrix_game(A_list, m: int) -> StackedSPP:
 
     return StackedSPP(
         m=m,
-        d_x=d_x,
-        d_y=d_y,
         set_x=Simplex(d_x),
         set_y=Simplex(d_y),
         batched_H=batched_H,
@@ -108,7 +108,7 @@ def make_matrix_game(A_list, m: int) -> StackedSPP:
 def random_matrix_game(m: int, d_x: int, d_y: int, seed) -> StackedSPP:
     """m payoff matrices with entries uniform on [-1, 1]."""
     rng = np.random.default_rng(seed)
-    return make_matrix_game(rng.uniform(-1.0, 1.0, (m, d_y, d_x)), m)
+    return make_matrix_game(rng.uniform(-1.0, 1.0, (m, d_y, d_x)))
 
 
 def exact_gap_matrix_game(A_bar, x, y):
@@ -202,8 +202,6 @@ def make_l1_saddle(b_list, c_list, C_list, box_radius: float) -> StackedSPP:
 
     return StackedSPP(
         m=m,
-        d_x=d_x,
-        d_y=d_y,
         set_x=Box(-r * np.ones(d_x), r * np.ones(d_x)),
         set_y=Box(-r * np.ones(d_y), r * np.ones(d_y)),
         batched_H=batched_H,

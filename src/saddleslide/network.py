@@ -1,9 +1,9 @@
 """Gossip topologies and Laplacian spectra.
 
-A network holds the gossip matrix W_tilde (a graph Laplacian for the shipped
+A network is its gossip matrix W_tilde (a graph Laplacian for the shipped
 topologies: symmetric PSD, kernel containing the all-ones consensus
-direction), its PSD square root W, and the spectral constants lambda_max,
-lambda_min_plus and chi = lambda_max / lambda_min_plus.
+direction), which fixes its PSD square root W, its spectrum and the
+constants lambda_max, lambda_min_plus and chi = lambda_max / lambda_min_plus.
 
 The algorithm's data path multiplies W_tilde blockwise via exchanges over
 the edges, which are W_tilde's nonzero off-diagonal pattern (each node
@@ -57,20 +57,21 @@ def matrix_sqrt_psd(A: np.ndarray, tol: float = 1e-9) -> np.ndarray:
 
 @dataclass
 class NetworkModel:
-    """Immutable gossip-network description; see module docstring.
-
-    ``lambda_min_plus`` is None exactly for the degenerate single-node /
-    zero-matrix network, where no positive eigenvalue exists.
+    """Network of the gossip matrix ``W_tilde``, its only input, from which
+    construction derives every other field (``eigenvalues`` is the
+    ascending spectrum). ``lambda_min_plus`` and ``chi`` are None exactly
+    for the single-node network W_tilde = 0, which has no positive eigenvalue.
     """
 
-    m: int
     W_tilde: np.ndarray
-    W: np.ndarray
-    lambda_max: float
-    lambda_min_plus: Optional[float]
-    chi: Optional[float]
+    m: int = field(init=False)
+    W: np.ndarray = field(init=False)
+    eigenvalues: np.ndarray = field(init=False)
+    lambda_max: float = field(init=False)
+    lambda_min_plus: Optional[float] = field(init=False)
+    chi: Optional[float] = field(init=False)
     # the edges (see ``edges``), their weights -W_tilde[i, j] and the degrees
-    # diag(W_tilde), derived from W_tilde on construction
+    # diag(W_tilde)
     _edge_i: np.ndarray = field(init=False, repr=False)
     _edge_j: np.ndarray = field(init=False, repr=False)
     _edge_w: np.ndarray = field(init=False, repr=False)
@@ -82,17 +83,6 @@ class NetworkModel:
 
     def __post_init__(self):
         Wt = np.asarray(self.W_tilde, dtype=float)
-        scale = max(1.0, float(np.max(np.abs(Wt))))
-        self._edge_i, self._edge_j = np.nonzero(np.abs(np.triu(Wt, 1)) > 1e-12 * scale)
-        self._edge_w = -Wt[self._edge_i, self._edge_j]
-        self._degree = np.diag(Wt).copy()
-
-    @staticmethod
-    def from_matrix(W_tilde: np.ndarray) -> "NetworkModel":
-        """Network of the gossip matrix ``W_tilde``. Its edges are the
-        nonzero off-diagonal pairs i < j in row-major order, the order in
-        which ``block_product`` sums each row."""
-        Wt = np.asarray(W_tilde, dtype=float)
         if Wt.ndim != 2 or Wt.shape[0] != Wt.shape[1] or Wt.shape[0] == 0:
             raise DimensionError("gossip matrix must be square with m >= 1 rows")
         if not np.isfinite(Wt).all():
@@ -109,18 +99,21 @@ class NetworkModel:
         if lam.min() < -1e-9 * scale:
             raise DomainError("gossip matrix must be positive semidefinite")
         lam_max = float(lam.max())
-        cutoff = TAU_EIG_REL * lam_max
-        positive = lam[lam > cutoff]
+        positive = lam[lam > TAU_EIG_REL * lam_max]
         n_zero = int(lam.size - positive.size)
         if m >= 2 and n_zero != 1:
             raise DegenerateNetworkError(
                 "gossip matrix kernel must be exactly the consensus line, found "
                 f"{n_zero} zero eigenvalues (disconnected topology?)")
-        lam_min_plus = float(positive.min()) if positive.size else None
-        chi = lam_max / lam_min_plus if lam_min_plus else None
-        W = matrix_sqrt_psd(Wt, tol=1e-9 * scale) if lam_max > 0 else np.zeros_like(Wt)
-        return NetworkModel(m=m, W_tilde=Wt, W=W, lambda_max=lam_max,
-                            lambda_min_plus=lam_min_plus, chi=chi)
+        self.W_tilde, self.m, self.eigenvalues, self.lambda_max = Wt, m, lam, lam_max
+        self.lambda_min_plus = float(positive.min()) if positive.size else None
+        self.chi = lam_max / self.lambda_min_plus if self.lambda_min_plus else None
+        self.W = matrix_sqrt_psd(Wt, tol=1e-9 * scale) if lam_max > 0 else np.zeros_like(Wt)
+        # edges are the nonzero off-diagonal pairs i < j in row-major order,
+        # the order in which block_product sums each row
+        self._edge_i, self._edge_j = np.nonzero(np.abs(np.triu(Wt, 1)) > 1e-12 * scale)
+        self._edge_w = -Wt[self._edge_i, self._edge_j]
+        self._degree = np.diag(Wt).copy()
 
     @property
     def edges(self) -> list:
@@ -129,8 +122,8 @@ class NetworkModel:
 
     @staticmethod
     def single_node() -> "NetworkModel":
-        """Degenerate m = 1 network: zero gossip matrix, no penalty possible."""
-        return NetworkModel.from_matrix(np.zeros((1, 1)))
+        """The m = 1 network: zero gossip matrix, so the penalty vanishes."""
+        return NetworkModel(np.zeros((1, 1)))
 
     def block_product(self, V: np.ndarray) -> np.ndarray:
         """W_tilde applied to an (m, block_dim) matrix via per-edge exchanges.
@@ -216,15 +209,19 @@ def build_topology(kind: str, m: int, p: Optional[float] = None,
 
     ``erdos_renyi`` samples G(m, p) with the given seed and retries until the
     graph is connected; the deterministic kinds are connected by construction.
-    ``m`` must lie in [2, MAX_NODES], which is checked before any edge or
-    matrix is built.
+    ``single`` needs m = 1, the other kinds m in [2, MAX_NODES], which is
+    checked before any edge or matrix is built.
     """
-    if not (isinstance(m, (int, np.integer)) and 2 <= m <= MAX_NODES):
-        raise ParameterError(f"build_topology needs 2 <= m <= {MAX_NODES}, got {m!r}")
+    if not (isinstance(m, (int, np.integer)) and not isinstance(m, bool)
+            and (m == 1 if kind == "single" else 2 <= m <= MAX_NODES)):
+        raise ParameterError(f"build_topology needs m = 1 for kind 'single' and "
+                             f"2 <= m <= {MAX_NODES} otherwise, got {kind!r} with m = {m!r}")
+    if m == 1:
+        return NetworkModel.single_node()
     i, j = np.array(_topology_edges(kind, int(m), p, seed)).T
     A = np.zeros((m, m))
     A[i, j] = A[j, i] = 1.0
-    return NetworkModel.from_matrix(np.diag(A.sum(axis=1)) - A)
+    return NetworkModel(np.diag(A.sum(axis=1)) - A)
 
 
 # Floats of W V that consensus_violation holds at once (128 kB): a batch is

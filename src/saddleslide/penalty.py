@@ -24,7 +24,6 @@ import numpy as np
 
 from .errors import (
     ConfigurationError,
-    DegenerateNetworkError,
     DimensionError,
     ParameterError,
 )
@@ -57,8 +56,6 @@ class StackedSPP:
     """
 
     m: int
-    d_x: int
-    d_y: int
     set_x: ProductSet
     set_y: ProductSet
     subgrad_bound_x: float
@@ -71,10 +68,16 @@ class StackedSPP:
     def __post_init__(self):
         if self.m < 1:
             raise ParameterError("StackedSPP needs m >= 1 nodes")
-        if self.set_x.dim != self.d_x or self.set_y.dim != self.d_y:
-            raise DimensionError("per-node set dimensions must match d_x / d_y")
         if not callable(self.batched_H):
             raise ParameterError("StackedSPP needs a callable batched_H")
+
+    @property
+    def d_x(self) -> int:
+        return self.set_x.dim
+
+    @property
+    def d_y(self) -> int:
+        return self.set_y.dim
 
     @property
     def dim(self) -> int:
@@ -133,8 +136,8 @@ def penalty_coefficients(spp: StackedSPP, net: NetworkModel, epsilon: float,
 
     The bounds must dominate the stacked subgradient norms over the whole
     feasible set; a uniform over-estimate only strengthens the penalty
-    guarantee. A network without a positive eigenvalue cannot support a
-    penalty and raises DegenerateNetworkError.
+    guarantee. The single node, the only network without a positive
+    eigenvalue, has W_tilde = 0, so G vanishes and its radii are 0.0.
     """
     if not (np.isfinite(epsilon) and epsilon > 0):
         raise ParameterError("epsilon must be a positive real")
@@ -144,8 +147,7 @@ def penalty_coefficients(spp: StackedSPP, net: NetworkModel, epsilon: float,
     if net.m != spp.m:
         raise DimensionError("network node count must match the stacked problem")
     if net.lambda_min_plus is None:
-        raise DegenerateNetworkError(
-            "penalty coefficients need a network with lambda_min_plus > 0")
+        return PenaltyCoefficients(0.0, 0.0, float(epsilon))
     return PenaltyCoefficients(
         R_alpha_sq=bound_x ** 2 / net.lambda_min_plus,
         R_beta_sq=bound_y ** 2 / net.lambda_min_plus,

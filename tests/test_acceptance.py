@@ -14,8 +14,6 @@ import pytest
 
 from saddleslide import (
     MATCHING_PENNIES,
-    NetworkModel,
-    PenaltyCoefficients,
     RunConfig,
     VIProblem,
     build_penalized_vi,
@@ -44,15 +42,10 @@ rng = np.random.default_rng(1207)
 def criterion_1_runs():
     """(m, N, vi, z_bar_N, Omega^2) for each run of criterion 1."""
     for m in (1, 3):
-        spp = make_matrix_game([MATCHING_PENNIES.copy() for _ in range(m)], m)
-        if m == 1:
-            net = NetworkModel.single_node()
-            coeffs = PenaltyCoefficients(0.0, 0.0, 0.1)
-        else:
-            net = build_topology("complete", m)
-            coeffs = penalty_coefficients(spp, net, 0.1,
-                                          spp.subgrad_bound_x,
-                                          spp.subgrad_bound_y)
+        spp = make_matrix_game([MATCHING_PENNIES.copy() for _ in range(m)])
+        net = build_topology("single" if m == 1 else "complete", m)
+        coeffs = penalty_coefficients(spp, net, 0.1, spp.subgrad_bound_x,
+                                      spp.subgrad_bound_y)
         vi = build_penalized_vi(spp, net, coeffs)
         # the exact bilinear oracle is 2-Lipschitz: certificate (M, delta) =
         # (2, 0); for m = 1 the smooth part vanishes and any L > 0 is valid
@@ -117,7 +110,7 @@ def test_criterion_2_delta_non_accumulation():
 
     # empirical: bias field of magnitude a = delta / (2 diam) certifies at
     # exactly (M, delta); the true gap obeys 6 L Omega^2 / N^2 + delta
-    spp = make_matrix_game([MATCHING_PENNIES.copy()], 1)
+    spp = make_matrix_game([MATCHING_PENNIES.copy()])
     fset = spp.stacked_set()
     geom = spp.stacked_geometry()
     diam = float(np.sqrt(diameter_sq(fset)))
@@ -239,7 +232,7 @@ def test_criterion_6_oracle_certification():
     l1 = random_l1_saddle(4, 2, 2, seed=2, box_radius=1.0)
     l1.operator_bound = operator_bound_L0(l1, samples=2000, seed=2)
     families = []
-    for spp in (make_matrix_game([MATCHING_PENNIES.copy() for _ in range(4)], 4),
+    for spp in (make_matrix_game([MATCHING_PENNIES.copy() for _ in range(4)]),
                 l1):
         coeffs = penalty_coefficients(spp, net, eps,
                                       spp.subgrad_bound_x, spp.subgrad_bound_y)

@@ -138,7 +138,7 @@ def test_every_solve_H_call_goes_through_the_class_method(monkeypatch, case):
     elif case == "game-deterministic":
         spp = random_matrix_game(4, 3, 2, seed=0)
     else:
-        spp = make_matrix_game([MATCHING_PENNIES] * 4, 4)
+        spp = make_matrix_game([MATCHING_PENNIES] * 4)
     net = build_topology("ring", 4)
     coeffs = penalty_coefficients(spp, net, 0.4, spp.subgrad_bound_x,
                                   spp.subgrad_bound_y)

@@ -1,6 +1,7 @@
 """Tests for the experiment harness: configs, pipelines, outputs, CLI."""
 
 import hashlib
+import re
 import time
 import tracemalloc
 from dataclasses import replace
@@ -76,12 +77,15 @@ class TestRunConfig:
         (dict(N_override=True), "run.N_override"),
         (dict(mode="stochastic", sigma=0.1, p_confidence="0.3"), "run.p_confidence"),
         (dict(out_dir=5), "run.out_dir"),
+        (dict(epsilon="1e-2"), "got '1e-2' (str)"),
     ])
     def test_validation_names_the_failing_field(self, overrides, needle):
         cfg = small_config(**overrides)
         with pytest.raises(ConfigurationError) as exc_info:
             cfg.validate()
         assert needle in str(exc_info.value)
+        # every message ends with the offending value and its type
+        assert re.search(r", got .+ \(\w+\)$", str(exc_info.value))
 
     @pytest.mark.parametrize("section", ["problem", "network", "run"])
     def test_unknown_key_in_a_section_is_rejected(self, section):
@@ -536,7 +540,9 @@ class TestCLI:
         ("run:\n  sigma: null\n", "run.sigma"),
         ("problem:\n  box_radius: '2'\n", "problem.box_radius"),
         ("run:\n  N_overide: 3\n", "N_overide"),
-    ], ids=["epsilon-string", "sigma-null", "box-radius-string", "unknown-key"])
+        ("run:\n  epsilon: 1e-2\n", "'run.epsilon' must be a positive real, got '1e-2' (str)"),
+    ], ids=["epsilon-string", "sigma-null", "box-radius-string", "unknown-key",
+            "exponent-without-dot"])
     def test_wrong_typed_or_unknown_key_exits_two(self, tmp_path, capsys, text, needle):
         path = tmp_path / "cfg.yaml"
         path.write_text(text)

@@ -68,9 +68,10 @@ def lp_game_solution(A):
 
 
 @pytest.mark.parametrize("build", [
-    lambda: make_matrix_game([np.array([1.0, 2.0])], 1),
-    lambda: make_matrix_game([np.ones((2, 2, 2))], 1),
-    lambda: make_matrix_game([np.ones((2, 2)), np.ones((2, 3))], 2),
+    lambda: make_matrix_game([]),
+    lambda: make_matrix_game([np.array([1.0, 2.0])]),
+    lambda: make_matrix_game([np.ones((2, 2, 2))]),
+    lambda: make_matrix_game([np.ones((2, 2)), np.ones((2, 3))]),
     lambda: make_l1_saddle([np.float64(1.0)], [np.zeros(1)], [np.ones((2, 1))], 1.0),
     lambda: make_l1_saddle([np.eye(2)], [np.zeros(2)], [np.ones((2, 2))], 1.0),
     lambda: make_l1_saddle([np.ones(3)], [np.zeros(2)], [np.ones((2, 2))], 1.0),
@@ -79,7 +80,7 @@ def lp_game_solution(A):
     lambda: make_l1_saddle([np.ones(2)] * 2, [np.zeros(2), np.zeros(3)],
                            [np.ones((2, 2))] * 2, 1.0),
     lambda: make_l1_saddle([np.ones(2)], [np.zeros(2)], [np.ones((2, 3))], 1.0),
-], ids=["game-1d", "game-3d", "game-shapes", "l1-0d-b", "l1-2d-b", "l1-b-length",
+], ids=["game-empty", "game-1d", "game-3d", "game-shapes", "l1-0d-b", "l1-2d-b", "l1-b-length",
         "l1-B-shapes", "l1-c-shapes", "l1-C-columns"])
 def test_malformed_instance_data_raises_dimension_error(build):
     with pytest.raises(DimensionError):
@@ -145,9 +146,9 @@ class TestMatrixGames:
             assert abs(inner) <= 1e-9
 
     def test_analytic_operator_bound(self):
-        spp = make_matrix_game([MATCHING_PENNIES.copy()], 1)
+        spp = make_matrix_game([MATCHING_PENNIES.copy()])
         assert operator_bound_L0(spp, samples=10, seed=0) == pytest.approx(2.0)
-        zero = make_matrix_game([np.zeros((2, 2))], 1)
+        zero = make_matrix_game([np.zeros((2, 2))])
         assert operator_bound_L0(zero, samples=10, seed=0) == 0.0
 
     def test_sampled_bound_below_analytic(self):
@@ -274,7 +275,7 @@ class TestL1Saddle:
 
 class TestCertification:
     def test_exact_bilinear_oracle_certifies_with_lipschitz_M(self):
-        spp = make_matrix_game([MATCHING_PENNIES.copy()], 1)
+        spp = make_matrix_game([MATCHING_PENNIES.copy()])
         report = certify_inexact_oracle(spp.H, spp.stacked_set(), M=2.0,
                                         delta=0.0, triples=2000, seed=0)
         assert report.worst_slack >= -1e-9
@@ -355,7 +356,7 @@ class TestCertification:
 
 class TestSupGapOracle:
     def _single_game_vi(self, A, eps=0.1):
-        spp = make_matrix_game([A], 1)
+        spp = make_matrix_game([A])
         single = NetworkModel.single_node()
         coeffs = PenaltyCoefficients(0.0, 0.0, eps)
         return spp, build_penalized_vi(spp, single, coeffs)
@@ -372,7 +373,7 @@ class TestSupGapOracle:
 
     def test_consensual_point_gap_is_m_times_single(self):
         m = 3
-        spp = make_matrix_game([MATCHING_PENNIES.copy() for _ in range(m)], m)
+        spp = make_matrix_game([MATCHING_PENNIES.copy() for _ in range(m)])
         net = build_topology("complete", m)
         coeffs = PenaltyCoefficients(2.0, 2.0, 0.1)
         vi = build_penalized_vi(spp, net, coeffs)

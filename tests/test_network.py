@@ -1,5 +1,6 @@
 """Tests for network topologies, spectra and gossip products."""
 
+import dataclasses
 import hashlib
 import tracemalloc
 
@@ -9,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import saddleslide.cli as cli
+from saddleslide import harness
 from saddleslide import (
     DegenerateNetworkError,
     DimensionError,
@@ -156,17 +158,6 @@ class TestCommunication:
         with pytest.raises(DimensionError):
             net.block_product(np.ones(shape))
 
-    @pytest.mark.parametrize("kind,m", [("ring", 5), ("erdos_renyi", 9)])
-    def test_model_built_from_its_public_fields_gossips_as_from_matrix(self, kind, m):
-        net = topology(kind, m)
-        direct = NetworkModel(m=net.m, W_tilde=net.W_tilde, W=net.W,
-                              lambda_max=net.lambda_max,
-                              lambda_min_plus=net.lambda_min_plus, chi=net.chi)
-        assert direct.edges == net.edges
-        for width in (1, 3):
-            V = rng.normal(size=(m, width))
-            assert_same_bits(direct.block_product(V), net.block_product(V))
-
     def test_consensus_vector_is_annihilated(self):
         net = build_topology("complete", 5)
         V = np.tile(rng.normal(size=3), (5, 1))
@@ -206,9 +197,28 @@ class TestTopologyBuilding:
         assert net.chi is None
         assert net.edges == []
 
-    def test_m_below_two_rejected(self):
+    def test_single_kind_is_the_single_node_network(self):
+        net, single = build_topology("single", 1), NetworkModel.single_node()
+        for f in dataclasses.fields(NetworkModel):
+            if f.compare:
+                a, b = getattr(net, f.name), getattr(single, f.name)
+                assert type(a) is type(b), f.name
+                assert np.array_equal(a, b) if isinstance(a, np.ndarray) else a == b, f.name
+
+    @pytest.mark.parametrize("kind,m", [("single", 2), ("single", 0), ("ring", 1),
+                                        ("complete", 1), ("ring", True)])
+    def test_single_kind_needs_one_node_and_every_other_kind_two(self, kind, m):
         with pytest.raises(ParameterError):
-            build_topology("ring", 1)
+            build_topology(kind, m)
+
+    def test_only_W_tilde_is_an_init_field(self):
+        assert [f.name for f in dataclasses.fields(NetworkModel) if f.init] == ["W_tilde"]
+
+    @pytest.mark.parametrize("kind", TOPOLOGY_KINDS)
+    def test_eigenvalues_are_the_ascending_spectrum_bitwise(self, kind):
+        for m in PINNED_NETWORK_SIZES:
+            net = topology(kind, m)
+            assert_same_bits(net.eigenvalues, np.linalg.eigvalsh(net.W_tilde))
 
     def test_too_many_nodes_rejected_before_any_matrix_is_built(self):
         # a dense 4096 x 4096 float matrix alone is 134 MB
@@ -261,31 +271,31 @@ class TestTopologyBuilding:
             [0.0, 0.0, -1.0, 1.0],
         ])
         with pytest.raises(DegenerateNetworkError):
-            NetworkModel.from_matrix(two_islands)
+            NetworkModel(two_islands)
 
-    def test_from_matrix_rejects_bad_inputs(self):
+    def test_constructor_rejects_bad_inputs(self):
         with pytest.raises(DomainError):
-            NetworkModel.from_matrix(np.array([[1.0, 0.5], [-0.5, 1.0]]))
+            NetworkModel(np.array([[1.0, 0.5], [-0.5, 1.0]]))
         shifted = np.array([[2.0, -1.0], [-1.0, 2.0]])  # kernel misses ones
         with pytest.raises(DomainError):
-            NetworkModel.from_matrix(shifted)
+            NetworkModel(shifted)
         with pytest.raises(DomainError):
-            NetworkModel.from_matrix(np.array([[-1.0, 1.0], [1.0, -1.0]]))
+            NetworkModel(np.array([[-1.0, 1.0], [1.0, -1.0]]))
         with pytest.raises(DimensionError):
-            NetworkModel.from_matrix(np.array(1.0))
+            NetworkModel(np.array(1.0))
         with pytest.raises(DimensionError):
-            NetworkModel.from_matrix(np.zeros((2, 3)))
+            NetworkModel(np.zeros((2, 3)))
         with pytest.raises(DimensionError):
-            NetworkModel.from_matrix(np.zeros((0, 0)))
+            NetworkModel(np.zeros((0, 0)))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-    def test_from_matrix_rejects_non_finite_entries(self, bad):
+    def test_constructor_rejects_non_finite_entries(self, bad):
         ring = build_topology("ring", 4).W_tilde.copy()
         for i, j in ((0, 0), (0, 2), (1, 0)):
             W = ring.copy()
             W[i, j] = bad
             with pytest.raises(DomainError, match="non-finite"):
-                NetworkModel.from_matrix(W)
+                NetworkModel(W)
 
     @pytest.mark.parametrize("kind", TOPOLOGY_KINDS)
     def test_edges_are_the_upper_triangle_in_row_major_order(self, kind):
@@ -297,6 +307,17 @@ class TestTopologyBuilding:
         net = build_topology("complete", 6)
         assert len(net.edges) == 15
         assert net.W_tilde[0, 0] == pytest.approx(5.0)
+
+
+# sha256 of the spectrum command's stdout (its output directory written as
+# OUT), laplacian.csv and sqrt.csv, per (kind, m)
+PINNED_SPECTRA = {
+    ("complete", 4): "2d6a85751aaca9db1d99b85943984ede9ffcdd97634d88ee8a7406061f230639",
+    ("path", 3): "1be114ea130ba68aedce6650b18b6a0170f5d9b12e323f976909655f90c9a58b",
+    ("ring", 5): "6baa84a514e2f37ff584646781e5765a246f84f3018540d44cc10347edba5c77",
+    ("single", 1): "f707bf01a7f95f92ef180c902b81bcb25a1c8ccd374c15391f8834296ad3def0",
+    ("star", 7): "375fe144c6ae9e8c5fe3d37f69b353a40c6c3090f031c5f6ed45a7ca1072f81c",
+}
 
 
 class TestNetworkFiles:
@@ -312,6 +333,23 @@ class TestNetworkFiles:
         assert np.allclose(np.loadtxt(out / "laplacian.csv", delimiter=","),
                            net.W_tilde)
         assert np.allclose(np.loadtxt(out / "sqrt.csv", delimiter=","), net.W)
+
+    @pytest.mark.parametrize("kind,m", sorted(PINNED_SPECTRA))
+    def test_spectrum_builds_only_the_network(self, tmp_path, capsys, monkeypatch,
+                                              kind, m):
+        def unreachable(*args, **kwargs):
+            raise AssertionError("spectrum built more than the network")
+
+        monkeypatch.setattr(harness, "_build_instance", unreachable)
+        monkeypatch.setattr(harness, "operator_bound_L0", unreachable)
+        cfg = tmp_path / "cfg.yaml"
+        cfg.write_text(RunConfig(m=m, network_kind=kind).to_yaml())
+        out = tmp_path / "spec"
+        assert cli.main(["spectrum", "--config", str(cfg), "--out", str(out)]) == 0
+        digest = hashlib.sha256(capsys.readouterr().out.replace(str(out), "OUT").encode())
+        for name in ("laplacian.csv", "sqrt.csv"):
+            digest.update((out / name).read_bytes())
+        assert digest.hexdigest() == PINNED_SPECTRA[kind, m]
 
 
 # sha256, per topology kind, of W_tilde, W, (lambda_max, lambda_min_plus,

@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 from saddleslide import (
     MATCHING_PENNIES,
     ConfigurationError,
-    DegenerateNetworkError,
     DimensionError,
     NetworkModel,
     ParameterError,
@@ -38,7 +37,7 @@ rng = np.random.default_rng(1207)
 
 
 def pennies_stack(m):
-    return make_matrix_game([MATCHING_PENNIES.copy() for _ in range(m)], m)
+    return make_matrix_game([MATCHING_PENNIES.copy() for _ in range(m)])
 
 
 def join(X, Y):
@@ -70,11 +69,13 @@ class TestPenaltyCoefficients:
         assert coeffs.R_alpha_sq == 0.0
         assert coeffs.R_beta_sq == 0.0
 
-    def test_degenerate_network_rejected(self):
-        spp = pennies_stack(1)
+    def test_single_node_network_gives_zero_radii(self):
+        # W_tilde = 0 has no positive eigenvalue, and G vanishes for any R
         single = NetworkModel.single_node()
-        with pytest.raises(DegenerateNetworkError):
-            penalty_coefficients(spp, single, 0.1, 1.0, 1.0)
+        for eps in (0.1, 1):
+            coeffs = penalty_coefficients(pennies_stack(1), single, eps, 1.0, 1.0)
+            assert coeffs == PenaltyCoefficients(0.0, 0.0, float(eps))
+            assert type(coeffs.epsilon) is float
 
     def test_node_count_mismatch_rejected(self):
         spp = pennies_stack(3)
@@ -393,7 +394,7 @@ class TestRowWiseOracles:
     def test_rows_equal_single_point_calls_bitwise(self, m, d_x, d_y, lead, family, seed):
         spp = (random_matrix_game(m, d_x, d_y, seed=seed) if family == "game"
                else random_l1_saddle(m, d_x, d_y, seed=seed))
-        net = NetworkModel.single_node() if m == 1 else build_topology("ring", m)
+        net = build_topology("single" if m == 1 else "ring", m)
         self.check_rows_bitwise(spp, net, batch_of_points(spp, lead, seed + 1))
 
     @pytest.mark.parametrize("family", ["game", "l1"])

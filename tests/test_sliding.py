@@ -230,7 +230,7 @@ class TestDeterministicRun:
         assert _bits(final) == _bits(rec.z_bar[-1])
 
     def test_matching_pennies_reaches_small_gap(self):
-        spp = make_matrix_game([MATCHING_PENNIES.copy()], 1)
+        spp = make_matrix_game([MATCHING_PENNIES.copy()])
         prob = VIProblem(
             set_geometry=spp.stacked_geometry(),
             grad_G=lambda z: np.zeros(4),
@@ -587,7 +587,7 @@ class TestLoopGuards:
             return shifted
 
         monkeypatch.setattr(sliding, "_bind_prox", bind_off_the_set)
-        spp = make_matrix_game([MATCHING_PENNIES.copy()], 1)
+        spp = make_matrix_game([MATCHING_PENNIES.copy()])
         prob = VIProblem(set_geometry=spp.stacked_geometry(), grad_G=lambda z: np.zeros(4),
                          L=2.0, H=spp.H, M=2.0, delta=0.0)
         with pytest.raises(DomainError, match="left the feasible set at outer iteration 1"):
