@@ -15,6 +15,7 @@ would not be locally computable.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Optional
 
 import numpy as np
@@ -55,12 +56,16 @@ def matrix_sqrt_psd(A: np.ndarray, tol: float = 1e-9) -> np.ndarray:
     return 0.5 * (root + root.T)
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class NetworkModel:
     """Network of the gossip matrix ``W_tilde``, its only input, from which
     construction derives every other field (``eigenvalues`` is the
     ascending spectrum). ``lambda_min_plus`` and ``chi`` are None exactly
     for the single-node network W_tilde = 0, which has no positive eigenvalue.
+
+    A network is immutable, so runs may share one: construction copies
+    ``W_tilde``, every array it holds (the gossip exchange arrays included)
+    is read-only, and its fields cannot be rebound. Equality is identity.
     """
 
     W_tilde: np.ndarray
@@ -82,7 +87,7 @@ class NetworkModel:
                                   default_factory=dict)
 
     def __post_init__(self):
-        Wt = np.asarray(self.W_tilde, dtype=float)
+        Wt = np.array(self.W_tilde, dtype=float)  # a copy: the caller keeps theirs
         if Wt.ndim != 2 or Wt.shape[0] != Wt.shape[1] or Wt.shape[0] == 0:
             raise DimensionError("gossip matrix must be square with m >= 1 rows")
         if not np.isfinite(Wt).all():
@@ -105,15 +110,21 @@ class NetworkModel:
             raise DegenerateNetworkError(
                 "gossip matrix kernel must be exactly the consensus line, found "
                 f"{n_zero} zero eigenvalues (disconnected topology?)")
-        self.W_tilde, self.m, self.eigenvalues, self.lambda_max = Wt, m, lam, lam_max
-        self.lambda_min_plus = float(positive.min()) if positive.size else None
-        self.chi = lam_max / self.lambda_min_plus if self.lambda_min_plus else None
-        self.W = matrix_sqrt_psd(Wt, tol=1e-9 * scale) if lam_max > 0 else np.zeros_like(Wt)
+        lam_min_plus = float(positive.min()) if positive.size else None
         # edges are the nonzero off-diagonal pairs i < j in row-major order,
         # the order in which block_product sums each row
-        self._edge_i, self._edge_j = np.nonzero(np.abs(np.triu(Wt, 1)) > 1e-12 * scale)
-        self._edge_w = -Wt[self._edge_i, self._edge_j]
-        self._degree = np.diag(Wt).copy()
+        edge_i, edge_j = np.nonzero(np.abs(np.triu(Wt, 1)) > 1e-12 * scale)
+        derived = dict(
+            W_tilde=Wt, m=m, eigenvalues=lam, lambda_max=lam_max,
+            lambda_min_plus=lam_min_plus,
+            chi=lam_max / lam_min_plus if lam_min_plus else None,
+            W=matrix_sqrt_psd(Wt, tol=1e-9 * scale) if lam_max > 0 else np.zeros_like(Wt),
+            _edge_i=edge_i, _edge_j=edge_j, _edge_w=-Wt[edge_i, edge_j],
+            _degree=np.diag(Wt).copy())
+        for name, value in derived.items():
+            if isinstance(value, np.ndarray):
+                value.flags.writeable = False
+            object.__setattr__(self, name, value)
 
     @property
     def edges(self) -> list:
@@ -158,6 +169,8 @@ class NetworkModel:
             cached = ((dst[:, None] * bd + cols).ravel(),
                       (src[:, None] * bd + cols).ravel(),
                       np.repeat(np.concatenate((self._edge_w, self._edge_w)), bd))
+            for a in cached:
+                a.flags.writeable = False
             self._flat_exchanges[bd] = cached
         return cached
 
@@ -172,19 +185,16 @@ def _topology_edges(kind: str, m: int, p: Optional[float],
         return [(i, i + 1) for i in range(m - 1)]
     if kind == "star":
         return [(0, i) for i in range(1, m)]
-    if kind == "erdos_renyi":
-        if p is None or not (0.0 < p <= 1.0):
-            raise ParameterError("erdos_renyi needs edge probability p in (0, 1]")
-        rng = np.random.default_rng(seed)
-        iu, ju = np.triu_indices(m, 1)  # the pairs i < j in row-major order
-        for _ in range(10000):
-            keep = rng.random(iu.size) < p  # one draw per pair, in pair order
-            edges = list(zip(iu[keep].tolist(), ju[keep].tolist()))
-            if _connected(m, edges):
-                return edges
-        raise ParameterError(
-            f"erdos_renyi(p={p}) failed to produce a connected graph in 10000 tries")
-    raise ParameterError(f"unknown topology kind {kind!r}")
+    # erdos_renyi, with p in (0, 1] checked by build_topology
+    rng = np.random.default_rng(seed)
+    iu, ju = np.triu_indices(m, 1)  # the pairs i < j in row-major order
+    for _ in range(10000):
+        keep = rng.random(iu.size) < p  # one draw per pair, in pair order
+        edges = list(zip(iu[keep].tolist(), ju[keep].tolist()))
+        if _connected(m, edges):
+            return edges
+    raise ParameterError(
+        f"erdos_renyi(p={p}) failed to produce a connected graph in 10000 tries")
 
 
 def _connected(m: int, edges: list) -> bool:
@@ -208,20 +218,49 @@ def build_topology(kind: str, m: int, p: Optional[float] = None,
     """Unweighted graph Laplacian network for a named topology.
 
     ``erdos_renyi`` samples G(m, p) with the given seed and retries until the
-    graph is connected; the deterministic kinds are connected by construction.
-    ``single`` needs m = 1, the other kinds m in [2, MAX_NODES], which is
-    checked before any edge or matrix is built.
+    graph is connected; the deterministic kinds are connected by construction
+    and ignore p and seed. ``single`` needs m = 1, the other kinds m in
+    [2, MAX_NODES]. Every argument is checked before any edge or matrix is
+    built.
+
+    A network is a constant of its configuration, so the few most recently
+    built ones are kept: equal arguments return the same read-only
+    ``NetworkModel``. ``erdos_renyi`` with ``seed=None`` draws from OS
+    entropy, so it builds a new network on every call.
     """
+    if not (isinstance(kind, str) and kind in ("single",) + TOPOLOGY_KINDS):
+        raise ParameterError(f"unknown topology kind {kind!r}")
     if not (isinstance(m, (int, np.integer)) and not isinstance(m, bool)
             and (m == 1 if kind == "single" else 2 <= m <= MAX_NODES)):
         raise ParameterError(f"build_topology needs m = 1 for kind 'single' and "
                              f"2 <= m <= {MAX_NODES} otherwise, got {kind!r} with m = {m!r}")
+    if not (p is None or (isinstance(p, (int, float, np.integer, np.floating))
+                          and not isinstance(p, bool))):
+        raise ParameterError(f"edge probability p must be a real number or None, got {p!r}")
+    if not (seed is None or (isinstance(seed, (int, np.integer))
+                             and not isinstance(seed, bool) and seed >= 0)):
+        raise ParameterError(f"seed must be None or an integer >= 0, got {seed!r}")
+    if kind != "erdos_renyi":
+        return _cached_topology(kind, int(m), None, None)
+    if p is None or not (0.0 < p <= 1.0):
+        raise ParameterError("erdos_renyi needs edge probability p in (0, 1]")
+    if seed is None:
+        return _laplacian_network(kind, int(m), float(p), None)
+    return _cached_topology(kind, int(m), float(p), int(seed))
+
+
+def _laplacian_network(kind: str, m: int, p: Optional[float],
+                       seed: Optional[int]) -> NetworkModel:
     if m == 1:
         return NetworkModel.single_node()
-    i, j = np.array(_topology_edges(kind, int(m), p, seed)).T
+    i, j = np.array(_topology_edges(kind, m, p, seed)).T
     A = np.zeros((m, m))
     A[i, j] = A[j, i] = 1.0
     return NetworkModel(np.diag(A.sum(axis=1)) - A)
+
+
+# the networks of the most recently used configurations
+_cached_topology = lru_cache(maxsize=4)(_laplacian_network)
 
 
 # Floats of W V that consensus_violation holds at once (128 kB): a batch is

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import saddleslide.cli as cli
-from saddleslide import harness
+from saddleslide import harness, network
 from saddleslide import (
     DegenerateNetworkError,
     DimensionError,
@@ -146,7 +146,8 @@ class TestCommunication:
         assert_same_bits(net.block_product(V), two_pass_block_product(net, V))
 
     def test_exchange_cache_is_keyed_by_width(self):
-        net = build_topology("erdos_renyi", 8, p=0.5, seed=4)
+        # a fresh network: the shared one keeps the widths other tests used
+        net = NetworkModel(build_topology("erdos_renyi", 8, p=0.5, seed=4).W_tilde)
         for width in [3, 1, 6, 3, 2, 1, 6]:
             V = rng.normal(size=(8, width))
             assert_same_bits(net.block_product(V), two_pass_block_product(net, V))
@@ -307,6 +308,93 @@ class TestTopologyBuilding:
         net = build_topology("complete", 6)
         assert len(net.edges) == 15
         assert net.W_tilde[0, 0] == pytest.approx(5.0)
+
+
+ARRAY_FIELDS = ("W_tilde", "W", "eigenvalues", "_edge_i", "_edge_j", "_edge_w", "_degree")
+
+
+class TestSharedNetworks:
+    @pytest.mark.parametrize("kind,m", [("ring", 6), ("star", 5), ("single", 1)])
+    def test_equal_configs_share_one_network(self, kind, m):
+        net = build_topology(kind, m)
+        assert build_topology(kind, np.int64(m)) is net
+        # the deterministic kinds ignore p and seed
+        assert build_topology(kind, m, p=0.3, seed=9) is net
+        assert build_topology(kind, m) == build_topology(kind, m)
+
+    def test_erdos_renyi_shares_per_p_and_seed(self):
+        net = build_topology("erdos_renyi", 9, p=0.5, seed=2)
+        assert build_topology("erdos_renyi", np.int64(9), p=np.float64(0.5),
+                              seed=np.int64(2)) is net
+        assert build_topology("erdos_renyi", 9, p=0.5, seed=3) is not net
+        assert build_topology("erdos_renyi", 9, p=0.6, seed=2) is not net
+
+    def test_erdos_renyi_without_seed_is_never_shared(self):
+        nets = [build_topology("erdos_renyi", 9, p=0.5) for _ in range(3)]
+        assert len({id(net) for net in nets}) == 3
+
+    def test_equality_is_identity(self):
+        W = build_topology("ring", 5).W_tilde
+        a, b = NetworkModel(W), NetworkModel(W)
+        assert (a == b) is False and (a == a) is True
+        assert len({a, b}) == 2
+
+    @pytest.mark.parametrize("kind", TOPOLOGY_KINDS)
+    def test_shared_network_is_bitwise_a_fresh_one(self, kind):
+        net = topology(kind, 8)
+        net.block_product(np.ones((8, 2)))
+        assert topology(kind, 8) is net
+        fresh = NetworkModel(net.W_tilde)
+        for f in dataclasses.fields(NetworkModel):
+            if not f.compare:
+                continue
+            a, b = getattr(net, f.name), getattr(fresh, f.name)
+            assert type(a) is type(b), f.name
+            if isinstance(a, np.ndarray):
+                assert a.dtype == b.dtype and a.shape == b.shape, f.name
+                assert a.tobytes() == b.tobytes(), f.name
+            else:
+                assert a == b, f.name
+
+    @pytest.mark.parametrize("kind,m", [("ring", 4), ("erdos_renyi", 8), ("single", 1)])
+    def test_every_array_is_read_only(self, kind, m):
+        net = topology(kind, m)
+        net.block_product(np.ones((m, 3)))
+        arrays = [getattr(net, name) for name in ARRAY_FIELDS]
+        arrays += list(net._flat_exchanges[3])
+        for a in arrays:
+            assert not a.flags.writeable
+            if a.size:  # the single node has no edges
+                with pytest.raises(ValueError, match="read-only"):
+                    a.reshape(-1)[0] = 7.0
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            net.chi = 1.0
+
+    def test_constructor_copies_its_input(self):
+        W = build_topology("ring", 6).W_tilde.copy()
+        net = NetworkModel(W)
+        V = np.random.default_rng(6).standard_normal((6, 2))
+        before = net.block_product(V)
+        W[0, 0] = 7.0
+        W[0, 1] = -3.0
+        assert net.W_tilde[0, 0] == 2.0 and net.W_tilde[0, 1] == -1.0
+        assert_same_bits(net.block_product(V), before)
+
+    @pytest.mark.parametrize("bad", [dict(p=True), dict(p=np.True_), dict(p="0.5"),
+                                     dict(p=[0.5]), dict(p=0.5j), dict(seed=-1),
+                                     dict(seed=True), dict(seed=np.False_),
+                                     dict(seed=1.0), dict(seed="3"), dict(seed=[1])])
+    def test_p_and_seed_are_type_checked_before_anything_is_built(self, bad,
+                                                                  monkeypatch):
+        def unreachable(*args, **kwargs):
+            raise AssertionError("a network was built")
+
+        monkeypatch.setattr(network, "_topology_edges", unreachable)
+        monkeypatch.setattr(network, "NetworkModel", unreachable)
+        args = dict(p=0.5, seed=1) | bad
+        for kind in ("erdos_renyi", "ring"):
+            with pytest.raises(ParameterError):
+                build_topology(kind, 6, **args)
 
 
 # sha256 of the spectrum command's stdout (its output directory written as
