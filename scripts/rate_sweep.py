@@ -23,9 +23,9 @@ import numpy as np
 
 from saddleslide import (
     MATCHING_PENNIES,
-    NetworkModel,
     PenaltyCoefficients,
     build_penalized_vi,
+    build_topology,
     deterministic_schedule,
     make_matrix_game,
     mps_run,
@@ -60,7 +60,7 @@ def build_problem(args):
         spp = random_matrix_game(1, args.d, args.d, seed=args.instance_seed)
     A = spp.meta["A_bar"]
     lipschitz = float(np.linalg.svd(A, compute_uv=False)[0])
-    vi = build_penalized_vi(spp, NetworkModel.single_node(),
+    vi = build_penalized_vi(spp, build_topology("single", 1),
                             PenaltyCoefficients(0.0, 0.0, 0.1))
     vi = replace(vi, L=lipschitz, M=lipschitz, delta=0.0)
     z0 = spp.stacked_set().sample(np.random.default_rng(args.start_seed), 1)[0]

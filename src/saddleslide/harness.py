@@ -11,10 +11,11 @@ The per-iteration gap and the x and y consensus violations stream through
 a solver observer: it copies each outer iterate z_bar_k into one block of
 rows, about ``4 * CONSENSUS_CHUNK`` floats, and each full block, and the
 partial one after the solve, goes through the gap oracle and
-``consensus_violation``. Both act row-wise, each row bitwise the
-single-point call, so the columns do not depend on the block size, and a
-run's memory does not grow with N. The final values are those of the last
-row, z_bar_N, the returned point.
+``consensus_violation`` in one call each. Both act row-wise, each row
+bitwise the single-point call, so the columns do not depend on the block
+size. Neither splits a batch, so the block alone bounds their working
+memory, and a run's memory does not grow with N. The final values are
+those of the last row, z_bar_N, the returned point.
 
 Reports are pure functions of (config, seed): emitted files redact wall-clock
 fields to 0.0 so re-running a config yields identical bytes. Stochastic mode
@@ -44,8 +45,7 @@ from .instances import (
     random_l1_saddle,
     random_matrix_game,
 )
-from .network import (CONSENSUS_CHUNK, MAX_NODES, TOPOLOGY_KINDS, build_topology,
-                      consensus_violation)
+from .network import MAX_NODES, TOPOLOGY_KINDS, build_topology, consensus_violation
 from .penalty import StackedSPP, build_penalized_vi, penalty_coefficients
 from .sliding import (
     deterministic_T_raw,
@@ -64,6 +64,9 @@ FAMILIES = ("matching_pennies", "matrix_game_random", "l1_saddle_random")
 NOISE_KINDS = ("uniform", "gaussian")
 # Floats per noise block of make_stochastic_oracle (32 kB).
 NOISE_BLOCK = 4096
+# run_experiment's block of outer iterates holds about 4 * CONSENSUS_CHUNK
+# floats (512 kB); see the module docstring.
+CONSENSUS_CHUNK = 1 << 14
 # Largest N a run accepts, whether picked or overridden: past it, consecutive
 # N^2 stop being exact floats, and pick_N's search could step through equal
 # values forever.
@@ -390,8 +393,7 @@ def build_pipeline(config: RunConfig):
     spp = _build_instance(config)
     spp.operator_bound = operator_bound_L0(spp, samples=2000,
                                            seed=config.instance_seed)
-    coeffs = penalty_coefficients(spp, net, config.epsilon,
-                                  spp.subgrad_bound_x, spp.subgrad_bound_y)
+    coeffs = penalty_coefficients(spp, net, config.epsilon)
     vi = build_penalized_vi(spp, net, coeffs)
     return net, spp, coeffs, vi
 

@@ -36,23 +36,13 @@ TAU_EIG_REL = 1e-9
 MAX_NODES = 512
 
 
-def matrix_sqrt_psd(A: np.ndarray, tol: float = 1e-9) -> np.ndarray:
-    """Symmetric PSD square root via eigendecomposition.
-
-    Eigenvalue noise in [-tol, 0) is clamped to zero; asymmetry beyond tol or
-    an eigenvalue below -tol is a domain error.
-    """
-    A = np.asarray(A, dtype=float)
-    if A.ndim != 2 or A.shape[0] != A.shape[1] or A.shape[0] == 0:
-        raise DimensionError("matrix_sqrt_psd needs a nonempty square matrix")
-    if not np.all(np.isfinite(A)):
-        raise DomainError("matrix contains non-finite entries")
-    if np.max(np.abs(A - A.T)) > tol:
-        raise DomainError("matrix is not symmetric to the given tolerance")
-    lam, U = np.linalg.eigh(0.5 * (A + A.T))
-    if np.min(lam) < -tol:
-        raise DomainError(f"matrix has eigenvalue {np.min(lam)} < -tol, not PSD")
-    root = (U * np.sqrt(np.clip(lam, 0.0, None))) @ U.T  # U diag(sqrt(lam)) U^T
+def _psd_sqrt(sym: np.ndarray) -> np.ndarray:
+    """U diag(sqrt(mu)) U^T, symmetrized, for eigh(sym) = (mu, U), with
+    eigenvalue noise below zero clamped. U and the first product are freed
+    on return, before the constructor stores W: kept as its locals, they
+    made ring-256 solves about 4 % slower (2-vCPU Xeon)."""
+    mu, U = np.linalg.eigh(sym)
+    root = (U * np.sqrt(np.clip(mu, 0.0, None))) @ U.T
     return 0.5 * (root + root.T)
 
 
@@ -100,13 +90,14 @@ class NetworkModel:
             raise DomainError("gossip matrix must be symmetric")
         if np.max(np.abs(Wt @ np.ones(m))) > 1e-8 * scale:
             raise DomainError("gossip matrix kernel must contain the consensus direction")
-        lam = np.linalg.eigvalsh(0.5 * (Wt + Wt.T))
+        sym = 0.5 * (Wt + Wt.T)
+        lam = np.linalg.eigvalsh(sym)
         if lam.min() < -1e-9 * scale:
             raise DomainError("gossip matrix must be positive semidefinite")
         lam_max = float(lam.max())
         positive = lam[lam > TAU_EIG_REL * lam_max]
         n_zero = int(lam.size - positive.size)
-        if m >= 2 and n_zero != 1:
+        if n_zero != 1:
             raise DegenerateNetworkError(
                 "gossip matrix kernel must be exactly the consensus line, found "
                 f"{n_zero} zero eigenvalues (disconnected topology?)")
@@ -118,7 +109,7 @@ class NetworkModel:
             W_tilde=Wt, m=m, eigenvalues=lam, lambda_max=lam_max,
             lambda_min_plus=lam_min_plus,
             chi=lam_max / lam_min_plus if lam_min_plus else None,
-            W=matrix_sqrt_psd(Wt, tol=1e-9 * scale) if lam_max > 0 else np.zeros_like(Wt),
+            W=_psd_sqrt(sym),
             _edge_i=edge_i, _edge_j=edge_j, _edge_w=-Wt[edge_i, edge_j],
             _degree=np.diag(Wt).copy())
         for name, value in derived.items():
@@ -130,11 +121,6 @@ class NetworkModel:
     def edges(self) -> list:
         """The (i, j) pairs i < j of W_tilde's nonzero pattern, in row-major order."""
         return list(zip(self._edge_i.tolist(), self._edge_j.tolist()))
-
-    @staticmethod
-    def single_node() -> "NetworkModel":
-        """The m = 1 network: zero gossip matrix, so the penalty vanishes."""
-        return NetworkModel(np.zeros((1, 1)))
 
     def block_product(self, V: np.ndarray) -> np.ndarray:
         """W_tilde applied to an (m, block_dim) matrix via per-edge exchanges.
@@ -177,6 +163,8 @@ class NetworkModel:
 
 def _topology_edges(kind: str, m: int, p: Optional[float],
                     seed: Optional[int]) -> list:
+    if kind == "single":
+        return []
     if kind == "complete":
         return [(i, j) for i in range(m) for j in range(i + 1, m)]
     if kind == "ring":
@@ -251,9 +239,8 @@ def build_topology(kind: str, m: int, p: Optional[float] = None,
 
 def _laplacian_network(kind: str, m: int, p: Optional[float],
                        seed: Optional[int]) -> NetworkModel:
-    if m == 1:
-        return NetworkModel.single_node()
-    i, j = np.array(_topology_edges(kind, m, p, seed)).T
+    edges = np.array(_topology_edges(kind, m, p, seed), dtype=np.intp)
+    i, j = edges.reshape(-1, 2).T
     A = np.zeros((m, m))
     A[i, j] = A[j, i] = 1.0
     return NetworkModel(np.diag(A.sum(axis=1)) - A)
@@ -261,11 +248,6 @@ def _laplacian_network(kind: str, m: int, p: Optional[float],
 
 # the networks of the most recently used configurations
 _cached_topology = lru_cache(maxsize=4)(_laplacian_network)
-
-
-# Floats of W V that consensus_violation holds at once (128 kB): a batch is
-# evaluated in chunks of rows of about this size.
-CONSENSUS_CHUNK = 1 << 14
 
 
 def consensus_violation(net: NetworkModel, stacked):
@@ -279,21 +261,15 @@ def consensus_violation(net: NetworkModel, stacked):
     an (n, m, w) stack, ``np.matmul`` runs one gemm per slice; a single
     gemm of W against the rows side by side sums in another order), and the
     norm is the square root of the row's ``ddot``, as in
-    ``np.linalg.norm``. A batch runs in chunks of rows, so W V never holds
-    more than about ``CONSENSUS_CHUNK`` floats. W is zero on a single-node
-    network, where the result is 0.0.
+    ``np.linalg.norm``. W V takes as many floats as ``stacked``, so the
+    caller bounds the memory by the size of the batch it passes. W is zero
+    on a single-node network, where the result is 0.0.
     """
     v = np.asarray(stacked, dtype=float)
     if v.ndim == 0 or v.shape[-1] == 0 or v.shape[-1] % net.m != 0:
         raise DimensionError(f"stacked points of shape {v.shape} need a nonempty last "
                              f"axis that is a multiple of m = {net.m}")
     lead, w = v.shape[:-1], v.shape[-1] // net.m
-    V = v.reshape(-1, net.m, w)
-    out = np.empty(len(V))
-    step = max(1, CONSENSUS_CHUNK // max(1, net.m * w))
-    for s in range(0, len(V), step):
-        R = np.matmul(net.W, V[s:s + step])
-        R = R.reshape(len(R), -1)
-        np.vecdot(R, R, out=out[s:s + step])
-    np.sqrt(out, out)
+    R = np.matmul(net.W, v.reshape(-1, net.m, w)).reshape(-1, net.m * w)
+    out = np.sqrt(np.vecdot(R, R))
     return float(out[0]) if not lead else out.reshape(lead)

@@ -129,19 +129,20 @@ class PenaltyCoefficients:
                 raise ParameterError(f"{name} must be a finite nonnegative real")
 
 
-def penalty_coefficients(spp: StackedSPP, net: NetworkModel, epsilon: float,
-                         bound_x: float, bound_y: float) -> PenaltyCoefficients:
-    """R_alpha_sq = bound_x^2 / lambda_min_plus(W_tilde), R_beta_sq likewise
-    from bound_y.
+def penalty_coefficients(spp: StackedSPP, net: NetworkModel,
+                         epsilon: float) -> PenaltyCoefficients:
+    """R_alpha_sq = spp.subgrad_bound_x^2 / lambda_min_plus(W_tilde),
+    R_beta_sq likewise from spp.subgrad_bound_y.
 
-    The bounds must dominate the stacked subgradient norms over the whole
-    feasible set; a uniform over-estimate only strengthens the penalty
-    guarantee. The single node, the only network without a positive
+    The problem's bounds must dominate its stacked subgradient norms over
+    the whole feasible set; a uniform over-estimate only strengthens the
+    penalty guarantee. The single node, the only network without a positive
     eigenvalue, has W_tilde = 0, so G vanishes and its radii are 0.0.
     """
     if not (np.isfinite(epsilon) and epsilon > 0):
         raise ParameterError("epsilon must be a positive real")
-    for name, v in (("bound_x", bound_x), ("bound_y", bound_y)):
+    for name in ("subgrad_bound_x", "subgrad_bound_y"):
+        v = getattr(spp, name)
         if not (np.isfinite(v) and v >= 0):
             raise ParameterError(f"{name} must be a finite nonnegative real")
     if net.m != spp.m:
@@ -149,8 +150,8 @@ def penalty_coefficients(spp: StackedSPP, net: NetworkModel, epsilon: float,
     if net.lambda_min_plus is None:
         return PenaltyCoefficients(0.0, 0.0, float(epsilon))
     return PenaltyCoefficients(
-        R_alpha_sq=bound_x ** 2 / net.lambda_min_plus,
-        R_beta_sq=bound_y ** 2 / net.lambda_min_plus,
+        R_alpha_sq=spp.subgrad_bound_x ** 2 / net.lambda_min_plus,
+        R_beta_sq=spp.subgrad_bound_y ** 2 / net.lambda_min_plus,
         epsilon=float(epsilon))
 
 
@@ -162,7 +163,8 @@ def build_penalized_vi(spp: StackedSPP, net: NetworkModel,
     (R_beta^2/eps)||W y||^2 with gradient ((2R_alpha^2/eps) W_tilde x,
     (2R_beta^2/eps) W_tilde y) evaluated through the per-edge product,
     L = max over blocks of (2R^2/eps) lambda_max. One grad_G evaluation costs
-    one communication round (the x and y blocks ride the same exchange), or
+    one communication round (the x and y blocks ride the same exchange, as
+    they do for value_G, which is (1/2) z . grad_G(z)), or
     zero when the network is degenerate (G vanishes identically and the
     problem reduces to the centralized one; L then falls back to max(M, 1)
     because the step-size schedule divides by L, and any upper bound is valid
@@ -199,18 +201,22 @@ def build_penalized_vi(spp: StackedSPP, net: NetworkModel,
 
         rounds = 0
     else:
-        def value_G(z: np.ndarray) -> float:
-            X = z[:cut].reshape(m, dx)
-            Y = z[cut:].reshape(m, dy)
-            qx = float(np.sum(X * net.block_product(X)))
-            qy = float(np.sum(Y * net.block_product(Y)))
-            return 0.5 * (cx * qx + cy * qy)
-
-        def grad_G(z: np.ndarray) -> np.ndarray:
+        def exchange(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+            # node i's x and y blocks side by side in row i, and W_tilde
+            # applied to them in one gossip round
             V = np.empty((m, dx + dy))
             V[:, :dx] = z[:cut].reshape(m, dx)
             V[:, dx:] = z[cut:].reshape(m, dy)
-            P = net.block_product(V)
+            return V, net.block_product(V)
+
+        def value_G(z: np.ndarray) -> float:
+            V, P = exchange(z)
+            qx = float(np.sum(V[:, :dx] * P[:, :dx]))
+            qy = float(np.sum(V[:, dx:] * P[:, dx:]))
+            return 0.5 * (cx * qx + cy * qy)
+
+        def grad_G(z: np.ndarray) -> np.ndarray:
+            _, P = exchange(z)
             out = np.empty_like(z)
             out[:cut] = (cx * P[:, :dx]).ravel()
             out[cut:] = (cy * P[:, dx:]).ravel()

@@ -2,8 +2,8 @@
 
 The package sees a problem only through its stacked operator H. The tests
 check H and the penalty reformulation against independent references kept
-here: per-node oracles of the matrix-game and l1 families, a
-consensus-constrained QP family with an accelerated projected-gradient
+here: per-node oracles of the matrix-game and l1 families, the penalty
+value with one gossip product per block, a consensus-constrained QP family with an accelerated projected-gradient
 solver, and an SLSQP estimate of the sup-gap that the package's certified
 bracket (``sup_gap_skew_linear``) is checked against.
 
@@ -153,6 +153,21 @@ class L1Node:
         s = np.sign(np.einsum("pi,i->p", self.B, x) - self.c)
         return (np.einsum("pi,p->i", self.B, s) + np.einsum("ji,j->i", self.C, y),
                 np.sign(y) - np.einsum("ji,i->j", self.C, x))
+
+
+# -- the consensus penalty ----------------------------------------------------------
+
+def two_product_value_G(net: NetworkModel, coeffs, m: int, d_x: int, d_y: int,
+                        z: np.ndarray) -> float:
+    """G(z) = (1/2) (c_x x . W_tilde x + c_y y . W_tilde y), c = 2 R^2 / eps,
+    with one gossip product for the x blocks and another for the y blocks."""
+    cx = 2.0 * coeffs.R_alpha_sq / coeffs.epsilon
+    cy = 2.0 * coeffs.R_beta_sq / coeffs.epsilon
+    cut = m * d_x
+    X, Y = z[:cut].reshape(m, d_x), z[cut:].reshape(m, d_y)
+    qx = float(np.sum(X * net.block_product(X)))
+    qy = float(np.sum(Y * net.block_product(Y)))
+    return 0.5 * (cx * qx + cy * qy)
 
 
 # -- consensus-constrained QPs and the reference solver ------------------------

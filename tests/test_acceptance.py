@@ -44,8 +44,7 @@ def criterion_1_runs():
     for m in (1, 3):
         spp = make_matrix_game([MATCHING_PENNIES.copy() for _ in range(m)])
         net = build_topology("single" if m == 1 else "complete", m)
-        coeffs = penalty_coefficients(spp, net, 0.1, spp.subgrad_bound_x,
-                                      spp.subgrad_bound_y)
+        coeffs = penalty_coefficients(spp, net, 0.1)
         vi = build_penalized_vi(spp, net, coeffs)
         # the exact bilinear oracle is 2-Lipschitz: certificate (M, delta) =
         # (2, 0); for m = 1 the smooth part vanishes and any L > 0 is valid
@@ -234,8 +233,7 @@ def test_criterion_6_oracle_certification():
     families = []
     for spp in (make_matrix_game([MATCHING_PENNIES.copy() for _ in range(4)]),
                 l1):
-        coeffs = penalty_coefficients(spp, net, eps,
-                                      spp.subgrad_bound_x, spp.subgrad_bound_y)
+        coeffs = penalty_coefficients(spp, net, eps)
         vi = build_penalized_vi(spp, net, coeffs)
         certify_inexact_oracle(vi.H, spp.stacked_set(), vi.M, vi.delta,
                                triples=10_000, seed=0)

@@ -140,8 +140,7 @@ def test_every_solve_H_call_goes_through_the_class_method(monkeypatch, case):
     else:
         spp = make_matrix_game([MATCHING_PENNIES] * 4)
     net = build_topology("ring", 4)
-    coeffs = penalty_coefficients(spp, net, 0.4, spp.subgrad_bound_x,
-                                  spp.subgrad_bound_y)
+    coeffs = penalty_coefficients(spp, net, 0.4)
     vi = build_penalized_vi(spp, net, coeffs)
     if case == "pennies-stochastic":
         noisy = make_stochastic_oracle(vi.H, "uniform", 0.1, spp.dim, 0)
@@ -168,8 +167,7 @@ def test_solver_checks_feasibility_once_per_outer_iteration(monkeypatch):
     monkeypatch.setattr(ProductSet, "contains", counting_contains)
     spp = random_l1_saddle(4, 2, 2, seed=0)
     net = build_topology("ring", 4)
-    coeffs = penalty_coefficients(spp, net, 0.4, spp.subgrad_bound_x,
-                                  spp.subgrad_bound_y)
+    coeffs = penalty_coefficients(spp, net, 0.4)
     vi = build_penalized_vi(spp, net, coeffs)
     calls.clear()
     mps_run(vi, deterministic_schedule(vi.L, vi.M, 2), spp.center())

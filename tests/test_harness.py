@@ -27,7 +27,7 @@ from saddleslide import (
     run_experiment,
 )
 from saddleslide import harness
-from saddleslide.network import CONSENSUS_CHUNK
+from saddleslide.harness import CONSENSUS_CHUNK
 
 rng = np.random.default_rng(1207)
 
@@ -496,6 +496,33 @@ def test_game_outputs_match_pinned_bytes(tmp_path):
     rep = run_experiment(small_config(family="matrix_game_random", m=6, d_x=3,
                                       d_y=2, N_override=12))
     assert rep.summary_lines() == lines
+    emit_outputs(rep, rep.trace, tmp_path)
+    assert_files_match(tmp_path, shas)
+
+
+# sha256 of each emitted file of single-node runs (N = 12): deterministic
+# pennies, and a noisy l1 instance (d_x = 3, d_y = 2, gaussian sigma = 0.1).
+# The m = 1 network W_tilde = 0 has W = 0, no edges and no positive
+# eigenvalue, so these bytes see how that network is built.
+PINNED_SINGLE = {
+    "pennies": (
+        dict(family="matching_pennies"),
+        {"summary.txt": "2a5b7f348a307ba213eeaa1d0237e3079e4bcc3922efcfca0178ba6e620c7552",
+         "trace.csv": "76322548a6ac6c6429f7b9d824c1e75f79e89645945a90976ff6dfe5164f0ed2",
+         "plot_data.csv": "08f4cb0207a941d8dafbf3bf963bc18022e711585b423a0224a68f34ba707e85"}),
+    "l1": (
+        dict(family="l1_saddle_random", d_x=3, d_y=2, epsilon=0.4, mode="stochastic",
+             sigma=0.1, noise_kind="gaussian", p_confidence=0.25),
+        {"summary.txt": "72ece2b1fd5bb9af49f31bd45f61e58a92bfea3a8bbb8e4f32c9619e474b54f0",
+         "trace.csv": "3a5c0652e46608fb6ac3b7da5eda16aa36c9c5f2189e70f83a4f8985407a6707",
+         "plot_data.csv": "e714db5f2c61c165ab3a582244d884b8376b56e8d510f51742f4bbb9e934fc8c"}),
+}
+
+
+@pytest.mark.parametrize("family", sorted(PINNED_SINGLE))
+def test_single_node_outputs_match_pinned_bytes(tmp_path, family):
+    overrides, shas = PINNED_SINGLE[family]
+    rep = run_experiment(small_config(m=1, network_kind="single", **overrides))
     emit_outputs(rep, rep.trace, tmp_path)
     assert_files_match(tmp_path, shas)
 

@@ -24,7 +24,6 @@ from saddleslide import (
     make_l1_saddle,
     make_matrix_game,
     make_stochastic_oracle,
-    NetworkModel,
     ParameterError,
     operator_bound_L0,
     random_l1_saddle,
@@ -357,7 +356,7 @@ class TestCertification:
 class TestSupGapOracle:
     def _single_game_vi(self, A, eps=0.1):
         spp = make_matrix_game([A])
-        single = NetworkModel.single_node()
+        single = build_topology("single", 1)
         coeffs = PenaltyCoefficients(0.0, 0.0, eps)
         return spp, build_penalized_vi(spp, single, coeffs)
 

@@ -22,7 +22,7 @@ from saddleslide import (
     build_topology,
     consensus_violation,
 )
-from saddleslide.network import MAX_NODES, matrix_sqrt_psd
+from saddleslide.network import MAX_NODES
 
 rng = np.random.default_rng(1207)
 
@@ -32,8 +32,6 @@ def sorted_eigs(net):
 
 
 def topology(kind, m):
-    if kind == "single":
-        return NetworkModel.single_node()
     return build_topology(kind, m, p=0.4 if kind == "erdos_renyi" else None, seed=3)
 
 
@@ -97,35 +95,40 @@ class TestSpectra:
             assert np.linalg.norm(net.W @ net.W - net.W_tilde) <= 1e-8
 
 
-class TestMatrixSqrt:
-    def test_identity_and_diagonal(self):
-        assert np.allclose(matrix_sqrt_psd(np.eye(3)), np.eye(3))
-        root = matrix_sqrt_psd(np.diag([0.0, 4.0]))
-        assert np.allclose(root, np.diag([0.0, 2.0]), atol=1e-12)
+def weighted_laplacian(m, seed):
+    # a ring with weights in [0.1, 10], which keeps the graph connected,
+    # plus each longer chord with probability 0.3 and a weight in [0.1, 10]
+    rng = np.random.default_rng(seed)
+    i = np.arange(m)
+    A = np.zeros((m, m))
+    A[i, (i + 1) % m] = rng.uniform(0.1, 10.0, m)
+    A += np.triu(rng.random((m, m)) < 0.3, 2) * rng.uniform(0.1, 10.0, (m, m))
+    A = np.triu(A, 1)
+    A = A + A.T
+    return np.diag(A.sum(axis=1)) - A
 
-    def test_random_psd_roundtrip(self):
-        A = rng.normal(size=(6, 6))
-        S = A @ A.T
-        root = matrix_sqrt_psd(S)
-        assert np.allclose(root @ root, S, atol=1e-8)
-        assert np.allclose(root, root.T)
 
-    def test_rejects_non_psd_and_asymmetric(self):
-        with pytest.raises(DomainError):
-            matrix_sqrt_psd(np.diag([1.0, -1.0]))
-        bad = np.array([[1.0, 0.5], [0.0, 1.0]])
-        with pytest.raises(DomainError):
-            matrix_sqrt_psd(bad)
-        with pytest.raises(DimensionError):
-            matrix_sqrt_psd(np.ones((2, 3)))
-        with pytest.raises(DimensionError):
-            matrix_sqrt_psd(np.zeros((0, 0)))
+class TestSquareRoot:
+    WEIGHTED = [(m, seed) for m in (3, 5, 8, 13) for seed in range(3)]
 
-    def test_clamps_eigenvalue_noise(self):
-        S = np.diag([1e-12, 1.0])
-        S[0, 0] = -1e-12
-        root = matrix_sqrt_psd(S)
-        assert np.all(np.isfinite(root))
+    @pytest.mark.parametrize("m,seed", WEIGHTED)
+    def test_weighted_laplacian_root_squares_back(self, m, seed):
+        net = NetworkModel(weighted_laplacian(m, seed))
+        assert np.all(np.isfinite(net.W))
+        assert np.linalg.norm(net.W @ net.W - net.W_tilde) <= 1e-8
+        assert not net.W.flags.writeable
+
+    def test_eigenvalue_noise_below_zero_is_clamped(self):
+        # the zero eigenvalue of a Laplacian comes out of eigh as rounding
+        # noise of either sign; where it dips below zero, an unclamped square
+        # root would be nan
+        dips = 0
+        for m, seed in self.WEIGHTED:
+            Wt = weighted_laplacian(m, seed)
+            if np.linalg.eigh(0.5 * (Wt + Wt.T))[0].min() < 0.0:
+                dips += 1
+                assert np.all(np.isfinite(NetworkModel(Wt).W))
+        assert dips > 0
 
 
 class TestCommunication:
@@ -191,7 +194,7 @@ class TestConsensusViolation:
 
 class TestTopologyBuilding:
     def test_single_node_is_degenerate(self):
-        net = NetworkModel.single_node()
+        net = build_topology("single", 1)
         assert net.m == 1
         assert net.lambda_max == 0.0
         assert net.lambda_min_plus is None
@@ -199,7 +202,7 @@ class TestTopologyBuilding:
         assert net.edges == []
 
     def test_single_kind_is_the_single_node_network(self):
-        net, single = build_topology("single", 1), NetworkModel.single_node()
+        net, single = build_topology("single", 1), NetworkModel(np.zeros((1, 1)))
         for f in dataclasses.fields(NetworkModel):
             if f.compare:
                 a, b = getattr(net, f.name), getattr(single, f.name)
@@ -258,6 +261,12 @@ class TestTopologyBuilding:
                     break
             assert build_topology("erdos_renyi", m, p=p, seed=seed).edges == edges
 
+    def test_erdos_renyi_gives_up_after_10000_draws(self):
+        # with p = 1e-12 no draw has the one edge that connects two nodes
+        with pytest.raises(ParameterError,
+                           match="failed to produce a connected graph in 10000 tries"):
+            build_topology("erdos_renyi", 2, p=1e-12, seed=0)
+
     def test_erdos_renyi_needs_probability(self):
         with pytest.raises(ParameterError):
             build_topology("erdos_renyi", 5)
@@ -275,19 +284,20 @@ class TestTopologyBuilding:
             NetworkModel(two_islands)
 
     def test_constructor_rejects_bad_inputs(self):
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match="symmetric"):
             NetworkModel(np.array([[1.0, 0.5], [-0.5, 1.0]]))
         shifted = np.array([[2.0, -1.0], [-1.0, 2.0]])  # kernel misses ones
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match="consensus direction"):
             NetworkModel(shifted)
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match="positive semidefinite"):
             NetworkModel(np.array([[-1.0, 1.0], [1.0, -1.0]]))
-        with pytest.raises(DimensionError):
-            NetworkModel(np.array(1.0))
-        with pytest.raises(DimensionError):
-            NetworkModel(np.zeros((2, 3)))
-        with pytest.raises(DimensionError):
-            NetworkModel(np.zeros((0, 0)))
+        for shape in ((), (2, 3), (0, 0), (2, 2, 2)):
+            with pytest.raises(DimensionError):
+                NetworkModel(np.zeros(shape))
+        # one node whose W_tilde is within the kernel tolerance of 0 but not
+        # 0: its one eigenvalue is positive, so the kernel is empty
+        with pytest.raises(DegenerateNetworkError, match="found 0 zero eigenvalues"):
+            NetworkModel(np.array([[1e-9]]))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_constructor_rejects_non_finite_entries(self, bad):

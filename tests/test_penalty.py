@@ -31,13 +31,17 @@ from saddleslide import (
     random_matrix_game,
 )
 
-from reference_oracles import BilinearNode, L1Node
+from reference_oracles import BilinearNode, L1Node, two_product_value_G
 
 rng = np.random.default_rng(1207)
 
 
 def pennies_stack(m):
     return make_matrix_game([MATCHING_PENNIES.copy() for _ in range(m)])
+
+
+def with_bounds(spp, bound_x, bound_y):
+    return replace(spp, subgrad_bound_x=bound_x, subgrad_bound_y=bound_y)
 
 
 def join(X, Y):
@@ -58,38 +62,39 @@ class TestPenaltyCoefficients:
     def test_frozen_values(self):
         k3 = build_topology("complete", 3)
         spp = pennies_stack(3)
-        coeffs = penalty_coefficients(spp, k3, 0.1, 1.0, 1.0)
+        coeffs = penalty_coefficients(with_bounds(spp, 1.0, 1.0), k3, 0.1)
         assert coeffs.R_alpha_sq == pytest.approx(1.0 / 3.0, rel=1e-9)
         path2 = build_topology("path", 2)
         spp2 = pennies_stack(2)
-        coeffs = penalty_coefficients(spp2, path2, 0.1, 5.0, 1.0)
+        coeffs = penalty_coefficients(with_bounds(spp2, 5.0, 1.0), path2, 0.1)
         assert coeffs.R_alpha_sq == pytest.approx(12.5, rel=1e-9)
         assert coeffs.R_beta_sq == pytest.approx(0.5, rel=1e-9)
-        coeffs = penalty_coefficients(spp2, path2, 0.1, 0.0, 0.0)
+        coeffs = penalty_coefficients(with_bounds(spp2, 0.0, 0.0), path2, 0.1)
         assert coeffs.R_alpha_sq == 0.0
         assert coeffs.R_beta_sq == 0.0
 
     def test_single_node_network_gives_zero_radii(self):
         # W_tilde = 0 has no positive eigenvalue, and G vanishes for any R
-        single = NetworkModel.single_node()
+        single = build_topology("single", 1)
         for eps in (0.1, 1):
-            coeffs = penalty_coefficients(pennies_stack(1), single, eps, 1.0, 1.0)
+            coeffs = penalty_coefficients(pennies_stack(1), single, eps)
             assert coeffs == PenaltyCoefficients(0.0, 0.0, float(eps))
             assert type(coeffs.epsilon) is float
 
     def test_node_count_mismatch_rejected(self):
         spp = pennies_stack(3)
         net = build_topology("ring", 4)
-        with pytest.raises(Exception):
-            penalty_coefficients(spp, net, 0.1, 1.0, 1.0)
+        with pytest.raises(DimensionError):
+            penalty_coefficients(spp, net, 0.1)
 
     def test_invalid_inputs_rejected(self):
         spp = pennies_stack(2)
         net = build_topology("path", 2)
         with pytest.raises(ParameterError):
-            penalty_coefficients(spp, net, 0.0, 1.0, 1.0)
-        with pytest.raises(ParameterError):
-            penalty_coefficients(spp, net, 0.1, -1.0, 1.0)
+            penalty_coefficients(spp, net, 0.0)
+        for bounds in ((-1.0, 1.0), (1.0, np.inf), (np.nan, 1.0)):
+            with pytest.raises(ParameterError, match="subgrad_bound"):
+                penalty_coefficients(with_bounds(spp, *bounds), net, 0.1)
         with pytest.raises(ParameterError):
             PenaltyCoefficients(1.0, 1.0, -0.5)
 
@@ -98,8 +103,7 @@ class TestBuildPenalizedVI:
     def _vi(self, m=3, eps=0.1, kind="complete"):
         spp = pennies_stack(m)
         net = build_topology(kind, m)
-        coeffs = penalty_coefficients(spp, net, eps,
-                                      spp.subgrad_bound_x, spp.subgrad_bound_y)
+        coeffs = penalty_coefficients(spp, net, eps)
         return spp, net, coeffs, build_penalized_vi(spp, net, coeffs)
 
     def test_smoothness_constant_formula(self):
@@ -141,13 +145,39 @@ class TestBuildPenalizedVI:
     def test_one_round_per_grad_G(self):
         spp = pennies_stack(3)
         net = build_topology("complete", 3)
-        coeffs = penalty_coefficients(spp, net, 0.1, 1.0, 1.0)
+        coeffs = penalty_coefficients(spp, net, 0.1)
         vi = build_penalized_vi(spp, net, coeffs)
         assert vi.rounds_per_grad_G == 1
 
+    @pytest.mark.parametrize("family", ["game", "l1"])
+    def test_value_and_gradient_each_take_one_exchange(self, monkeypatch, family):
+        spp = (random_matrix_game(5, 3, 2, seed=1) if family == "game"
+               else random_l1_saddle(5, 3, 2, seed=1))
+        net = build_topology("ring", 5)
+        coeffs = penalty_coefficients(spp, net, 0.1)
+        vi = build_penalized_vi(spp, net, coeffs)
+        widths = []
+        product = NetworkModel.block_product
+
+        def counted(self, V):
+            widths.append(V.shape[1])
+            return product(self, V)
+
+        points = spp.stacked_set().sample(np.random.default_rng(2), 20)
+        reference = [two_product_value_G(net, coeffs, 5, 3, 2, z) for z in points]
+        monkeypatch.setattr(NetworkModel, "block_product", counted)
+        for z, expected in zip(points, reference):
+            vi.grad_G(z)
+            assert widths == [5]
+            value = vi.value_G(z)
+            assert widths == [5, 5]
+            widths.clear()
+            assert type(value) is float
+            assert np.float64(value).tobytes() == np.float64(expected).tobytes()
+
     def test_single_node_reduces_to_centralized(self):
         spp = pennies_stack(1)
-        single = NetworkModel.single_node()
+        single = build_topology("single", 1)
         coeffs = PenaltyCoefficients(0.0, 0.0, 0.1)
         vi = build_penalized_vi(spp, single, coeffs)
         assert vi.rounds_per_grad_G == 0
@@ -176,7 +206,7 @@ class TestBuildPenalizedVI:
         spp = pennies_stack(3)
         net = build_topology("complete", 3)
         for eps in (0.1, 0.2):
-            coeffs = penalty_coefficients(spp, net, eps, 1.0, 1.0)
+            coeffs = penalty_coefficients(with_bounds(spp, 1.0, 1.0), net, eps)
             vi = build_penalized_vi(spp, net, coeffs)
             assert vi.delta == 2.0 * eps
             assert vi.M == spp.operator_bound ** 2 / (2.0 * eps)
@@ -400,8 +430,8 @@ class TestRowWiseOracles:
     @pytest.mark.parametrize("family", ["game", "l1"])
     def test_rows_equal_single_point_calls_bitwise_on_ring_256(self, family):
         # 256 nodes: the node means and W V sum over more rows than one
-        # unrolled block, and a batch of 300 rows of 768 floats spans
-        # several of consensus_violation's chunks
+        # unrolled block, and a batch of 300 rows of 768 floats is larger
+        # than the harness's blocks of 4 * CONSENSUS_CHUNK floats
         spp = (random_matrix_game(256, 3, 3, seed=4) if family == "game"
                else random_l1_saddle(256, 2, 2, seed=4))
         self.check_rows_bitwise(spp, build_topology("ring", 256),
@@ -409,9 +439,10 @@ class TestRowWiseOracles:
 
     def test_single_node_consensus_is_zero(self):
         Z = np.random.default_rng(2).uniform(-1.0, 1.0, (4, 3))
-        out = consensus_violation(NetworkModel.single_node(), Z)
+        single = build_topology("single", 1)
+        out = consensus_violation(single, Z)
         assert out.shape == (4,) and not out.any()
-        assert consensus_violation(NetworkModel.single_node(), Z[0]) == 0.0
+        assert consensus_violation(single, Z[0]) == 0.0
 
     def test_oracles_reject_mismatched_batches(self):
         net = build_topology("ring", 3)
