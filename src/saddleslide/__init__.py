@@ -47,7 +47,6 @@ from .instances import (
     operator_bound_L0,
     random_l1_saddle,
     random_matrix_game,
-    sup_gap_skew_linear,
 )
 from .network import (
     TOPOLOGY_KINDS,
@@ -116,7 +115,6 @@ __all__ = [
     "random_matrix_game",
     "run_experiment",
     "stochastic_schedule",
-    "sup_gap_skew_linear",
 ]
 
 __version__ = "0.1.0"

@@ -203,14 +203,18 @@ class ProductSet:
                         (*run[:5], np.concatenate(run[5]), np.concatenate(run[6]))
                         for run in runs]
 
-    def contains(self, p, tol: float = TAU_FEAS) -> bool:
-        """True if the point ``p`` lies in the set up to ``tol``.
+    def contains(self, p) -> bool:
+        """True if the point ``p`` lies in the set up to the slack
+        ``TAU_FEAS``: every entry of a simplex block at least -TAU_FEAS and
+        its sum within TAU_FEAS of 1, every box entry at most TAU_FEAS
+        outside its bounds.
 
         ``p`` may also be a ``(..., dim)`` batch of points, one per row along
         the last axis; then the result is True only if every row lies in the
         set (so True for an empty batch). A non-finite entry raises
         ``DomainError``.
         """
+        tol = TAU_FEAS
         v = np.asarray(p, dtype=float)
         if v.ndim == 0 or v.shape[-1] != self.dim:
             raise DimensionError(
@@ -242,13 +246,6 @@ class ProductSet:
                 if not ((w >= lo - tol).all() and (w <= up + tol).all()):
                     return False
         return True
-
-    def project(self, p) -> np.ndarray:
-        """Euclidean projection of the point ``p`` onto the set."""
-        v = np.ascontiguousarray(_as_vector(p, self.dim))
-        out = np.empty_like(v)
-        self._bind(v, out)()
-        return out
 
     def _bind(self, src: np.ndarray, dst: np.ndarray, softmax: bool = False):
         """A no-argument function that maps the flat array ``src`` into
@@ -323,16 +320,16 @@ class Box(ProductSet):
     """Axis-aligned box {p : lower <= p <= upper}, one block of width dim."""
 
     def __init__(self, lower, upper):
-        self.lower = np.asarray(lower, dtype=float).ravel()
-        self.upper = np.asarray(upper, dtype=float).ravel()
-        if self.lower.shape != self.upper.shape or self.lower.size == 0:
+        lo = np.asarray(lower, dtype=float).ravel()
+        up = np.asarray(upper, dtype=float).ravel()
+        if lo.shape != up.shape or lo.size == 0:
             raise DimensionError("box bounds must have equal nonzero length")
-        if not (np.all(np.isfinite(self.lower)) and np.all(np.isfinite(self.upper))):
+        if not (np.all(np.isfinite(lo)) and np.all(np.isfinite(up))):
             raise DomainError("box bounds must be finite")
-        if np.any(self.lower > self.upper):
+        if np.any(lo > up):
             raise DomainError("box has empty intervals (lower > upper)")
-        self.dim = self.lower.shape[0]
-        self._groups = [("box", 0, self.dim, self.dim, 1, self.lower, self.upper)]
+        self.dim = lo.shape[0]
+        self._groups = [("box", 0, self.dim, self.dim, 1, lo, up)]
 
 
 class Simplex(ProductSet):

@@ -132,16 +132,13 @@ class RunConfig:
     N_override: Optional[int] = None
     seed: int = 0
     out_dir: Optional[str] = None
-    schema_version: int = SCHEMA_VERSION
 
     def validate(self) -> None:
         def bad(fld: str, why: str):
             v = getattr(self, fld)
-            return ConfigurationError(f"config field {_KEY_NAMES.get(fld, fld)!r} {why}, "
+            return ConfigurationError(f"config field {_KEY_NAMES[fld]!r} {why}, "
                                       f"got {v!r} ({type(v).__name__})")
 
-        if not (_is_int(self.schema_version) and self.schema_version == SCHEMA_VERSION):
-            raise bad("schema_version", f"must be {SCHEMA_VERSION}")
         if self.family not in FAMILIES:
             raise bad("family", f"must be one of {FAMILIES}")
         for fld in ("d_x", "d_y"):
@@ -188,7 +185,7 @@ class RunConfig:
             raise bad("out_dir", "must be a path or null")
 
     def to_dict(self) -> dict:
-        data = {"schema_version": self.schema_version}
+        data = {"schema_version": SCHEMA_VERSION}
         for fld, section, key in _SCHEMA:
             data.setdefault(section, {})[key] = getattr(self, fld)
         return data
@@ -200,9 +197,11 @@ class RunConfig:
         extra = set(data) - {"schema_version", *_SECTION_KEYS}
         if extra:
             raise ConfigurationError(f"config has unknown top-level keys {sorted(extra)}")
+        version = data.get("schema_version", SCHEMA_VERSION)
+        if not (_is_int(version) and version == SCHEMA_VERSION):
+            raise ConfigurationError(f"config field 'schema_version' must be {SCHEMA_VERSION}, "
+                                     f"got {version!r} ({type(version).__name__})")
         kwargs = {}
-        if "schema_version" in data:
-            kwargs["schema_version"] = data["schema_version"]
         for section, keys in _SECTION_KEYS.items():
             blk = data.get(section) or {}
             if not isinstance(blk, dict):
@@ -253,10 +252,6 @@ class RunTrace:
     z_bar_snapshots: list = field(default_factory=list)
     z_snapshots: list = field(default_factory=list)
     z_under_snapshots: list = field(default_factory=list)
-
-    @property
-    def N(self) -> int:
-        return len(self.inner_steps)
 
 
 @dataclass
@@ -330,8 +325,9 @@ def make_stochastic_oracle(H: Callable[[np.ndarray], np.ndarray], kind: str,
     ``NOISE_BLOCK`` floats at once, as rows of length dim, and serves one row
     per call. numpy's Generator fills an array in sequence, so each row is
     bitwise the ``rng.uniform(-a, a, dim)`` (or clipped ``rng.normal``) that
-    a draw per call would give. ``dim`` must be an integer >= 1, and an
-    ``H(z)`` whose shape is not ``(dim,)`` raises ``DimensionError``.
+    a draw per call would give. ``dim`` must be an integer >= 1 and ``seed``
+    an integer >= 0, and an ``H(z)`` whose shape is not ``(dim,)`` raises
+    ``DimensionError``.
     """
     if kind not in NOISE_KINDS:
         raise ConfigurationError(f"run.noise_kind must be one of {NOISE_KINDS}, got {kind!r}")
@@ -339,6 +335,8 @@ def make_stochastic_oracle(H: Callable[[np.ndarray], np.ndarray], kind: str,
         raise ParameterError("sigma must be a finite nonnegative real")
     if not (isinstance(dim, (int, np.integer)) and not isinstance(dim, bool) and dim >= 1):
         raise ParameterError(f"dim must be an integer >= 1, got {dim!r}")
+    if not (isinstance(seed, (int, np.integer)) and not isinstance(seed, bool) and seed >= 0):
+        raise ParameterError(f"seed must be an integer >= 0, got {seed!r}")
     rng = np.random.default_rng(seed)
     rows = max(1, NOISE_BLOCK // dim)
     if kind == "uniform":
@@ -421,7 +419,11 @@ def _gap_oracle(spp: StackedSPP) -> Callable[[np.ndarray], np.ndarray]:
 
 def pick_N(L: float, omega_sq: float, target: float) -> int:
     """Smallest N with 6 L omega_sq / N^2 <= target, up to N = ``MAX_N``; a
-    larger N is a configuration error."""
+    larger N is a configuration error. L and omega_sq must be finite and
+    nonnegative."""
+    for name, v in (("L", L), ("omega_sq", omega_sq)):
+        if not (np.isfinite(v) and v >= 0):
+            raise ParameterError(f"pick_N needs a finite {name} >= 0, got {v!r}")
     if not (target > 0):
         raise ConfigurationError("accuracy target must be positive")
     num = 6.0 * L * omega_sq

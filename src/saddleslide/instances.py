@@ -8,8 +8,8 @@ operator bounds are analytic. The l1 family puts f_i(x, y) =
 nonsmooth with sign-vector subgradients (sign(0) := 0, the minimal-norm
 choice) and bounds computable from the data norms and box radius.
 
-Also here: numerical certification of the inexact-oracle inequality and a
-certified (upper, lower) bracket on the sup-gap of penalized bilinear problems.
+Also here: the bound on ||H|| over the feasible set and numerical
+certification of the inexact-oracle inequality.
 """
 
 from __future__ import annotations
@@ -22,14 +22,12 @@ import numpy as np
 
 from .errors import (
     CertificationError,
-    ConfigurationError,
     DimensionError,
     DomainError,
     ParameterError,
 )
 from .geometry import Box, ProductSet, Simplex
 from .penalty import StackedSPP
-from .sliding import VIProblem
 
 try:
     # np.einsum without optimize forwards its arguments to this C function
@@ -285,8 +283,8 @@ def operator_bound_L0(spp: StackedSPP, samples: int, seed) -> float:
     H is evaluated on all sampled points in one call (``spp.H`` acts row-wise
     along the last axis), and the norms are taken per point.
     """
-    if samples < 1:
-        raise ParameterError("samples must be >= 1")
+    if isinstance(samples, bool) or not isinstance(samples, (int, np.integer)) or samples < 1:
+        raise ParameterError(f"samples must be an integer >= 1, got {samples!r}")
     if spp.meta.get("family") == "matrix_game":
         return float(spp.operator_bound)
     rng = np.random.default_rng(seed)
@@ -305,7 +303,6 @@ class CertificateReport:
     triples: int
     worst_slack: float
     mean_slack: float
-    seed: object
 
     def __str__(self) -> str:
         return (f"certified ({self.triples} triples): M = {self.M}, "
@@ -353,56 +350,4 @@ def certify_inexact_oracle(H: Callable[[np.ndarray], np.ndarray],
         raise err
     return CertificateReport(M=float(M), delta=float(delta), triples=triples,
                              worst_slack=float(slack[worst]),
-                             mean_slack=float(slack.mean()), seed=seed)
-
-
-# -- sup-gap oracle for penalized bilinear problems ----------------------------
-
-SUP_GAP_RTOL = 1e-9
-SUP_GAP_MAX_ITER = 20_000
-
-
-def sup_gap_skew_linear(problem: VIProblem, z_bar) -> tuple[float, float]:
-    """Bracket sup over feasible z of Q(z_bar, z) for skew-linear H and convex G.
-
-    For skew-linear H, <H(z), z_bar - z> = -<H(z_bar), z>, so the supremum is
-    G(z_bar) - min phi with the convex phi(z) = G(z) + <H(z_bar), z>. FISTA
-    with gradient restart and step 1 / problem.L minimizes phi from z_bar.
-    Returns ``(upper, lower)``, the best over the iterates z_t of
-    lower = G(z_bar) - phi(z_t) and, by convexity, upper = lower -
-    min_s <grad phi(z_t), s - z_t> (a ``ProductSet.linear_min``), once they
-    are SUP_GAP_RTOL * (1 + |upper|) apart or after SUP_GAP_MAX_ITER steps.
-    """
-    fset = problem.set_geometry.feasible_set
-    if problem.value_G is None:
-        raise ConfigurationError("sup-gap oracle needs problem.value_G")
-    if not problem.L > 0:
-        raise ParameterError("sup-gap oracle needs problem.L > 0")
-    zb = np.asarray(z_bar, dtype=float)
-    if not fset.contains(zb):
-        raise DomainError("z_bar lies outside the feasible set")
-    h_zb = problem.H(zb)
-    if abs(float(h_zb @ zb)) > 1e-8 * (1.0 + np.linalg.norm(h_zb) * np.linalg.norm(zb)):
-        raise ConfigurationError("H is not skew at z_bar; oracle inapplicable")
-    G_zb = float(problem.value_G(zb))
-
-    upper, lower = math.inf, -math.inf
-    x = y = fset.project(zb)
-    t = 1.0
-    for _ in range(SUP_GAP_MAX_ITER):
-        g_x = problem.grad_G(x) + h_zb
-        value = G_zb - float(problem.value_G(x) + h_zb @ x)
-        lower = max(lower, value)
-        upper = min(upper, value + float(g_x @ x) - fset.linear_min(g_x))
-        if upper - lower <= SUP_GAP_RTOL * (1.0 + abs(upper)):
-            break
-        g_y = g_x if y is x else problem.grad_G(y) + h_zb
-        x_next = fset.project(y - g_y / problem.L)
-        if float(g_y @ (x_next - x)) > 0.0:  # gradient restart: drop the momentum
-            t, y = 1.0, x_next
-        else:
-            t, t_prev = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t * t)), t
-            y = x_next + ((t_prev - 1.0) / t) * (x_next - x)
-        x = x_next
-    # at a converged iterate, rounding can leave upper a few ulps below lower
-    return max(upper, lower), lower
+                             mean_slack=float(slack.mean()))

@@ -91,10 +91,6 @@ class SlidingSchedule:
     M: float
     T: np.ndarray
 
-    @property
-    def N(self) -> int:
-        return len(self.T)
-
     def validate(self) -> None:
         L, M, T = self.L, self.M, self.T
         if not (np.isfinite(L) and L > 0):

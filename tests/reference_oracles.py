@@ -4,11 +4,13 @@ The package sees a problem only through its stacked operator H. The tests
 check H and the penalty reformulation against independent references kept
 here: per-node oracles of the matrix-game and l1 families, the penalty
 value with one gossip product per block, a consensus-constrained QP family with an accelerated projected-gradient
-solver, and an SLSQP estimate of the sup-gap that the package's certified
-bracket (``sup_gap_skew_linear``) is checked against.
+solver, and two sup-gap references for penalized bilinear problems: a
+certified (upper, lower) bracket by FISTA (``sup_gap_skew_linear``) and an
+SLSQP estimate that the bracket is checked against.
 
 The geometry references are a feasible set's blocks one at a time
-(``blocks``) and its exact squared diameter (``diameter_sq``), the Bregman
+(``blocks``), the euclidean projection (``project``), the exact squared
+diameter (``diameter_sq``), the Bregman
 divergence, and ``prox_two_anchor``, a checked entry to the solver's
 unchecked prox kernels. The divergence convention is
 ``bregman_divergence(geom, a, b)`` = divergence of ``a`` relative to the
@@ -54,6 +56,15 @@ def blocks(fset: ProductSet):
         else:
             for s in range(a, b, d):
                 yield s, s + d, None, None
+
+
+def project(fset: ProductSet, p) -> np.ndarray:
+    """Euclidean projection of the point ``p`` onto ``fset``, through the
+    solver's bound projection kernels."""
+    v = np.ascontiguousarray(_as_vector(p, fset.dim))
+    out = np.empty_like(v)
+    fset._bind(v, out)()
+    return out
 
 
 def diameter_sq(fset: ProductSet) -> float:
@@ -301,7 +312,58 @@ def accelerated_projected_gradient(grad: Callable[[np.ndarray], np.ndarray],
     return (x, path) if return_path else x
 
 
-# -- sup-gap estimate ------------------------------------------------------------
+# -- sup-gap references ------------------------------------------------------------
+
+SUP_GAP_RTOL = 1e-9
+SUP_GAP_MAX_ITER = 20_000
+
+
+def sup_gap_skew_linear(problem: VIProblem, z_bar) -> tuple[float, float]:
+    """Bracket sup over feasible z of Q(z_bar, z) for skew-linear H and convex G.
+
+    For skew-linear H, <H(z), z_bar - z> = -<H(z_bar), z>, so the supremum is
+    G(z_bar) - min phi with the convex phi(z) = G(z) + <H(z_bar), z>. FISTA
+    with gradient restart and step 1 / problem.L minimizes phi from z_bar.
+    Returns ``(upper, lower)``, the best over the iterates z_t of
+    lower = G(z_bar) - phi(z_t) and, by convexity, upper = lower -
+    min_s <grad phi(z_t), s - z_t> (a ``ProductSet.linear_min``), once they
+    are SUP_GAP_RTOL * (1 + |upper|) apart or after SUP_GAP_MAX_ITER steps.
+    """
+    fset = problem.set_geometry.feasible_set
+    if problem.value_G is None:
+        raise ConfigurationError("sup-gap oracle needs problem.value_G")
+    if not problem.L > 0:
+        raise ParameterError("sup-gap oracle needs problem.L > 0")
+    zb = np.asarray(z_bar, dtype=float)
+    if not fset.contains(zb):
+        raise DomainError("z_bar lies outside the feasible set")
+    h_zb = problem.H(zb)
+    if abs(float(h_zb @ zb)) > 1e-8 * (1.0 + np.linalg.norm(h_zb) * np.linalg.norm(zb)):
+        raise ConfigurationError("H is not skew at z_bar; oracle inapplicable")
+    G_zb = float(problem.value_G(zb))
+
+    upper, lower = math.inf, -math.inf
+    x = y = project(fset, zb)
+    t = 1.0
+    for _ in range(SUP_GAP_MAX_ITER):
+        g_x = problem.grad_G(x) + h_zb
+        value = G_zb - float(problem.value_G(x) + h_zb @ x)
+        lower = max(lower, value)
+        upper = min(upper, value + float(g_x @ x) - fset.linear_min(g_x))
+        if upper - lower <= SUP_GAP_RTOL * (1.0 + abs(upper)):
+            break
+        g_y = g_x if y is x else problem.grad_G(y) + h_zb
+        x_next = project(fset, y - g_y / problem.L)
+        if float(g_y @ (x_next - x)) > 0.0:  # gradient restart: drop the momentum
+            t, y = 1.0, x_next
+        else:
+            t, t_prev = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t * t)), t
+            y = x_next + ((t_prev - 1.0) / t) * (x_next - x)
+        x = x_next
+    # at a converged iterate, rounding can leave upper a few ulps below lower
+    return max(upper, lower), lower
+
+
 
 def sup_gap_slsqp(problem: VIProblem, z_bar, restarts: int = 8, seed=0) -> float:
     """sup over feasible z of Q(z_bar, z) for skew-linear H and convex G.
@@ -355,6 +417,6 @@ def sup_gap_slsqp(problem: VIProblem, z_bar, restarts: int = 8, seed=0) -> float
         res = optimize.minimize(f, s, jac=jac, method="SLSQP", bounds=bounds,
                                 constraints=constraints,
                                 options={"maxiter": 300, "ftol": 1e-12})
-        cand = fset.project(res.x)
+        cand = project(fset, res.x)
         best = min(best, f(cand))
     return G_zb - best

@@ -30,11 +30,10 @@ from saddleslide import (
     penalty_coefficients,
     random_l1_saddle,
     run_experiment,
-    sup_gap_skew_linear,
 )
 
 from reference_oracles import (accelerated_projected_gradient, diameter_sq,
-                               make_consensus_qp, sup_gap_slsqp)
+                               make_consensus_qp, sup_gap_skew_linear, sup_gap_slsqp)
 
 rng = np.random.default_rng(1207)
 

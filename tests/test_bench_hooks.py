@@ -160,9 +160,9 @@ def test_solver_checks_feasibility_once_per_outer_iteration(monkeypatch):
     calls = []
     original = ProductSet.contains
 
-    def counting_contains(self, p, tol=1e-9):
+    def counting_contains(self, p):
         calls.append(p.shape)
-        return original(self, p, tol)
+        return original(self, p)
 
     monkeypatch.setattr(ProductSet, "contains", counting_contains)
     spp = random_l1_saddle(4, 2, 2, seed=0)

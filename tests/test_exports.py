@@ -19,11 +19,9 @@ def test_every_export_resolves_and_none_repeats():
 # Run in a fresh interpreter, so modules that other tests imported into this
 # one do not count.
 _START_UP = """
-import json, math, sys
-import numpy as np
+import json, sys
 import saddleslide, saddleslide.cli
-from saddleslide import (RunConfig, build_pipeline, certify_inexact_oracle,
-                         run_experiment, sup_gap_skew_linear)
+from saddleslide import RunConfig, build_pipeline, certify_inexact_oracle, run_experiment
 
 pennies = RunConfig(family="matching_pennies", network_kind="ring", m=4,
                     epsilon=0.5, N_override=2)
@@ -31,16 +29,12 @@ run_experiment(pennies)
 _, spp, _, vi = build_pipeline(RunConfig(family="l1_saddle_random", network_kind="ring",
                                          m=4, epsilon=0.4))
 certify_inexact_oracle(vi.H, spp.stacked_set(), vi.M, vi.delta, triples=50, seed=0)
-_, spp, _, vi = build_pipeline(pennies)
-z = spp.stacked_set().sample(np.random.default_rng(0), 1)[0]
-upper, lower = sup_gap_skew_linear(vi, z)
 loaded = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
-print(json.dumps({"loaded": loaded,
-                  "bracket": math.isfinite(upper) and lower <= upper}))
+print(json.dumps({"loaded": loaded}))
 """
 
 
-def test_start_up_solves_and_the_sup_gap_oracle_load_no_scipy():
+def test_start_up_and_solves_load_no_scipy():
     src = str(Path(saddleslide.__file__).resolve().parent.parent)
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
@@ -49,4 +43,3 @@ def test_start_up_solves_and_the_sup_gap_oracle_load_no_scipy():
     assert done.returncode == 0, done.stderr
     result = json.loads(done.stdout.splitlines()[-1])
     assert result["loaded"] == []
-    assert result["bracket"]

@@ -18,11 +18,12 @@ from saddleslide import (
     ProductSet,
     SQUARED_EUCLIDEAN,
     Simplex,
+    TAU_FEAS,
     omega_sq_bound,
 )
 from saddleslide.geometry import _project_simplex_rows
 
-from reference_oracles import blocks, bregman_divergence, prox_two_anchor
+from reference_oracles import blocks, bregman_divergence, project, prox_two_anchor
 
 rng = np.random.default_rng(1207)
 
@@ -112,7 +113,7 @@ def test_euclidean_divergence_strong_convexity_lower_bound():
 # -- projection ---------------------------------------------------------------
 
 def test_simplex_projection_frozen_example():
-    np.testing.assert_allclose(Simplex(2).project([0.3, 0.3]), [0.5, 0.5], atol=1e-12)
+    np.testing.assert_allclose(project(Simplex(2), [0.3, 0.3]), [0.5, 0.5], atol=1e-12)
 
 
 @pytest.mark.parametrize("d", [2, 3, 7])
@@ -120,7 +121,7 @@ def test_simplex_projection_matches_slsqp_oracle(d):
     s = Simplex(d)
     for _ in range(10):
         p = rng.standard_normal(d) * 2.0
-        ours = s.project(p)
+        ours = project(s, p)
         res = minimize(
             lambda z: 0.5 * np.sum((z - p) ** 2),
             np.full(d, 1.0 / d),
@@ -137,16 +138,16 @@ def test_simplex_projection_matches_slsqp_oracle(d):
 
 def test_box_projection():
     b = Box([-1.0, 0.0], [1.0, 2.0])
-    np.testing.assert_allclose(b.project([3.0, -1.0]), [1.0, 0.0])
-    np.testing.assert_allclose(b.project([0.1, 0.2]), [0.1, 0.2])
+    np.testing.assert_allclose(project(b, [3.0, -1.0]), [1.0, 0.0])
+    np.testing.assert_allclose(project(b, [0.1, 0.2]), [0.1, 0.2])
 
 
 def test_product_projection_is_blockwise():
     s = ProductSet([Simplex(2), Simplex(2), Box(np.zeros(1), np.ones(1))])
     p = np.array([0.3, 0.3, 2.0, -1.0, 5.0])
-    out = s.project(p)
+    out = project(s, p)
     np.testing.assert_allclose(out[:2], [0.5, 0.5], atol=1e-12)
-    np.testing.assert_allclose(out[2:4], Simplex(2).project([2.0, -1.0]), atol=1e-12)
+    np.testing.assert_allclose(out[2:4], project(Simplex(2), [2.0, -1.0]), atol=1e-12)
     assert out[4] == 1.0
 
 
@@ -165,7 +166,7 @@ def test_two_simplex_fast_path_equals_reference_rows(n_pairs):
     for start in range(4):
         V = pair_rows(n_pairs, start)
         expected = _project_simplex_rows(V)
-        out = s.project(V.ravel())
+        out = project(s, V.ravel())
         for i in range(n_pairs):
             assert np.array_equal(out[2 * i:2 * i + 2], expected[i]), (start, i)
         seen.update("interior" if 0.0 < x < 1.0 else x for x in expected[:, 0])
@@ -178,9 +179,9 @@ def test_two_simplex_fast_path_in_mixed_product():
     pairs = pair_rows(3)
     p = np.concatenate([pairs[0], pairs[1], [3.0, -1.0, 0.2],
                         [0.9, -0.4, 0.3], pairs[2]])
-    out = s.project(p)
+    out = project(s, p)
     assert np.array_equal(out[:4], _project_simplex_rows(pairs[:2]).ravel())
-    assert np.array_equal(out[4:7], box.project(p[4:7]))
+    assert np.array_equal(out[4:7], project(box, p[4:7]))
     assert np.array_equal(out[7:10], _project_simplex_rows(p[None, 7:10])[0])
     assert np.array_equal(out[10:], _project_simplex_rows(pairs[2:])[0])
     assert s.contains(out)
@@ -218,7 +219,7 @@ def test_three_simplex_column_path_is_bitwise_reference(rows):
     V = np.array(rows, dtype=float).reshape(-1, 3)
     s = ProductSet([Simplex(3)] * len(V))
     assert s._groups[0][3:] == (3, len(V))
-    assert_same_bits(s.project(V.ravel()), _project_simplex_rows(V).ravel())
+    assert_same_bits(project(s, V.ravel()), _project_simplex_rows(V).ravel())
 
 
 @given(st.lists(three_rows, min_size=3, max_size=3), st.lists(st.floats(-5, 5),
@@ -229,10 +230,10 @@ def test_three_simplex_column_path_in_mixed_product(rows, rest):
     s = ProductSet([Simplex(3), Simplex(2), box, Simplex(3), Simplex(3), Simplex(2)])
     V = np.array(rows, dtype=float)
     p = np.concatenate([V[0], rest[:2], rest[2:4], V[1], V[2], rest[4:]])
-    out = s.project(p)
+    out = project(s, p)
     assert_same_bits(out[0:3], _project_simplex_rows(V[:1])[0])
     assert_same_bits(out[3:5], _project_simplex_rows(p[None, 3:5])[0])
-    assert_same_bits(out[5:7], box.project(p[5:7]))
+    assert_same_bits(out[5:7], project(box, p[5:7]))
     assert_same_bits(out[7:13], _project_simplex_rows(V[1:]).ravel())
     assert_same_bits(out[13:], _project_simplex_rows(p[None, 13:])[0])
 
@@ -242,9 +243,9 @@ def test_three_simplex_column_path_in_mixed_product(rows, rest):
 def test_projection_idempotent_and_feasible(vals):
     d = len(vals)
     s = Simplex(d)
-    q = s.project(np.array(vals))
+    q = project(s, np.array(vals))
     assert s.contains(q)
-    np.testing.assert_allclose(s.project(q), q, atol=1e-12)
+    np.testing.assert_allclose(project(s, q), q, atol=1e-12)
 
 
 # -- two-anchor prox ----------------------------------------------------------
@@ -476,7 +477,7 @@ def test_non_finite_points_rejected():
     with pytest.raises(DomainError):
         bregman_divergence(geom, [np.nan, 0.0], [0.0, 0.0])
     with pytest.raises(DomainError):
-        geom.feasible_set.project([np.inf, 0.0])
+        project(geom.feasible_set, [np.inf, 0.0])
 
 
 # -- batched membership -------------------------------------------------------
@@ -497,7 +498,7 @@ def test_contains_accepts_a_batch_of_rows():
 @pytest.mark.parametrize("breach", ["negative entry", "row sum", "box bound"])
 def test_contains_rejects_a_batch_with_one_bad_row(row, breach):
     s = _mixed_set()
-    tol = 1e-9
+    tol = TAU_FEAS
     rows = s.sample(np.random.default_rng(6), 6)
     bad = rows.copy()
     if breach == "negative entry":
@@ -508,10 +509,10 @@ def test_contains_rejects_a_batch_with_one_bad_row(row, breach):
         bad[row, 2] += 2 * tol
     else:
         bad[row, 5] = 1.0 + 2 * tol
-    assert s.contains(rows, tol=tol)
-    assert not s.contains(bad, tol=tol)
-    assert not s.contains(bad[row], tol=tol)
-    assert s.contains(np.delete(bad, row, axis=0), tol=tol)
+    assert s.contains(rows)
+    assert not s.contains(bad)
+    assert not s.contains(bad[row])
+    assert s.contains(np.delete(bad, row, axis=0))
 
 
 def test_contains_checks_the_last_axis_and_finiteness():
@@ -531,7 +532,6 @@ def test_contains_single_point_behaviour_unchanged():
     assert s.contains([0.2, 0.3, 0.5 + 5e-10])
     assert not s.contains([0.2, 0.3, 0.5 + 2e-9])
     assert not s.contains([-2e-9, 0.5, 0.5 + 2e-9])
-    assert s.contains([-2e-9, 0.5, 0.5 + 2e-9], tol=1e-8)
     b = Box([0.0, -1.0], [1.0, 1.0])
     assert b.contains([1.0, -1.0]) and not b.contains([1.0 + 2e-9, 0.0])
     with pytest.raises(DomainError):
@@ -548,19 +548,19 @@ def test_simplex_row_sums_are_checked_to_the_tolerance(d, blocks, sign):
     # from numpy's sum at some widths: each width must still reject a row-sum
     # breach of 2 tol and accept one of tol / 2, in the last block
     s = Simplex(d) if blocks == 1 else ProductSet([Simplex(d)] * blocks)
-    tol = 1e-9
+    tol = TAU_FEAS
     rows = s.sample(np.random.default_rng(d), 5)
     a = (blocks - 1) * d
     top = a + rows[:, a:].argmax(axis=1)  # the largest entry stays >= 0
     for shift, ok in ((2 * tol, False), (tol / 2, True)):
         moved = rows.copy()
         moved[np.arange(5), top] += sign * shift
-        assert [s.contains(p, tol) for p in moved] == [ok] * 5
-        assert s.contains(moved, tol) == ok
-        assert s.contains(moved.reshape(5, 1, s.dim), tol) == ok
+        assert [s.contains(p) for p in moved] == [ok] * 5
+        assert s.contains(moved) == ok
+        assert s.contains(moved.reshape(5, 1, s.dim)) == ok
         one = rows.copy()
         one[3] = moved[3]
-        assert s.contains(one, tol) == ok
+        assert s.contains(one) == ok
 
 
 # -- grouped sampling and membership against the block-by-block references ---
@@ -573,8 +573,9 @@ def _sample_per_block(s, rng, n):
                       for a, b, lo, up in blocks(s)])
 
 
-def _contains_reference(s, p, tol=1e-9):
+def _contains_reference(s, p):
     # the membership test before simplex groups ran on a 3-D view
+    tol = TAU_FEAS
     v = np.asarray(p, dtype=float)
     if not np.all(np.isfinite(v)):
         raise DomainError("point contains non-finite entries")
@@ -636,14 +637,15 @@ def test_sample_is_bitwise_the_block_by_block_draw(s, n, seed):
     assert s.contains(rows)
 
 
-@given(_mixed_sets, st.integers(1, 6), st.sampled_from([1e-9, 1e-6]),
+@given(_mixed_sets, st.integers(1, 6),
        st.sampled_from([None, None, np.nan, np.inf, -np.inf]), st.integers(0, 2 ** 32 - 1))
 @settings(max_examples=200, deadline=None)
-def test_contains_agrees_with_the_reference_near_the_boundary(s, r, tol, bad, seed):
+def test_contains_agrees_with_the_reference_near_the_boundary(s, r, bad, seed):
+    tol = TAU_FEAS
     g = np.random.default_rng(seed)
     # projections land on faces: box entries at their bounds, simplex
     # entries at 0; then a few entries move by +-2 tol or +-tol / 2
-    rows = np.array([s.project(x) for x in g.normal(scale=3.0, size=(r, s.dim))])
+    rows = np.array([project(s, x) for x in g.normal(scale=3.0, size=(r, s.dim))])
     step = g.choice([-2.0, -0.5, 0.5, 2.0], size=rows.shape) * tol
     rows += np.where(g.random(rows.shape) < 0.5 / s.dim, step, 0.0)
     if bad is not None:
@@ -651,10 +653,10 @@ def test_contains_agrees_with_the_reference_near_the_boundary(s, r, tol, bad, se
     for batch in (rows, rows.reshape(1, r, s.dim)):
         if bad is not None:
             with pytest.raises(DomainError):
-                _contains_reference(s, batch, tol)
+                _contains_reference(s, batch)
             with pytest.raises(DomainError):
-                s.contains(batch, tol)
+                s.contains(batch)
         else:
-            assert s.contains(batch, tol) == _contains_reference(s, batch, tol)
+            assert s.contains(batch) == _contains_reference(s, batch)
     for empty in (np.empty((0, s.dim)), np.empty((2, 0, s.dim))):
-        assert s.contains(empty, tol) and _contains_reference(s, empty, tol)
+        assert s.contains(empty) and _contains_reference(s, empty)

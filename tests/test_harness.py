@@ -14,6 +14,7 @@ from saddleslide import (
     CertificationError,
     ConfigurationError,
     NetworkModel,
+    ParameterError,
     RunConfig,
     RunTrace,
     StackedSPP,
@@ -95,9 +96,18 @@ class TestRunConfig:
         assert "N_overide" in str(exc_info.value)
 
     def test_missing_keys_take_field_defaults(self):
+        # schema_version may be left out too
         assert RunConfig.from_yaml("{}") == RunConfig()
         assert RunConfig.from_yaml("network:\n  kind: ring\n  m: 4\n") == \
             RunConfig(network_kind="ring", m=4)
+
+    @pytest.mark.parametrize("text,shown", [("2", "2 (int)"), ("true", "True (bool)"),
+                                            ("'1'", "'1' (str)")])
+    def test_schema_version_other_than_1_is_rejected(self, text, shown):
+        with pytest.raises(ConfigurationError) as exc_info:
+            RunConfig.from_yaml(f"schema_version: {text}\n")
+        assert "schema_version" in str(exc_info.value)
+        assert str(exc_info.value).endswith(f"got {shown}")
 
     def test_missing_file_and_bad_yaml(self, tmp_path):
         with pytest.raises(ConfigurationError):
@@ -128,11 +138,21 @@ class TestPickN:
     def test_picked_and_overridden_N_share_one_cap(self):
         cap = harness.MAX_N
         assert pick_N(1.0, 1.0, 6.0 / cap ** 2) == cap
-        with pytest.raises(ConfigurationError, match="run.epsilon"):
+        with pytest.raises(ConfigurationError,
+                           match="^config field 'run.epsilon' is too small: "):
             pick_N(1.0, 1.0, 6.0 / (cap + 1) ** 2)
         small_config(N_override=cap).validate()
         with pytest.raises(ConfigurationError, match="run.N_override"):
             small_config(N_override=cap + 1).validate()
+
+
+    @pytest.mark.parametrize("L,omega_sq,name", [
+        (np.nan, 1.0, "L"), (np.inf, 1.0, "L"), (-1.0, 1.0, "L"),
+        (1.0, np.nan, "omega_sq"), (1.0, np.inf, "omega_sq"), (1.0, -0.5, "omega_sq")])
+    def test_constants_that_are_not_finite_and_nonnegative_are_parameter_errors(
+            self, L, omega_sq, name):
+        with pytest.raises(ParameterError, match=f"finite {name} >= 0"):
+            pick_N(L, omega_sq, 0.1)
 
 
 class TestRunExperiment:
@@ -144,7 +164,7 @@ class TestRunExperiment:
         assert rep.communication_rounds == rep.predicted_rounds == 12
         assert rep.H_calls_per_node <= rep.predicted_H_calls
         assert rep.final_gap <= rep.predicted_gap_bound
-        assert rep.trace.N == 12
+        assert len(rep.trace.inner_steps) == 12
         assert np.isfinite(rep.trace.gap_estimate).all()
 
     def test_single_node_matches_manual_centralized_run(self):
@@ -336,7 +356,7 @@ class TestEmitOutputs:
                                          "gap_estimate,consensus_x,consensus_y,wall_ms")
         assert lines["plot_data.csv"][0] == "k,gap,consensus_x,consensus_y"
         metrics = list(zip(t.gap_estimate, t.consensus_x, t.consensus_y))
-        assert len(metrics) == t.N == rep.N
+        assert len(metrics) == len(t.inner_steps) == rep.N
         trace_rows = [row.split(",") for row in lines["trace.csv"][1:]]
         plot_rows = [row.split(",") for row in lines["plot_data.csv"][1:]]
         # by outer iteration k: k grad_G calls and 2 (T_1 + ... + T_k) H calls

@@ -28,12 +28,12 @@ from saddleslide import (
     operator_bound_L0,
     random_l1_saddle,
     random_matrix_game,
-    sup_gap_skew_linear,
 )
-from saddleslide import instances
 from saddleslide.harness import NOISE_BLOCK
 
-from reference_oracles import L1Node, accelerated_projected_gradient, make_consensus_qp
+import reference_oracles
+from reference_oracles import (L1Node, accelerated_projected_gradient, make_consensus_qp,
+                               sup_gap_skew_linear)
 
 rng = np.random.default_rng(1207)
 
@@ -156,7 +156,7 @@ class TestMatrixGames:
         sampled = float(np.linalg.norm(Hs, axis=1).max())
         assert sampled <= operator_bound_L0(spp, samples=10, seed=0) + 1e-12
 
-    @pytest.mark.parametrize("samples", [0, -1])
+    @pytest.mark.parametrize("samples", [0, -1, True, 2.5])
     def test_no_samples_rejected(self, samples):
         for spp in (random_l1_saddle(2, 2, 2, seed=0), random_matrix_game(2, 2, 2, seed=0)):
             with pytest.raises(ParameterError, match="samples"):
@@ -391,7 +391,7 @@ class TestSupGapOracle:
                                 PenaltyCoefficients(0.5, 0.5, 0.1))
         z = spp.stacked_set().sample(np.random.default_rng(8), 1)[0]
         closed_upper, closed_lower = sup_gap_skew_linear(vi, z)
-        monkeypatch.setattr(instances, "SUP_GAP_MAX_ITER", cap)
+        monkeypatch.setattr(reference_oracles, "SUP_GAP_MAX_ITER", cap)
         upper, lower = sup_gap_skew_linear(vi, z)
         # both brackets hold the supremum, and the capped one is still open
         assert lower <= closed_upper and closed_lower <= upper
@@ -537,6 +537,16 @@ class TestStochasticOracleModels:
         for shape in ((5,), (2,), (3, 2), (1,), (2, 3)):
             with pytest.raises(DimensionError, match=r"\(3,\)"):
                 oracle(np.zeros(shape))
+
+    @pytest.mark.parametrize("seed", [1.5, -1, True, None, "3"])
+    def test_seed_must_be_a_nonnegative_integer(self, seed):
+        with pytest.raises(ParameterError, match="seed"):
+            make_stochastic_oracle(lambda z: z, "uniform", 0.3, 3, seed)
+
+    def test_numpy_integer_seed_draws_as_the_int(self):
+        a = make_stochastic_oracle(lambda z: z, "uniform", 0.3, 3, np.int64(5))
+        b = make_stochastic_oracle(lambda z: z, "uniform", 0.3, 3, 5)
+        assert np.array_equal(a(np.zeros(3)), b(np.zeros(3)))
 
     def test_zero_sigma_returns_exact_oracle(self):
         dim = 3

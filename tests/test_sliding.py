@@ -58,7 +58,7 @@ class TestDeterministicSchedule:
         sched = deterministic_schedule(L=2.0, M=10.0, N=3)
         assert list(sched.T) == [5, 10, 15]
         assert sched.T.dtype == np.int64
-        assert (sched.N, sched.L, sched.M) == (3, 2.0, 10.0)
+        assert (len(sched.T), sched.L, sched.M) == (3, 2.0, 10.0)
 
     def test_T_floors_at_one(self):
         sched = deterministic_schedule(L=5.0, M=0.0, N=4)
@@ -266,7 +266,7 @@ class TestDeterministicRun:
                          H=H, M=3.0, delta=0.0)
         sched = deterministic_schedule(1.0, 3.0, 6)
         mps_run(prob, sched, np.zeros(2))
-        assert calls["g"] == sched.N == 6
+        assert calls["g"] == len(sched.T) == 6
         assert calls["h"] == 2 * int(sched.T.sum())
 
     def test_rejects_infeasible_start(self):
@@ -373,7 +373,7 @@ def reference_sliding_loop(problem, schedule, z0, observer):
     z_bar = z0.copy()
     z_prev = z0.copy()
     L = schedule.L
-    for k in range(1, schedule.N + 1):
+    for k in range(1, len(schedule.T) + 1):
         tk = int(schedule.T[k - 1])
         gk, bk, e1 = 2.0 / (k + 1.0), 2.0 * L / k, L * tk / k
         z_under = (1.0 - gk) * z_bar + gk * z_prev
