@@ -17,21 +17,14 @@ import io
 import sys
 
 import numpy as np
-import yaml
 
-from .errors import (
-    CertificationError,
-    ConfigurationError,
-    DimensionError,
-    DomainError,
-    ParameterError,
-)
+from .errors import (CertificationError, ConfigurationError, DimensionError, DomainError,
+                     ParameterError)
 from .harness import RunConfig, build_pipeline, emit_outputs, run_experiment, write_files
 from .instances import certify_inexact_oracle
 from .network import build_topology
 
-_CONFIG_ERRORS = (ConfigurationError, ParameterError, DimensionError,
-                  DomainError, OSError, yaml.YAMLError)
+_CONFIG_ERRORS = (ConfigurationError, ParameterError, DimensionError, DomainError, OSError)
 
 
 def _build_parser() -> argparse.ArgumentParser:

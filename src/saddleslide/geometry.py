@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionError, DomainError, ParameterError
+from .errors import DimensionError, DomainError, ParameterError, is_int
 
 try:
     # np.clip reaches this ufunc through four Python wrapper frames: 3.4 us
@@ -336,7 +336,7 @@ class Simplex(ProductSet):
     """Probability simplex {p >= 0, sum(p) = 1} in the given dimension."""
 
     def __init__(self, dim: int):
-        if isinstance(dim, bool) or not isinstance(dim, (int, np.integer)) or dim < 1:
+        if not (is_int(dim) and dim >= 1):
             raise ParameterError(f"simplex dimension must be an integer >= 1, got {dim!r}")
         self.dim = int(dim)
         self._groups = [("simplex", 0, self.dim, self.dim, 1)]

@@ -34,26 +34,15 @@ from typing import Callable, Optional
 import numpy as np
 import yaml
 
-from .errors import ConfigurationError, DimensionError, ParameterError
+from .errors import ConfigurationError, DimensionError, ParameterError, is_int, is_real
 from .geometry import omega_sq_bound
-from .instances import (
-    MATCHING_PENNIES,
-    exact_gap_matrix_game,
-    l1_saddle_gap,
-    make_matrix_game,
-    operator_bound_L0,
-    random_l1_saddle,
-    random_matrix_game,
-)
+from .instances import (MATCHING_PENNIES, exact_gap_matrix_game, l1_saddle_gap,
+                        make_matrix_game, operator_bound_L0, random_l1_saddle,
+                        random_matrix_game)
 from .network import MAX_NODES, TOPOLOGY_KINDS, build_topology, consensus_violation
 from .penalty import StackedSPP, build_penalized_vi, penalty_coefficients
-from .sliding import (
-    deterministic_T_raw,
-    deterministic_schedule,
-    mps_run,
-    stochastic_T_raw,
-    stochastic_schedule,
-)
+from .sliding import (deterministic_T_raw, deterministic_schedule, mps_run, stochastic_T_raw,
+                      stochastic_schedule)
 
 # Not a second solver: the benchmark's tracer (perfbench/tracer.py) still
 # patches harness.smps_run. ROADMAP item 1 moves the tracer off this name and
@@ -101,16 +90,6 @@ _SECTION_KEYS = {section: {key: fld for fld, sec, key in _SCHEMA if sec == secti
 _KEY_NAMES = {fld: f"{section}.{key}" for fld, section, key in _SCHEMA}
 
 
-def _is_int(v) -> bool:
-    return isinstance(v, int) and not isinstance(v, bool)
-
-
-def _is_real(v) -> bool:
-    """A finite real number; YAML's true and false are not numbers."""
-    return (isinstance(v, (int, float, np.integer, np.floating))
-            and not isinstance(v, bool) and bool(np.isfinite(v)))
-
-
 @dataclass
 class RunConfig:
     """One experiment: problem family + network + accuracy target + mode."""
@@ -143,43 +122,43 @@ class RunConfig:
             raise bad("family", f"must be one of {FAMILIES}")
         for fld in ("d_x", "d_y"):
             dim = getattr(self, fld)
-            if not (_is_int(dim) and dim >= 1):
+            if not (is_int(dim) and dim >= 1):
                 raise bad(fld, "must be an integer >= 1")
             if self.family == "matching_pennies" and dim != 2:
                 raise bad(fld, "must be 2 for matching_pennies")
-        if not (_is_int(self.instance_seed) and self.instance_seed >= 0):
+        if not (is_int(self.instance_seed) and self.instance_seed >= 0):
             raise bad("instance_seed", "must be an integer >= 0")
-        if not (_is_real(self.box_radius) and self.box_radius > 0):
+        if not (is_real(self.box_radius) and self.box_radius > 0):
             raise bad("box_radius", "must be a positive real")
-        if not (_is_int(self.m) and 1 <= self.m <= MAX_NODES):
+        if not (is_int(self.m) and 1 <= self.m <= MAX_NODES):
             raise bad("m", f"must be an integer in [1, {MAX_NODES}]")
         if self.m == 1:
             if self.network_kind != "single":
                 raise bad("network_kind", "must be 'single' when m = 1")
         elif self.network_kind not in TOPOLOGY_KINDS:
             raise bad("network_kind", f"must be one of {TOPOLOGY_KINDS} when m >= 2")
-        if not (self.network_p is None or _is_real(self.network_p)):
+        if not (self.network_p is None or is_real(self.network_p)):
             raise bad("network_p", "must be a real or null")
-        if not (_is_int(self.network_seed) and self.network_seed >= 0):
+        if not (is_int(self.network_seed) and self.network_seed >= 0):
             raise bad("network_seed", "must be an integer >= 0")
-        if not (_is_real(self.epsilon) and self.epsilon > 0):
+        if not (is_real(self.epsilon) and self.epsilon > 0):
             raise bad("epsilon", "must be a positive real")
         if self.mode not in ("deterministic", "stochastic"):
             raise bad("mode", "must be 'deterministic' or 'stochastic'")
-        if not (_is_real(self.sigma) and self.sigma >= 0):
+        if not (is_real(self.sigma) and self.sigma >= 0):
             raise bad("sigma", "must be a nonnegative real")
         if self.mode == "deterministic" and self.sigma != 0.0:
             raise bad("sigma", "must be 0 in deterministic mode")
         if self.noise_kind not in NOISE_KINDS:
             raise bad("noise_kind", f"must be one of {NOISE_KINDS}")
-        if not _is_real(self.p_confidence):
+        if not is_real(self.p_confidence):
             raise bad("p_confidence", "must be a real")
         if self.mode == "stochastic" and not (0.0 < self.p_confidence < 1.0):
             raise bad("p_confidence", "must lie in (0, 1) in stochastic mode")
         if self.N_override is not None and not (
-                _is_int(self.N_override) and 1 <= self.N_override <= MAX_N):
+                is_int(self.N_override) and 1 <= self.N_override <= MAX_N):
             raise bad("N_override", f"must be an integer in [1, {MAX_N}] or null")
-        if not (_is_int(self.seed) and self.seed >= 0):
+        if not (is_int(self.seed) and self.seed >= 0):
             raise bad("seed", "must be an integer >= 0")
         if not (self.out_dir is None or isinstance(self.out_dir, (str, os.PathLike))):
             raise bad("out_dir", "must be a path or null")
@@ -187,7 +166,8 @@ class RunConfig:
     def to_dict(self) -> dict:
         data = {"schema_version": SCHEMA_VERSION}
         for fld, section, key in _SCHEMA:
-            data.setdefault(section, {})[key] = getattr(self, fld)
+            v = getattr(self, fld)  # a numpy scalar is written as its Python value
+            data.setdefault(section, {})[key] = v.item() if isinstance(v, np.generic) else v
         return data
 
     @staticmethod
@@ -198,12 +178,12 @@ class RunConfig:
         if extra:
             raise ConfigurationError(f"config has unknown top-level keys {sorted(extra)}")
         version = data.get("schema_version", SCHEMA_VERSION)
-        if not (_is_int(version) and version == SCHEMA_VERSION):
+        if not (is_int(version) and version == SCHEMA_VERSION):
             raise ConfigurationError(f"config field 'schema_version' must be {SCHEMA_VERSION}, "
                                      f"got {version!r} ({type(version).__name__})")
         kwargs = {}
         for section, keys in _SECTION_KEYS.items():
-            blk = data.get(section) or {}
+            blk = {} if data.get(section) is None else data[section]
             if not isinstance(blk, dict):
                 raise ConfigurationError(f"config section {section!r} must be a mapping")
             extra = set(blk) - set(keys)
@@ -229,9 +209,9 @@ class RunConfig:
     @staticmethod
     def from_yaml_file(path) -> "RunConfig":
         try:
-            with open(path) as fh:
+            with open(path, encoding="utf-8") as fh:
                 text = fh.read()
-        except OSError as e:
+        except (OSError, UnicodeDecodeError) as e:
             raise ConfigurationError(f"cannot read config file {path}: {e}")
         return RunConfig.from_yaml(text)
 
@@ -305,7 +285,7 @@ class RunReport:
         lines = ["saddleslide-summary 1"]
         for k in keys:
             v = getattr(self, k)
-            lines.append(f"{k} {v!r}" if isinstance(v, float) else f"{k} {v}")
+            lines.append(f"{k} {float(v)!r}" if isinstance(v, float) else f"{k} {v}")
         lines.append("wall_time_s 0.0")
         return lines
 
@@ -331,11 +311,11 @@ def make_stochastic_oracle(H: Callable[[np.ndarray], np.ndarray], kind: str,
     """
     if kind not in NOISE_KINDS:
         raise ConfigurationError(f"run.noise_kind must be one of {NOISE_KINDS}, got {kind!r}")
-    if not (np.isfinite(sigma) and sigma >= 0):
-        raise ParameterError("sigma must be a finite nonnegative real")
-    if not (isinstance(dim, (int, np.integer)) and not isinstance(dim, bool) and dim >= 1):
+    if not (is_real(sigma) and sigma >= 0):
+        raise ParameterError(f"sigma must be a finite real >= 0, got {sigma!r}")
+    if not (is_int(dim) and dim >= 1):
         raise ParameterError(f"dim must be an integer >= 1, got {dim!r}")
-    if not (isinstance(seed, (int, np.integer)) and not isinstance(seed, bool) and seed >= 0):
+    if not (is_int(seed) and seed >= 0):
         raise ParameterError(f"seed must be an integer >= 0, got {seed!r}")
     rng = np.random.default_rng(seed)
     rows = max(1, NOISE_BLOCK // dim)
@@ -420,12 +400,13 @@ def _gap_oracle(spp: StackedSPP) -> Callable[[np.ndarray], np.ndarray]:
 def pick_N(L: float, omega_sq: float, target: float) -> int:
     """Smallest N with 6 L omega_sq / N^2 <= target, up to N = ``MAX_N``; a
     larger N is a configuration error. L and omega_sq must be finite and
-    nonnegative."""
+    nonnegative (ParameterError), and target finite and positive
+    (ConfigurationError)."""
     for name, v in (("L", L), ("omega_sq", omega_sq)):
-        if not (np.isfinite(v) and v >= 0):
+        if not (is_real(v) and v >= 0):
             raise ParameterError(f"pick_N needs a finite {name} >= 0, got {v!r}")
-    if not (target > 0):
-        raise ConfigurationError("accuracy target must be positive")
+    if not (is_real(target) and target > 0):
+        raise ConfigurationError(f"pick_N needs a finite accuracy target > 0, got {target!r}")
     num = 6.0 * L * omega_sq
     if not num / target <= float(MAX_N) ** 2:   # also rejects inf
         raise ConfigurationError(

@@ -20,12 +20,8 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import (
-    CertificationError,
-    DimensionError,
-    DomainError,
-    ParameterError,
-)
+from .errors import (CertificationError, DimensionError, DomainError, ParameterError, is_int,
+                     is_real)
 from .geometry import Box, ProductSet, Simplex
 from .penalty import StackedSPP
 
@@ -103,8 +99,16 @@ def make_matrix_game(A_list) -> StackedSPP:
     )
 
 
+def _check_sizes(m, d_x, d_y) -> None:
+    for name, v in (("m", m), ("d_x", d_x), ("d_y", d_y)):
+        if not (is_int(v) and v >= 1):
+            raise ParameterError(f"{name} must be an integer >= 1, got {v!r}")
+
+
 def random_matrix_game(m: int, d_x: int, d_y: int, seed) -> StackedSPP:
-    """m payoff matrices with entries uniform on [-1, 1]."""
+    """m payoff matrices with entries uniform on [-1, 1]; m, d_x and d_y
+    must be integers >= 1 (ParameterError)."""
+    _check_sizes(m, d_x, d_y)
     rng = np.random.default_rng(seed)
     return make_matrix_game(rng.uniform(-1.0, 1.0, (m, d_y, d_x)))
 
@@ -156,8 +160,8 @@ def make_l1_saddle(b_list, c_list, C_list, box_radius: float) -> StackedSPP:
     m = len(b_list)
     if m < 1 or len(c_list) != m or len(C_list) != m:
         raise DimensionError("b_list, c_list, C_list must have equal length >= 1")
-    if not (np.isfinite(box_radius) and box_radius > 0):
-        raise ParameterError("box_radius must be a positive real")
+    if not (is_real(box_radius) and box_radius > 0):
+        raise ParameterError(f"box_radius must be a finite real > 0, got {box_radius!r}")
     stacks = []
     for name, given, ndim in (("b", b_list, 1), ("c", c_list, 1), ("C", C_list, 2)):
         arrays = [np.asarray(x, dtype=float) for x in given]
@@ -213,7 +217,9 @@ def make_l1_saddle(b_list, c_list, C_list, box_radius: float) -> StackedSPP:
 def random_l1_saddle(m: int, d_x: int, d_y: int, seed,
                      box_radius: float = 1.0) -> StackedSPP:
     """Random l1 instance: diagonals b_i uniform on [0.5, 1.5], c_i on
-    [-1, 1] and C_i on [-0.5, 0.5], drawn in that order, node after node."""
+    [-1, 1] and C_i on [-0.5, 0.5], drawn in that order, node after node;
+    m, d_x and d_y must be integers >= 1 (ParameterError)."""
+    _check_sizes(m, d_x, d_y)
     rng = np.random.default_rng(seed)
     b = rng.uniform(0.5, 1.5, (m, d_x))
     c = rng.uniform(-1.0, 1.0, (m, d_x))
@@ -283,7 +289,7 @@ def operator_bound_L0(spp: StackedSPP, samples: int, seed) -> float:
     H is evaluated on all sampled points in one call (``spp.H`` acts row-wise
     along the last axis), and the norms are taken per point.
     """
-    if isinstance(samples, bool) or not isinstance(samples, (int, np.integer)) or samples < 1:
+    if not (is_int(samples) and samples >= 1):
         raise ParameterError(f"samples must be an integer >= 1, got {samples!r}")
     if spp.meta.get("family") == "matrix_game":
         return float(spp.operator_bound)
@@ -323,10 +329,11 @@ def certify_inexact_oracle(H: Callable[[np.ndarray], np.ndarray],
     Returns the report with the worst (smallest) observed slack; a violated
     triple raises CertificationError carrying the witness on the exception.
     """
-    if isinstance(triples, bool) or not isinstance(triples, (int, np.integer)) or triples < 1:
+    if not (is_int(triples) and triples >= 1):
         raise ParameterError(f"triples must be an integer >= 1, got {triples!r}")
-    if not (np.isfinite(M) and M >= 0 and np.isfinite(delta) and delta >= 0):
-        raise ParameterError("certification needs finite M >= 0 and delta >= 0")
+    for name, v in (("M", M), ("delta", delta)):
+        if not (is_real(v) and v >= 0):
+            raise ParameterError(f"certification needs a finite {name} >= 0, got {v!r}")
     rng = np.random.default_rng(seed)
     Z1 = feasible_set.sample(rng, triples)
     Z2 = feasible_set.sample(rng, triples)

@@ -20,12 +20,8 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import (
-    DegenerateNetworkError,
-    DimensionError,
-    DomainError,
-    ParameterError,
-)
+from .errors import (DegenerateNetworkError, DimensionError, DomainError, ParameterError,
+                     is_int, is_real)
 
 TOPOLOGY_KINDS = ("ring", "path", "star", "complete", "erdos_renyi")
 
@@ -218,20 +214,17 @@ def build_topology(kind: str, m: int, p: Optional[float] = None,
     """
     if not (isinstance(kind, str) and kind in ("single",) + TOPOLOGY_KINDS):
         raise ParameterError(f"unknown topology kind {kind!r}")
-    if not (isinstance(m, (int, np.integer)) and not isinstance(m, bool)
-            and (m == 1 if kind == "single" else 2 <= m <= MAX_NODES)):
+    if not (is_int(m) and (m == 1 if kind == "single" else 2 <= m <= MAX_NODES)):
         raise ParameterError(f"build_topology needs m = 1 for kind 'single' and "
                              f"2 <= m <= {MAX_NODES} otherwise, got {kind!r} with m = {m!r}")
-    if not (p is None or (isinstance(p, (int, float, np.integer, np.floating))
-                          and not isinstance(p, bool))):
-        raise ParameterError(f"edge probability p must be a real number or None, got {p!r}")
-    if not (seed is None or (isinstance(seed, (int, np.integer))
-                             and not isinstance(seed, bool) and seed >= 0)):
+    if not (p is None or is_real(p)):
+        raise ParameterError(f"edge probability p must be a finite real or None, got {p!r}")
+    if not (seed is None or (is_int(seed) and seed >= 0)):
         raise ParameterError(f"seed must be None or an integer >= 0, got {seed!r}")
     if kind != "erdos_renyi":
         return _cached_topology(kind, int(m), None, None)
     if p is None or not (0.0 < p <= 1.0):
-        raise ParameterError("erdos_renyi needs edge probability p in (0, 1]")
+        raise ParameterError(f"erdos_renyi needs edge probability p in (0, 1], got {p!r}")
     if seed is None:
         return _laplacian_network(kind, int(m), float(p), None)
     return _cached_topology(kind, int(m), float(p), int(seed))

@@ -22,11 +22,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import (
-    ConfigurationError,
-    DimensionError,
-    ParameterError,
-)
+from .errors import ConfigurationError, DimensionError, ParameterError, is_int, is_real
 from .geometry import SQUARED_EUCLIDEAN, GeometrySpec, ProductSet
 from .network import NetworkModel
 from .sliding import VIProblem
@@ -66,8 +62,8 @@ class StackedSPP:
     meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.m < 1:
-            raise ParameterError("StackedSPP needs m >= 1 nodes")
+        if not (is_int(self.m) and self.m >= 1):
+            raise ParameterError(f"StackedSPP needs an integer m >= 1, got {self.m!r}")
         if not callable(self.batched_H):
             raise ParameterError("StackedSPP needs a callable batched_H")
 
@@ -121,12 +117,12 @@ class PenaltyCoefficients:
     epsilon: float
 
     def __post_init__(self):
-        if not (np.isfinite(self.epsilon) and self.epsilon > 0):
-            raise ParameterError("epsilon must be a positive real")
+        if not (is_real(self.epsilon) and self.epsilon > 0):
+            raise ParameterError(f"epsilon must be a finite real > 0, got {self.epsilon!r}")
         for name in ("R_alpha_sq", "R_beta_sq"):
             v = getattr(self, name)
-            if not (np.isfinite(v) and v >= 0):
-                raise ParameterError(f"{name} must be a finite nonnegative real")
+            if not (is_real(v) and v >= 0):
+                raise ParameterError(f"{name} must be a finite real >= 0, got {v!r}")
 
 
 def penalty_coefficients(spp: StackedSPP, net: NetworkModel,
@@ -139,12 +135,12 @@ def penalty_coefficients(spp: StackedSPP, net: NetworkModel,
     penalty guarantee. The single node, the only network without a positive
     eigenvalue, has W_tilde = 0, so G vanishes and its radii are 0.0.
     """
-    if not (np.isfinite(epsilon) and epsilon > 0):
-        raise ParameterError("epsilon must be a positive real")
+    if not (is_real(epsilon) and epsilon > 0):
+        raise ParameterError(f"epsilon must be a finite real > 0, got {epsilon!r}")
     for name in ("subgrad_bound_x", "subgrad_bound_y"):
         v = getattr(spp, name)
-        if not (np.isfinite(v) and v >= 0):
-            raise ParameterError(f"{name} must be a finite nonnegative real")
+        if not (is_real(v) and v >= 0):
+            raise ParameterError(f"{name} must be a finite real >= 0, got {v!r}")
     if net.m != spp.m:
         raise DimensionError("network node count must match the stacked problem")
     if net.lambda_min_plus is None:

@@ -19,7 +19,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import ConfigurationError, DomainError, ParameterError
+from .errors import ConfigurationError, DomainError, ParameterError, is_int, is_real
 from .geometry import (GeometrySpec, _anchor_term, _as_vector, _bind_prox, _outer_term,
                        _prox_kernel)
 
@@ -53,8 +53,8 @@ class VIProblem:
     def __post_init__(self):
         for name in ("L", "M", "delta"):
             v = getattr(self, name)
-            if not (np.isfinite(v) and v >= 0):
-                raise ParameterError(f"VIProblem.{name} must be a finite nonnegative real")
+            if not (is_real(v) and v >= 0):
+                raise ParameterError(f"VIProblem.{name} must be a finite real >= 0, got {v!r}")
 
 
 @dataclass
@@ -93,10 +93,10 @@ class SlidingSchedule:
 
     def validate(self) -> None:
         L, M, T = self.L, self.M, self.T
-        if not (np.isfinite(L) and L > 0):
-            raise ConfigurationError("schedule needs a finite L > 0")
-        if not (np.isfinite(M) and M >= 0):
-            raise ConfigurationError("schedule needs a finite M >= 0")
+        if not (is_real(L) and L > 0):
+            raise ConfigurationError(f"schedule needs a finite L > 0, got {L!r}")
+        if not (is_real(M) and M >= 0):
+            raise ConfigurationError(f"schedule needs a finite M >= 0, got {M!r}")
         if not (isinstance(T, np.ndarray) and T.ndim == 1 and T.size >= 1
                 and np.issubdtype(T.dtype, np.integer)):
             raise ConfigurationError("T must be a 1-D integer array of N >= 1 entries")
@@ -108,12 +108,12 @@ class SlidingSchedule:
 
 
 def _check_LMN(L: float, M: float, N: int) -> None:
-    if not (np.isfinite(L) and L > 0):
-        raise ParameterError("schedule needs L > 0 (formulas divide by L)")
-    if not (np.isfinite(M) and M >= 0):
-        raise ParameterError("schedule needs M >= 0")
-    if not (isinstance(N, (int, np.integer)) and not isinstance(N, bool) and N >= 1):
-        raise ParameterError("schedule needs integer N >= 1")
+    if not (is_real(L) and L > 0):  # the formulas divide by L
+        raise ParameterError(f"schedule needs a finite L > 0, got {L!r}")
+    if not (is_real(M) and M >= 0):
+        raise ParameterError(f"schedule needs a finite M >= 0, got {M!r}")
+    if not (is_int(N) and N >= 1):
+        raise ParameterError(f"schedule needs an integer N >= 1, got {N!r}")
 
 
 def _square(x: float) -> float:
@@ -179,10 +179,10 @@ def stochastic_schedule(L: float, M: float, sigma: float, omega_sq: float,
     problem whose ``H`` is a noisy oracle with variance at most sigma^2.
     """
     _check_LMN(L, M, N)
-    if not (np.isfinite(sigma) and sigma >= 0):
-        raise ParameterError("schedule needs sigma >= 0")
-    if not (np.isfinite(omega_sq) and omega_sq > 0):
-        raise ParameterError("schedule needs omega_sq > 0")
+    if not (is_real(sigma) and sigma >= 0):
+        raise ParameterError(f"schedule needs a finite sigma >= 0, got {sigma!r}")
+    if not (is_real(omega_sq) and omega_sq > 0):
+        raise ParameterError(f"schedule needs a finite omega_sq > 0, got {omega_sq!r}")
     return _schedule(L, M, stochastic_T_raw, sigma, omega_sq, N)
 
 

@@ -4,7 +4,7 @@ import hashlib
 import re
 import time
 import tracemalloc
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -46,6 +46,7 @@ class TestRunConfig:
                            p_confidence=0.3, network_p=None, out_dir="runs/x")
         again = RunConfig.from_yaml(cfg.to_yaml())
         assert again == cfg
+        assert with_numpy_scalars(cfg).to_yaml() == cfg.to_yaml()
 
     def test_defaults_validate(self):
         RunConfig().validate()
@@ -79,6 +80,10 @@ class TestRunConfig:
         (dict(mode="stochastic", sigma=0.1, p_confidence="0.3"), "run.p_confidence"),
         (dict(out_dir=5), "run.out_dir"),
         (dict(epsilon="1e-2"), "got '1e-2' (str)"),
+        (dict(epsilon=10 ** 400), "run.epsilon"),
+        (dict(box_radius=np.inf), "problem.box_radius"),
+        (dict(network_p=np.nan), "network.p"),
+        (dict(m=np.float64(4.0)), "network.m"),
     ])
     def test_validation_names_the_failing_field(self, overrides, needle):
         cfg = small_config(**overrides)
@@ -100,6 +105,15 @@ class TestRunConfig:
         assert RunConfig.from_yaml("{}") == RunConfig()
         assert RunConfig.from_yaml("network:\n  kind: ring\n  m: 4\n") == \
             RunConfig(network_kind="ring", m=4)
+        # a section left empty is null
+        assert RunConfig.from_yaml("problem:\nnetwork: null\nrun:\n") == RunConfig()
+
+    @pytest.mark.parametrize("value", ["0", "false", "[]", "''"])
+    @pytest.mark.parametrize("section", ["problem", "network", "run"])
+    def test_a_section_that_is_neither_a_mapping_nor_null_is_rejected(self, section, value):
+        with pytest.raises(ConfigurationError,
+                           match=f"^config section '{section}' must be a mapping$"):
+            RunConfig.from_yaml(f"{section}: {value}\n")
 
     @pytest.mark.parametrize("text,shown", [("2", "2 (int)"), ("true", "True (bool)"),
                                             ("'1'", "'1' (str)")])
@@ -120,6 +134,10 @@ class TestRunConfig:
         wrong.write_text("unexpected_section: {}\n")
         with pytest.raises(ConfigurationError):
             RunConfig.from_yaml_file(wrong)
+        latin1 = tmp_path / "latin1.yaml"
+        latin1.write_bytes("run:\n  out_dir: r\xe9sultats\n".encode("latin-1"))
+        with pytest.raises(ConfigurationError, match=f"cannot read config file {re.escape(str(latin1))}: "):
+            RunConfig.from_yaml_file(latin1)
 
 
 class TestPickN:
@@ -547,6 +565,31 @@ def test_single_node_outputs_match_pinned_bytes(tmp_path, family):
     assert_files_match(tmp_path, shas)
 
 
+def with_numpy_scalars(cfg: RunConfig) -> RunConfig:
+    """``cfg`` with every int field an np.int64 and every float field an np.float64."""
+    numpy_type = {int: np.int64, float: np.float64}
+    values = {f.name: getattr(cfg, f.name) for f in fields(cfg)}
+    return replace(cfg, **{k: numpy_type[type(v)](v) for k, v in values.items()
+                           if type(v) in numpy_type})
+
+
+@pytest.mark.parametrize("overrides", [
+    dict(network_p=0.5),
+    dict(mode="stochastic", sigma=0.1, p_confidence=0.25, epsilon=0.5, N_override=None),
+    dict(family="l1_saddle_random", d_x=3, d_y=2, box_radius=1.5, epsilon=0.4),
+], ids=["pennies", "stochastic-pennies", "l1"])
+def test_numpy_scalars_in_the_config_write_the_same_bytes(tmp_path, overrides):
+    cfg = small_config(**overrides)
+    numpy_cfg = with_numpy_scalars(cfg)
+    assert type(numpy_cfg.m) is np.int64 and type(numpy_cfg.epsilon) is np.float64
+    for name, c in (("python", cfg), ("numpy", numpy_cfg)):
+        rep = run_experiment(c)
+        emit_outputs(rep, rep.trace, tmp_path / name)
+    for name in ("summary.txt", "trace.csv", "plot_data.csv"):
+        assert (tmp_path / "numpy" / name).read_bytes() == \
+            (tmp_path / "python" / name).read_bytes(), name
+
+
 class TestCLI:
     def _write_config(self, tmp_path, **overrides):
         cfg = small_config(**overrides)
@@ -615,6 +658,17 @@ class TestCLI:
         assert cli.main(["run", "--config", str(path)]) == 2
         assert time.perf_counter() - t0 < 5.0
         assert "run.epsilon" in capsys.readouterr().err
+
+    def test_unreadable_or_unrepresentable_config_exits_two(self, tmp_path, capsys):
+        latin1 = tmp_path / "latin1.yaml"
+        latin1.write_bytes("run:\n  out_dir: r\xe9sultats\n".encode("latin-1"))
+        assert cli.main(["run", "--config", str(latin1)]) == 2
+        assert f"cannot read config file {latin1}" in capsys.readouterr().err
+        # a 401-digit integer is too large for a float
+        huge = tmp_path / "huge.yaml"
+        huge.write_text(f"run:\n  epsilon: {10 ** 400}\n")
+        assert cli.main(["run", "--config", str(huge)]) == 2
+        assert "'run.epsilon' must be a positive real" in capsys.readouterr().err
 
     def test_huge_N_override_exits_two_before_anything_is_built(self, tmp_path, capsys,
                                                                 monkeypatch):
