@@ -35,6 +35,9 @@ except ImportError:
     _einsum = np.einsum
 
 MATCHING_PENNIES = np.array([[1.0, -1.0], [-1.0, 1.0]])
+# Floats per block of triples that certify_inexact_oracle passes to H at once
+# (256 kB); see its docstring.
+CERTIFY_BLOCK = 1 << 15
 
 
 # -- matrix games --------------------------------------------------------------
@@ -105,10 +108,17 @@ def _check_sizes(m, d_x, d_y) -> None:
             raise ParameterError(f"{name} must be an integer >= 1, got {v!r}")
 
 
+def _check_seed(seed) -> None:
+    # None would draw OS entropy, so every seed here must be given
+    if not (is_int(seed) and seed >= 0):
+        raise ParameterError(f"seed must be an integer >= 0, got {seed!r}")
+
+
 def random_matrix_game(m: int, d_x: int, d_y: int, seed) -> StackedSPP:
     """m payoff matrices with entries uniform on [-1, 1]; m, d_x and d_y
-    must be integers >= 1 (ParameterError)."""
+    must be integers >= 1 and seed an integer >= 0 (ParameterError)."""
     _check_sizes(m, d_x, d_y)
+    _check_seed(seed)
     rng = np.random.default_rng(seed)
     return make_matrix_game(rng.uniform(-1.0, 1.0, (m, d_y, d_x)))
 
@@ -218,8 +228,10 @@ def random_l1_saddle(m: int, d_x: int, d_y: int, seed,
                      box_radius: float = 1.0) -> StackedSPP:
     """Random l1 instance: diagonals b_i uniform on [0.5, 1.5], c_i on
     [-1, 1] and C_i on [-0.5, 0.5], drawn in that order, node after node;
-    m, d_x and d_y must be integers >= 1 (ParameterError)."""
+    m, d_x and d_y must be integers >= 1 and seed an integer >= 0
+    (ParameterError)."""
     _check_sizes(m, d_x, d_y)
+    _check_seed(seed)
     rng = np.random.default_rng(seed)
     b = rng.uniform(0.5, 1.5, (m, d_x))
     c = rng.uniform(-1.0, 1.0, (m, d_x))
@@ -285,12 +297,14 @@ def operator_bound_L0(spp: StackedSPP, samples: int, seed) -> float:
 
     Matrix games return the analytic supremum (exact, attained at vertices);
     other families return 1.1 (a safety factor) times the maximum of ||H||
-    over ``samples`` feasible stacked points drawn with ``seed``.
-    H is evaluated on all sampled points in one call (``spp.H`` acts row-wise
-    along the last axis), and the norms are taken per point.
+    over ``samples`` feasible stacked points drawn with ``seed``, an integer
+    >= 0 (ParameterError) for either family. H is evaluated on all sampled
+    points in one call (``spp.H`` acts row-wise along the last axis), and
+    the norms are taken per point.
     """
     if not (is_int(samples) and samples >= 1):
         raise ParameterError(f"samples must be an integer >= 1, got {samples!r}")
+    _check_seed(seed)
     if spp.meta.get("family") == "matrix_game":
         return float(spp.operator_bound)
     rng = np.random.default_rng(seed)
@@ -322,10 +336,16 @@ def certify_inexact_oracle(H: Callable[[np.ndarray], np.ndarray],
 
     <H(z1) - H(z2), z1 - z3> <= M/2 ||z1-z2||^2 + M/2 ||z1-z3||^2 + delta,
 
-    with 1e-9 additive slack for float noise. ``H`` acts row-wise along the
-    last axis: it is called once on all first points and once on all second
-    points, each an array of shape (triples, dim), and must return an array
-    of that shape whose row i is the operator at row i (``StackedSPP.H`` does).
+    with 1e-9 additive slack for float noise. The n = ``triples`` first,
+    second and third points are drawn whole, in that order, from
+    ``np.random.default_rng(seed)``; ``seed`` must be an integer >= 0. The
+    triples are then checked in blocks of max(1, CERTIFY_BLOCK // dim) rows:
+    ``H`` is called on each block of first points and each block of second
+    points, arrays of shape (rows, dim), and must act row-wise along the last
+    axis, returning an array of its input's shape whose row i is the operator
+    at row i (``StackedSPP.H`` does). Each triple's slack is the same bits
+    whatever the block size: the blocks bound only the working memory, which
+    peaks at four n x dim arrays (the three draws and the sampler's scratch).
     Returns the report with the worst (smallest) observed slack; a violated
     triple raises CertificationError carrying the witness on the exception.
     """
@@ -334,20 +354,25 @@ def certify_inexact_oracle(H: Callable[[np.ndarray], np.ndarray],
     for name, v in (("M", M), ("delta", delta)):
         if not (is_real(v) and v >= 0):
             raise ParameterError(f"certification needs a finite {name} >= 0, got {v!r}")
+    _check_seed(seed)
     rng = np.random.default_rng(seed)
-    Z1 = feasible_set.sample(rng, triples)
-    Z2 = feasible_set.sample(rng, triples)
-    Z3 = feasible_set.sample(rng, triples)
-    H1 = H(Z1)
-    H2 = H(Z2)
-    if np.shape(H1) != Z1.shape or np.shape(H2) != Z2.shape:
-        raise ParameterError("H must act row-wise along the last axis and "
-                             "return an array of its input's shape")
-    d12, d13 = Z1 - Z2, Z1 - Z3
-    lhs = np.einsum("ij,ij->i", H1 - H2, d13)
-    rhs = (0.5 * M * np.einsum("ij,ij->i", d12, d12)
-           + 0.5 * M * np.einsum("ij,ij->i", d13, d13) + delta)
-    slack = rhs - lhs
+    Z1, Z2, Z3 = (feasible_set.sample(rng, triples) for _ in range(3))
+    # per triple: <H(z1) - H(z2), z1 - z3>, ||z1 - z2||^2 and ||z1 - z3||^2
+    lhs, q12, q13 = np.empty((3, triples))
+    rows = max(1, CERTIFY_BLOCK // Z1.shape[1])
+    for start in range(0, triples, rows):
+        b = slice(start, start + rows)
+        z1, z2, z3 = Z1[b], Z2[b], Z3[b]
+        H1 = H(z1)
+        H2 = H(z2)
+        if np.shape(H1) != z1.shape or np.shape(H2) != z2.shape:
+            raise ParameterError("H must act row-wise along the last axis and "
+                                 "return an array of its input's shape")
+        d12, d13 = z1 - z2, z1 - z3
+        np.einsum("ij,ij->i", H1 - H2, d13, out=lhs[b])
+        np.einsum("ij,ij->i", d12, d12, out=q12[b])
+        np.einsum("ij,ij->i", d13, d13, out=q13[b])
+    slack = (0.5 * M * q12 + 0.5 * M * q13 + delta) - lhs
     worst = int(np.argmin(slack))
     if slack[worst] < -1e-9:
         err = CertificationError(

@@ -68,8 +68,8 @@ def l1(**kw):
     return make_l1_saddle(**{**args, **kw})
 
 
-def certify(M=2.0, delta=0.0, triples=5):
-    return certify_inexact_oracle(np.zeros_like, BOX, M, delta, triples, seed=0)
+def certify(M=2.0, delta=0.0, triples=5, seed=0):
+    return certify_inexact_oracle(np.zeros_like, BOX, M, delta, triples, seed)
 
 
 def noise(sigma=0.1, dim=2, seed=0):
@@ -113,14 +113,17 @@ ARGS = {
         1.0, ParameterError)
        for a in ("subgrad_bound_x", "subgrad_bound_y")},
     "make_l1_saddle.box_radius": ("real", lambda v: l1(box_radius=v), 1.0, ParameterError),
-    **{f"{f.__name__}.{a}": ("int", lambda v, a=a, f=f: f(**{**dict(m=2, d_x=2, d_y=3), a: v},
-                                                         seed=0), 2, ParameterError)
-       for f in (random_matrix_game, random_l1_saddle) for a in ("m", "d_x", "d_y")},
-    "operator_bound_L0.samples": ("int", lambda v: operator_bound_L0(GAME, v, seed=0), 10,
-                                  ParameterError),
+    **{f"{f.__name__}.{a}": ("int", lambda v, a=a, f=f: f(**{**dict(m=2, d_x=2, d_y=3, seed=0),
+                                                             a: v}), 2, ParameterError)
+       for f in (random_matrix_game, random_l1_saddle) for a in ("m", "d_x", "d_y", "seed")},
+    **{f"operator_bound_L0.{a}": (
+        "int", lambda v, a=a: operator_bound_L0(GAME, **{**dict(samples=10, seed=0), a: v}), 10,
+        ParameterError)
+       for a in ("samples", "seed")},
     **{f"certify_inexact_oracle.{a}": (kind, lambda v, a=a: certify(**{a: v}), ok,
                                        ParameterError)
-       for a, kind, ok in (("M", "real", 2.0), ("delta", "real", 0.0), ("triples", "int", 5))},
+       for a, kind, ok in (("M", "real", 2.0), ("delta", "real", 0.0), ("triples", "int", 5),
+                           ("seed", "int", 0))},
     **{f"make_stochastic_oracle.{a}": (kind, lambda v, a=a: noise(**{a: v}), ok,
                                        ParameterError)
        for a, kind, ok in (("sigma", "real", 0.1), ("dim", "int", 2), ("seed", "int", 0))},
@@ -133,7 +136,7 @@ ARGS = {
 # arguments here must be >= 0 or >= 1
 BAD_REALS = {"true": True, "str": "1", "none": None, "nan": np.nan, "inf": np.inf,
              "int-1e400": 10 ** 400}
-BAD_INTS = {"true": True, "float": 1.5, "str": "1", "negative": -1}
+BAD_INTS = {"true": True, "float": 1.5, "str": "1", "negative": -1, "none": None}
 
 
 def bad_cases():

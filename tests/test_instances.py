@@ -1,5 +1,6 @@
 """Tests for problem families, gap oracles, certification and the QP baseline."""
 
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -29,6 +30,7 @@ from saddleslide import (
     random_l1_saddle,
     random_matrix_game,
 )
+from saddleslide import instances
 from saddleslide.harness import NOISE_BLOCK
 
 import reference_oracles
@@ -36,6 +38,18 @@ from reference_oracles import (L1Node, accelerated_projected_gradient, make_cons
                                sup_gap_skew_linear)
 
 rng = np.random.default_rng(1207)
+
+
+def whole_batch_slack(H, fset, M, delta, triples, seed):
+    """Per-triple slack of the certificate with H called once on all first
+    points and once on all second points; also returns the three draws."""
+    r = np.random.default_rng(seed)
+    Z1, Z2, Z3 = (fset.sample(r, triples) for _ in range(3))
+    d12, d13 = Z1 - Z2, Z1 - Z3
+    lhs = np.einsum("ij,ij->i", H(Z1) - H(Z2), d13)
+    rhs = (0.5 * M * np.einsum("ij,ij->i", d12, d12)
+           + 0.5 * M * np.einsum("ij,ij->i", d13, d13) + delta)
+    return rhs - lhs, (Z1, Z2, Z3)
 
 
 def lp_game_solution(A):
@@ -309,29 +323,84 @@ class TestCertification:
         assert lhs > 0.0
 
     @settings(max_examples=25, deadline=None)
-    @given(m=st.integers(1, 5), d_x=st.integers(1, 5), d_y=st.integers(1, 5),
+    @given(family=st.sampled_from([random_l1_saddle, random_matrix_game]),
+           m=st.integers(1, 5), d_x=st.integers(1, 5), d_y=st.integers(1, 5),
            triples=st.integers(1, 400), seed=st.integers(0, 2 ** 16))
     def test_batched_certificate_equals_row_by_row_reference(
-            self, m, d_x, d_y, triples, seed):
-        # the certificate calls H once per batch; the loop below is the
+            self, family, m, d_x, d_y, triples, seed):
+        # the certificate calls H on blocks of rows; the loop below is the
         # per-point reference it must reproduce bit for bit
-        spp = random_l1_saddle(m, d_x, d_y, seed=seed)
+        spp = family(m, d_x, d_y, seed=seed)
         fset = spp.stacked_set()
         eps = 0.1  # the bounded-operator constants, which certify by theory
         M, delta = spp.operator_bound ** 2 / (2 * eps), 2 * eps
-        rng_ref = np.random.default_rng(seed)
-        Z1, Z2, Z3 = (fset.sample(rng_ref, triples) for _ in range(3))
-        H1 = np.array([spp.H(z) for z in Z1])
-        H2 = np.array([spp.H(z) for z in Z2])
-        d12, d13 = Z1 - Z2, Z1 - Z3
-        lhs = np.einsum("ij,ij->i", H1 - H2, d13)
-        rhs = (0.5 * M * np.einsum("ij,ij->i", d12, d12)
-               + 0.5 * M * np.einsum("ij,ij->i", d13, d13) + delta)
-        slack = rhs - lhs
+        slack, _ = whole_batch_slack(lambda Z: np.array([spp.H(z) for z in Z]), fset,
+                                     M, delta, triples, seed)
         report = certify_inexact_oracle(spp.H, fset, M=M, delta=delta,
                                         triples=triples, seed=seed)
         assert report.worst_slack == float(slack.min())
         assert report.mean_slack == float(slack.mean())
+
+    @pytest.mark.parametrize("family", [random_l1_saddle, random_matrix_game])
+    @pytest.mark.parametrize("rows,triples", [(1, 5), (3, 10), (7, 50), (64, 200)])
+    def test_blocked_certificate_equals_the_whole_batch_one(
+            self, monkeypatch, family, rows, triples):
+        # several full blocks and a partial last one; a block smaller than
+        # one row still holds one
+        spp = family(3, 4, 2, seed=rows)
+        fset = spp.stacked_set()
+        monkeypatch.setattr(instances, "CERTIFY_BLOCK", rows * fset.dim - (rows == 1))
+        calls = []
+
+        def H(Z):
+            calls.append(len(Z))
+            return spp.H(Z)
+
+        M, delta = spp.operator_bound ** 2 / 0.2, 0.2
+        report = certify_inexact_oracle(H, fset, M, delta, triples, seed=9)
+        slack, _ = whole_batch_slack(spp.H, fset, M, delta, triples, seed=9)
+        assert report.worst_slack == float(slack.min())
+        assert report.mean_slack == float(slack.mean())
+        full, last = divmod(triples, rows)
+        assert calls == [rows] * (2 * full) + [last] * (2 * (last > 0))
+
+    def test_violation_in_a_later_block_gives_the_whole_batch_witness(self, monkeypatch):
+        box = Box(np.zeros(2), np.ones(2))
+
+        def jumpy(z):
+            return np.sign(z - 0.5)
+
+        slack, Z = whole_batch_slack(jumpy, box, 0.0, 0.0, 300, seed=4)
+        worst = int(np.argmin(slack))
+        assert slack[worst] < -1e-9 and worst >= 9
+        # one block of all rows, then blocks that put the worst triple in the
+        # fourth block or later
+        errors = []
+        for rows in (300, worst // 3):
+            monkeypatch.setattr(instances, "CERTIFY_BLOCK", rows * box.dim)
+            with pytest.raises(CertificationError) as exc_info:
+                certify_inexact_oracle(jumpy, box, M=0.0, delta=0.0, triples=300, seed=4)
+            errors.append(exc_info.value)
+        one, blocked = errors
+        assert str(blocked) == str(one) and f"at triple {worst} of 300" in str(one)
+        for err in (one, blocked):
+            assert [w.tobytes() for w in err.witness] == [z[worst].tobytes() for z in Z]
+
+    @pytest.mark.parametrize("family", [random_l1_saddle, random_matrix_game])
+    def test_working_memory_is_four_times_the_points_plus_a_few_blocks(self, family):
+        # Z1, Z2 and Z3 stay whole (3 n dim floats), and drawing Z3 takes one
+        # more; H and the per-triple terms take a bounded number of blocks
+        spp = family(8, 2, 2, seed=1)
+        fset = spp.stacked_set()
+        for n in (3000, 12000):
+            tracemalloc.start()
+            try:
+                certify_inexact_oracle(spp.H, fset, spp.operator_bound ** 2 / 0.2, 0.2, n,
+                                       seed=0)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= 8 * (4 * n * fset.dim + 6 * instances.CERTIFY_BLOCK)
 
     def test_oracle_that_cannot_take_a_batch_is_rejected(self):
         box = Box(-np.ones(3), np.ones(3))
@@ -341,7 +410,7 @@ class TestCertification:
 
     def test_rejects_bad_parameters(self):
         box = Box(np.zeros(2), np.ones(2))
-        with pytest.raises(Exception):
+        with pytest.raises(ParameterError, match="M"):
             certify_inexact_oracle(lambda z: z, box, M=-1.0, delta=0.0,
                                    triples=10, seed=0)
 

@@ -271,7 +271,7 @@ class TestDeterministicRun:
 
     def test_rejects_infeasible_start(self):
         prob = quadratic_problem(half_width=1.0)
-        with pytest.raises((ParameterError, Exception)):
+        with pytest.raises(DomainError):
             mps_run(prob, deterministic_schedule(1.0, 0.0, 2),
                     np.array([5.0, 0.0]))
 
