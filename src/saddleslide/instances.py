@@ -38,6 +38,8 @@ MATCHING_PENNIES = np.array([[1.0, -1.0], [-1.0, 1.0]])
 # Floats per block of triples that certify_inexact_oracle passes to H at once
 # (256 kB); see its docstring.
 CERTIFY_BLOCK = 1 << 15
+# 1-D arguments for which an l1 H keeps its bound kernel (make_l1_saddle).
+L1_H_BUFFERS = 4
 
 
 # -- matrix games --------------------------------------------------------------
@@ -166,6 +168,11 @@ def make_l1_saddle(b_list, c_list, C_list, box_radius: float) -> StackedSPP:
     sign vector, of p = d_x entries, and box corner:
     ||b * s + C^T y|| <= sigma_max(diag(b)) sqrt(p) + sigma_max(C) r sqrt(d_y)
     and ||sign(y) - C x|| <= sqrt(d_y) + sigma_max(C) r sqrt(d_x).
+
+    H binds its kernel to its argument (see ``StackedSPP``): a batch once
+    per call, a 1-D argument once while it is among the last
+    ``L1_H_BUFFERS`` 1-D arguments, so a solver's work buffers are bound
+    once per solve and each H call runs nine ufunc and einsum calls.
     """
     m = len(b_list)
     if m < 1 or len(c_list) != m or len(C_list) != m:
@@ -194,23 +201,54 @@ def make_l1_saddle(b_list, c_list, C_list, box_radius: float) -> StackedSPP:
     # Leading axes of z are independent points. The einsums keep the
     # single-point subscripts behind a "...", which sums each point in the
     # same order as a single-point call; optimize=True or matmul may not.
-    def batched_H(z: np.ndarray) -> np.ndarray:
+    def bind(z: np.ndarray, out: np.ndarray) -> Callable[[], None]:
+        """A no-argument kernel that writes H(z) into ``out``, reading z
+        afresh on every call; the views of z and out and the einsum
+        scratch are built here, once."""
         lead = z.shape[:-1]
         X = z[..., :cut].reshape(lead + (m, d_x))
         Y = z[..., cut:].reshape(lead + (m, d_y))
-        out = np.empty(z.shape)
         OX = out[..., :cut].reshape(X.shape)
         OY = out[..., cut:].reshape(Y.shape)
-        # Hx = b * sign(b * x - c) + C^T y and Hy = sign(y) - C x, written
-        # through views of one output array
-        np.multiply(b2, X, out=OX)
-        np.subtract(OX, c2, out=OX)
-        np.sign(OX, out=OX)
-        np.multiply(OX, b2, out=OX)
-        OX += _einsum("nji,...nj->...ni", C3, Y)
-        np.sign(Y, out=OY)
-        OY -= _einsum("nji,...ni->...nj", C3, X)
-        return out
+        # the two einsum results share one buffer: the kernel adds tx into
+        # OX before it writes ty, and a batch holds no more than the
+        # unbound code's one einsum temporary at a time
+        scratch = np.empty(max(X.size, Y.size))
+        tx, ty = scratch[:X.size].reshape(X.shape), scratch[:Y.size].reshape(Y.shape)
+
+        def kernel() -> None:
+            # Hx = b * sign(b * x - c) + C^T y and Hy = sign(y) - C x, written
+            # through views of one output array
+            np.multiply(b2, X, out=OX)
+            np.subtract(OX, c2, out=OX)
+            np.sign(OX, out=OX)
+            np.multiply(OX, b2, out=OX)
+            _einsum("nji,...nj->...ni", C3, Y, out=tx)
+            np.add(OX, tx, out=OX)
+            np.sign(Y, out=OY)
+            _einsum("nji,...ni->...nj", C3, X, out=ty)
+            np.subtract(OY, ty, out=OY)
+
+        return kernel
+
+    # id(z) -> (z, kernel, out) for the last L1_H_BUFFERS 1-D arguments,
+    # oldest first. Holding z keeps its id from being reused while cached.
+    bound = {}
+
+    def batched_H(z: np.ndarray) -> np.ndarray:
+        if z.ndim > 1:
+            out = np.empty(z.shape)
+            bind(z, out)()
+            return out
+        entry = bound.get(id(z))
+        if entry is None:
+            out = np.empty(z.shape)
+            entry = (z, bind(z, out), out)
+            if len(bound) == L1_H_BUFFERS:
+                del bound[next(iter(bound))]
+            bound[id(z)] = entry
+        entry[1]()
+        return entry[2].copy()
 
     return StackedSPP(
         m=m,
@@ -345,7 +383,9 @@ def certify_inexact_oracle(H: Callable[[np.ndarray], np.ndarray],
     axis, returning an array of its input's shape whose row i is the operator
     at row i (``StackedSPP.H`` does). Each triple's slack is the same bits
     whatever the block size: the blocks bound only the working memory, which
-    peaks at four n x dim arrays (the three draws and the sampler's scratch).
+    is about three n x dim arrays (the three draws; the sampler writes its
+    chunks straight into them), a few arrays of n per-triple terms and a few
+    blocks.
     Returns the report with the worst (smallest) observed slack; a violated
     triple raises CertificationError carrying the witness on the exception.
     """

@@ -41,6 +41,18 @@ class StackedSPP:
     shape (..., dim) to H(z) of the same shape, each row on its own. How H
     is stored is the instance family's business (see ``instances``).
 
+    An l1 instance's ``batched_H`` binds its kernel to its argument: one
+    binder builds the views of z and of the output and one scratch array
+    that its two einsums share, and the kernel runs its ufuncs and einsums
+    with ``out=``. A batch is bound once per call. A 1-D argument, such as
+    a solver work buffer, keeps its bound kernel and output in a memo keyed
+    by the argument's identity, for the last ``instances.L1_H_BUFFERS`` (4)
+    arguments, oldest evicted first; each call reruns the kernel on the
+    buffer's current values and returns a copy of the output. The memo
+    holds a reference to each cached argument. An l1 H is not safe to call
+    from two threads at once: two calls on one buffer share its output, and
+    the memo's eviction is not atomic.
+
     ``linear_H`` is not read here: the matrix-game factory stores its
     row-sparse operator values in it, because the benchmark in
     ``perfbench/`` reports ``linear_H.nbytes`` as ``penalty.linear_H_bytes``.

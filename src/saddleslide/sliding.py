@@ -37,8 +37,10 @@ class VIProblem:
     (:func:`stochastic_schedule`). ``rounds_per_grad_G`` is the number of
     communication rounds one grad_G evaluation costs (0 for centralized
     problems). ``H`` is handed the solver's work buffers, which later inner
-    steps overwrite: it must copy an argument it keeps, and must not write
-    into it.
+    steps overwrite: it must not write into them, and must copy an argument
+    whose values it keeps. It may keep a reference to a buffer and re-read
+    it on a later call with that same buffer (an l1 ``StackedSPP.H`` does),
+    but never its values: each call reads the argument afresh.
     """
 
     set_geometry: GeometrySpec

@@ -1,5 +1,6 @@
 import itertools
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from saddleslide import (
     TAU_FEAS,
     omega_sq_bound,
 )
+from saddleslide import geometry
 from saddleslide.geometry import _project_simplex_rows
 
 from reference_oracles import blocks, bregman_divergence, project, prox_two_anchor
@@ -623,14 +625,18 @@ _mixed_sets = st.lists(_factor, min_size=1, max_size=8).map(
     lambda specs: ProductSet([_factor_set(f) for f in specs]))
 
 
-@given(_mixed_sets, st.sampled_from([0, 1, 2, 7, 64]), st.integers(0, 2 ** 32 - 1))
+# chunk None keeps SAMPLE_CHUNK; the small ones split a group's draw into
+# runs of whole blocks, single blocks or runs of points of one block
+@given(_mixed_sets, st.sampled_from([0, 1, 2, 7, 64]), st.integers(0, 2 ** 32 - 1),
+       st.sampled_from([None, 1, 4, 9, 40]))
 @example(ProductSet([Box([0.0, 0.0], [1.0, 1.0]), Box([0.0, 0.0], [1.0, 1.0]),
                      Box([2.0], [2.0]), Simplex(1), Simplex(3), Simplex(3),
-                     Box([-1.0, 0.5], [1.0, 0.5])]), 7, 0)
+                     Box([-1.0, 0.5], [1.0, 0.5])]), 7, 0, 9)
 @settings(max_examples=150, deadline=None)
-def test_sample_is_bitwise_the_block_by_block_draw(s, n, seed):
+def test_sample_is_bitwise_the_block_by_block_draw(s, n, seed, chunk):
     r_ref, r_new = np.random.default_rng(seed), np.random.default_rng(seed)
-    ref, rows = _sample_per_block(s, r_ref, n), s.sample(r_new, n)
+    with mock.patch.object(geometry, "SAMPLE_CHUNK", chunk or geometry.SAMPLE_CHUNK):
+        ref, rows = _sample_per_block(s, r_ref, n), s.sample(r_new, n)
     assert rows.shape == ref.shape == (n, s.dim) and rows.dtype == ref.dtype
     assert_same_bits(rows, ref)
     assert r_new.random() == r_ref.random()  # the same draws were consumed

@@ -30,7 +30,7 @@ from saddleslide import (
     random_l1_saddle,
     random_matrix_game,
 )
-from saddleslide import instances
+from saddleslide import geometry, instances
 from saddleslide.harness import NOISE_BLOCK
 
 import reference_oracles
@@ -387,12 +387,13 @@ class TestCertification:
             assert [w.tobytes() for w in err.witness] == [z[worst].tobytes() for z in Z]
 
     @pytest.mark.parametrize("family", [random_l1_saddle, random_matrix_game])
-    def test_working_memory_is_four_times_the_points_plus_a_few_blocks(self, family):
-        # Z1, Z2 and Z3 stay whole (3 n dim floats), and drawing Z3 takes one
-        # more; H and the per-triple terms take a bounded number of blocks
+    def test_working_memory_is_three_times_the_points_plus_a_few_blocks(self, family):
+        # Z1, Z2 and Z3 stay whole (3 n dim floats), and the sampler writes
+        # its chunks straight into them; the per-triple terms and the slack
+        # take a few arrays of n floats, H and the sampler a few blocks
         spp = family(8, 2, 2, seed=1)
         fset = spp.stacked_set()
-        for n in (3000, 12000):
+        for n in (3000, 40000):
             tracemalloc.start()
             try:
                 certify_inexact_oracle(spp.H, fset, spp.operator_bound ** 2 / 0.2, 0.2, n,
@@ -400,7 +401,8 @@ class TestCertification:
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-            assert peak <= 8 * (4 * n * fset.dim + 6 * instances.CERTIFY_BLOCK)
+            assert peak <= 8 * (3 * n * fset.dim + 6 * n + 6 * instances.CERTIFY_BLOCK
+                                + 2 * geometry.SAMPLE_CHUNK)
 
     def test_oracle_that_cannot_take_a_batch_is_rejected(self):
         box = Box(-np.ones(3), np.ones(3))

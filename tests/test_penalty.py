@@ -2,6 +2,7 @@
 
 import hashlib
 import math
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -30,6 +31,7 @@ from saddleslide import (
     random_l1_saddle,
     random_matrix_game,
 )
+from saddleslide import instances
 
 from reference_oracles import BilinearNode, L1Node, two_product_value_G
 
@@ -318,6 +320,18 @@ def per_point_H(spp, Z):
     return np.array([spp.H(z) for z in rows]).reshape(Z.shape)
 
 
+def reused_buffer_H(spp, Z):
+    """spp.H called once per point of the batch on one 1-D buffer, refilled
+    with np.copyto before each call, as the solver reuses its work buffers."""
+    rows = Z.reshape(-1, Z.shape[-1])
+    buf = np.empty(Z.shape[-1])
+    out = []
+    for z in rows:
+        np.copyto(buf, z)
+        out.append(spp.H(buf))
+    return np.array(out).reshape(Z.shape)
+
+
 def dense_game_operator(A3):
     """Reference: the dim x dim matrix of a stacked game's H, block by block."""
     m, d_y, d_x = A3.shape
@@ -342,6 +356,7 @@ class TestRowWiseH:
         out = spp.H(Z)
         assert out.shape == Z.shape
         assert out.tobytes() == per_point_H(spp, Z).tobytes()
+        assert out.tobytes() == reused_buffer_H(spp, Z).tobytes()
 
     @settings(max_examples=60, deadline=None)
     @given(m=dims, d_x=dims, d_y=dims, lead=lead_shapes,
@@ -386,6 +401,44 @@ class TestRowWiseH:
         pts = spp.stacked_set().sample(np.random.default_rng(seed), samples)
         worst = max(float(np.linalg.norm(spp.H(row))) for row in pts)
         assert operator_bound_L0(spp, samples, seed) == 1.1 * worst
+
+
+class TestBoundL1H:
+    """An l1 H keeps a kernel bound to each of its last L1_H_BUFFERS 1-D
+    arguments; what it returns must not depend on that memo."""
+
+    def test_a_kept_result_does_not_change_on_a_later_call(self):
+        spp = random_l1_saddle(3, 2, 2, seed=0)
+        Z = spp.stacked_set().sample(np.random.default_rng(0), 2)
+        buf = Z[0].copy()
+        first = spp.H(buf)
+        kept = first.tobytes()
+        np.copyto(buf, Z[1])
+        second = spp.H(buf)
+        assert first.tobytes() == kept != second.tobytes()
+        assert second.tobytes() == spp.H(Z[1].copy()).tobytes()
+
+    def test_at_most_the_last_few_arguments_are_kept_alive(self):
+        spp = random_l1_saddle(2, 2, 2, seed=0)
+        Z = spp.stacked_set().sample(np.random.default_rng(1), 100)
+        refs = []
+        for z in Z:
+            arg = z.copy()
+            spp.H(arg)
+            refs.append(weakref.ref(arg))
+        del arg
+        assert instances.L1_H_BUFFERS == 4
+        assert all(r() is None for r in refs[:-instances.L1_H_BUFFERS])
+
+    @pytest.mark.parametrize("step", [2, 3])
+    def test_strided_view_gives_the_bytes_of_its_copy(self, step):
+        spp, Z = l1_instance_with_kinks(3, 2, 3, (2,), seed=7)
+        big = np.zeros(step * spp.dim)
+        view = big[::step]
+        for z in Z:
+            view[...] = z
+            assert spp.H(view).tobytes() == spp.H(view.copy()).tobytes()
+        assert spp.H(big[::step]).tobytes() == spp.H(Z[-1]).tobytes()
 
 
 class TestRowWiseOracles:
@@ -454,6 +507,65 @@ class TestRowWiseOracles:
             l1_saddle_gap(spp, np.zeros((3, 2)), np.zeros((2, 2)))
         with pytest.raises(DimensionError):
             exact_gap_matrix_game(np.eye(2), np.full((3, 2), 0.5), np.full((2, 2), 0.5))
+
+
+def hops_from(net, source):
+    """Graph distance from ``source`` to every node of ``net``, by
+    breadth-first search over its edges."""
+    neighbours = [[] for _ in range(net.m)]
+    for i, j in net.edges:
+        neighbours[i].append(j)
+        neighbours[j].append(i)
+    dist = {source: 0}
+    frontier = [source]
+    while frontier:
+        reached = []
+        for i in frontier:
+            for j in neighbours[i]:
+                if j not in dist:
+                    dist[j] = dist[i] + 1
+                    reached.append(j)
+        frontier = reached
+    return dist
+
+
+class TestLocality:
+    """The method is decentralized: in one outer iteration a node reads its
+    own oracle and what rounds_per_grad_G gossip rounds bring from its
+    neighbours. So a change to one node's start block reaches, by outer
+    iteration k, only the nodes within k * rounds_per_grad_G hops of it."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(kind=st.sampled_from(["ring", "path", "complete"]), m=st.integers(2, 16),
+           family=st.sampled_from(["game", "l1"]), d_x=st.integers(2, 3),
+           d_y=st.integers(2, 3), node=st.integers(0, 15), seed=st.integers(0, 2 ** 16))
+    def test_a_changed_start_block_reaches_only_the_nodes_k_rounds_away(
+            self, kind, m, family, d_x, d_y, node, seed):
+        node %= m
+        spp, eps = ((random_matrix_game(m, d_x, d_y, seed=seed), 0.1) if family == "game"
+                    else (random_l1_saddle(m, d_x, d_y, seed=seed), 0.4))
+        net = build_topology(kind, m)
+        vi = build_penalized_vi(spp, net, penalty_coefficients(spp, net, eps))
+        schedule = deterministic_schedule(vi.L, vi.M, 3)
+        start, other = spp.stacked_set().sample(np.random.default_rng(seed), 2)
+        changed = start.copy()
+        for block, replacement in zip(spp.split(changed), spp.split(other)):
+            block[node] = replacement[node]  # split gives views of the point
+
+        def node_bytes(z_bars):
+            return [[X[i].tobytes() + Y[i].tobytes() for i in range(m)]
+                    for X, Y in map(spp.split, z_bars)]
+
+        runs = []
+        for z0 in (start, changed):
+            z_bars = []
+            mps_run(vi, schedule, z0, observer=lambda k, z_bar: z_bars.append(z_bar.copy()))
+            runs.append(node_bytes(z_bars))
+        dist = hops_from(net, node)
+        for k, (a, b) in enumerate(zip(*runs), start=1):
+            differ = {i for i in range(m) if a[i] != b[i]}
+            assert node in differ
+            assert max(dist[i] for i in differ) <= k * vi.rounds_per_grad_G, (k, differ)
 
 
 # sha256 of the (3, 64) float64 array of node-averaged gap, consensus_x and
