@@ -12,6 +12,7 @@ only).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import groupby
 
 import numpy as np
 
@@ -177,27 +178,42 @@ class ProductSet:
     chunks of about SAMPLE_CHUNK floats, bitwise what one generator call per
     block would draw, in the same order. ``Box`` and ``Simplex`` construct
     one-group sets. A product appends its factors' groups at their offsets
-    and merges a group into the previous one when kind and d match.
+    and merges a group into the previous one when kind and d match. It reads
+    the factors in runs of one repeated object: r copies of a one-group
+    factor, such as the m node sets of a stacked problem, enter as one group
+    of r times its blocks with tiled bounds, so building a product costs a
+    few array operations per run, not per factor. A factor of several groups
+    is appended copy by copy. Either way ``_groups`` is the same as for a
+    product of distinct equal factors.
     """
 
     def __init__(self, factors):
         runs = []  # [kind, a, b, d, nb, lower pieces, upper pieces]
         dim = 0
-        for f in factors:
+        for _, same in groupby(factors, key=id):
+            same = list(same)
+            f, r = same[0], len(same)
             if not isinstance(f, ProductSet):
                 raise ParameterError(f"unsupported factor type {type(f).__name__!r}")
-            for kind, a, b, d, nb, *bounds in f._groups:
-                run = runs[-1] if runs else None
-                if run is not None and run[0] == kind and run[3] == d:
-                    run[2] = dim + b
-                    run[4] += nb
-                else:
-                    run = [kind, dim + a, dim + b, d, nb, [], []]
-                    runs.append(run)
-                if bounds:
-                    run[5].append(bounds[0])
-                    run[6].append(bounds[1])
-            dim += f.dim
+            if len(f._groups) == 1:
+                kind, a, b, d, nb, *bounds = f._groups[0]
+                pieces = [([(kind, a, r * b, d, r * nb, *(np.tile(x, r) for x in bounds))],
+                           r * f.dim)]
+            else:
+                pieces = [(f._groups, f.dim)] * r
+            for groups, width in pieces:
+                for kind, a, b, d, nb, *bounds in groups:
+                    run = runs[-1] if runs else None
+                    if run is not None and run[0] == kind and run[3] == d:
+                        run[2] = dim + b
+                        run[4] += nb
+                    else:
+                        run = [kind, dim + a, dim + b, d, nb, [], []]
+                        runs.append(run)
+                    if bounds:
+                        run[5].append(bounds[0])
+                        run[6].append(bounds[1])
+                dim += width
         if not runs:
             raise ParameterError("product set needs at least one factor")
         self.dim = dim

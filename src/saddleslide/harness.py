@@ -349,7 +349,7 @@ def make_stochastic_oracle(H: Callable[[np.ndarray], np.ndarray], kind: str,
 
 def _build_instance(config: RunConfig) -> StackedSPP:
     if config.family == "matching_pennies":
-        return make_matrix_game([MATCHING_PENNIES.copy() for _ in range(config.m)])
+        return make_matrix_game(np.broadcast_to(MATCHING_PENNIES, (config.m, 2, 2)))
     if config.family == "matrix_game_random":
         return random_matrix_game(config.m, config.d_x, config.d_y,
                                   config.instance_seed)

@@ -53,6 +53,12 @@ def make_matrix_game(A_list) -> StackedSPP:
     sup ||A^T y|| is the largest row norm and sup ||A x|| the largest column
     norm, both attained at vertices.
 
+    ``A_list`` is either a sequence of m payoff matrices of one shape
+    (d_y, d_x) or one (m, d_y, d_x) array; both are converted once, into one
+    float array, and give the same instance. Ragged or non-3-D data raises
+    DimensionError, entries that are not numbers or not finite DomainError;
+    a failed conversion's numpy error is chained to the one raised.
+
     H is linear and stored row-sparse, k = max(d_x, d_y) entries per row
     (ELL form): ``vals`` and ``cols`` both have shape (dim, k), and row r of
     H(z) is sum_j vals[r, j] * z[cols[r, j]]. The x rows of node i hold the
@@ -64,13 +70,9 @@ def make_matrix_game(A_list) -> StackedSPP:
     m = len(A_list)
     if m < 1:
         raise DimensionError("need at least one payoff matrix")
-    mats = [np.asarray(A, dtype=float) for A in A_list]
-    for A in mats:
-        if A.ndim != 2 or A.shape != mats[0].shape:
-            raise DimensionError("payoff matrices must be 2-D and share one shape")
-        if not np.all(np.isfinite(A)):
-            raise DomainError("payoff matrices must be finite")
-    A3 = np.stack(mats)
+    A3 = _node_stack(A_list, 3, "payoff matrices must be 2-D and share one shape")
+    if not np.isfinite(A3).all():
+        raise DomainError("payoff matrices must be finite")
     d_y, d_x = A3.shape[1:]
     maxrow_sq = (A3 ** 2).sum(axis=2).max(axis=1)   # sup ||A_i^T y||^2 over simplex
     maxcol_sq = (A3 ** 2).sum(axis=1).max(axis=1)   # sup ||A_i x||^2 over simplex
@@ -102,6 +104,24 @@ def make_matrix_game(A_list) -> StackedSPP:
         operator_bound=math.sqrt(float(maxrow_sq.sum() + maxcol_sq.sum())),
         meta={"family": "matrix_game", "A": A3, "A_bar": A3.mean(axis=0)},
     )
+
+
+def _node_stack(given, ndim: int, shape_error: str) -> np.ndarray:
+    # One conversion of per-node arrays, or of one array stacked over the
+    # nodes, into a new C-ordered float array of ndim axes. numpy raises
+    # ValueError for ragged data and for entries that are not numbers;
+    # np.shape tells the two apart, since only ragged data has no shape.
+    try:
+        a = np.array(given, dtype=float, order="C")
+    except ValueError as e:
+        try:
+            np.shape(given)
+        except ValueError:
+            raise DimensionError(shape_error) from e
+        raise DomainError("instance data must be real numbers") from e
+    if a.ndim != ndim:
+        raise DimensionError(shape_error)
+    return a
 
 
 def _check_sizes(m, d_x, d_y) -> None:
@@ -163,7 +183,13 @@ def make_l1_saddle(b_list, c_list, C_list, box_radius: float) -> StackedSPP:
     """Stacked nonsmooth saddle on boxes [-box_radius, box_radius] per block.
 
     ``b_list`` holds the diagonals b_i of the sensing matrices, each of
-    length d_x, so no d_x x d_x matrix is stored. Subgradients use
+    length d_x, so no d_x x d_x matrix is stored. Each of ``b_list``,
+    ``c_list`` and ``C_list`` is either a sequence of m per-node arrays or
+    one array stacked over the nodes, (m, d_x), (m, d_x) and (m, d_y, d_x);
+    each is converted once, into one float array, and both forms give the
+    same instance. Ragged or mismatched shapes raise DimensionError, entries
+    that are not numbers or not finite DomainError; a failed conversion's
+    numpy error is chained to the one raised. Subgradients use
     sign(0) = 0. The per-node bounds combine operator norms with the worst
     sign vector, of p = d_x entries, and box corner:
     ||b * s + C^T y|| <= sigma_max(diag(b)) sqrt(p) + sigma_max(C) r sqrt(d_y)
@@ -179,17 +205,13 @@ def make_l1_saddle(b_list, c_list, C_list, box_radius: float) -> StackedSPP:
         raise DimensionError("b_list, c_list, C_list must have equal length >= 1")
     if not (is_real(box_radius) and box_radius > 0):
         raise ParameterError(f"box_radius must be a finite real > 0, got {box_radius!r}")
-    stacks = []
-    for name, given, ndim in (("b", b_list, 1), ("c", c_list, 1), ("C", C_list, 2)):
-        arrays = [np.asarray(x, dtype=float) for x in given]
-        if any(x.ndim != ndim or x.shape != arrays[0].shape for x in arrays):
-            raise DimensionError(f"every {name}_i must be {ndim}-D, all of one shape")
-        stacks.append(np.stack(arrays))
+    stacks = [_node_stack(given, ndim + 1, f"every {name}_i must be {ndim}-D, all of one shape")
+              for name, given, ndim in (("b", b_list, 1), ("c", c_list, 1), ("C", C_list, 2))]
     b2, c2, C3 = stacks
     d_x, d_y = b2.shape[1], C3.shape[1]
     if c2.shape != (m, d_x) or C3.shape != (m, d_y, d_x):
         raise DimensionError("c_i must have the length of b_i, and C_i shape (d_y, d_x)")
-    if not all(np.all(np.isfinite(a)) for a in stacks):
+    if not all(np.isfinite(a).all() for a in stacks):
         raise DomainError("l1 instance data must be finite")
     r = float(box_radius)
     sig_B = np.linalg.norm(b2[:, :, None] * np.eye(d_x), 2, axis=(1, 2))

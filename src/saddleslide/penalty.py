@@ -173,10 +173,11 @@ def build_penalized_vi(spp: StackedSPP, net: NetworkModel,
     L = max over blocks of (2R^2/eps) lambda_max. One grad_G evaluation costs
     one communication round (the x and y blocks ride the same exchange, as
     they do for value_G, which is (1/2) z . grad_G(z)), or
-    zero when the network is degenerate (G vanishes identically and the
-    problem reduces to the centralized one; L then falls back to max(M, 1)
+    zero when G vanishes identically: on a single node, whose W_tilde is 0
+    and whose problem is the centralized one, or when both subgradient
+    bounds are 0, so both penalty radii are. L then falls back to max(M, 1)
     because the step-size schedule divides by L, and any upper bound is valid
-    for a constant G).
+    for a constant G.
 
     The nonsmooth part keeps the stacked subgradient operator H with the
     bounded-operator certificate M = L0^2 / (2 eps), delta = 2 eps, where L0

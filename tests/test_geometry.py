@@ -1,3 +1,4 @@
+import copy
 import itertools
 import math
 from unittest import mock
@@ -452,6 +453,52 @@ def test_products_merge_groups_of_one_kind_and_width():
         ProductSet([])
     with pytest.raises(ParameterError):
         ProductSet([Simplex(2), np.ones(2)])
+    with pytest.raises(ParameterError):
+        ProductSet([np.ones(2)] * 3)
+
+
+BOX = Box([0.0, -1.0], [1.0, 2.5])
+OTHER_BOX = Box([-3.0, 0.5], [0.0, 0.75])
+TWO_GROUPS = ProductSet([Simplex(2), Box([0.0], [4.0])])
+
+
+def group_bytes(s):
+    # _groups with each bound array as its dtype, shape, strides and bytes
+    return [g[:5] + tuple((x.dtype, x.shape, x.strides, x.tobytes()) for x in g[5:])
+            for g in s._groups]
+
+
+@pytest.mark.parametrize("runs", [
+    [(BOX, 4)], [(Simplex(3), 5)], [(TWO_GROUPS, 3)], [(BOX, 1)], [(Simplex(2), 1)],
+    [(BOX, 3), (Simplex(2), 2), (BOX, 1)],
+    [(BOX, 3), (OTHER_BOX, 2), (BOX, 1)],
+    [(Simplex(3), 2), (TWO_GROUPS, 2), (Simplex(2), 3), (Box([1.0], [2.0]), 4)],
+], ids=["box", "simplex", "two-groups", "box-once", "simplex-once", "box-simplex-box",
+        "boxes-merged", "mixed"])
+def test_repeated_factors_give_the_groups_of_distinct_copies(runs):
+    factors = [f for f, r in runs for _ in range(r)]
+    s = ProductSet(factors)
+    # a shallow copy is a distinct object, so every factor is its own run
+    assert group_bytes(s) == group_bytes(ProductSet([copy.copy(f) for f in factors]))
+    expected, offset = [], 0
+    for f in factors:
+        expected += [(a + offset, b + offset, lo, up) for a, b, lo, up in blocks(f)]
+        offset += f.dim
+    assert s.dim == offset
+    for (a, b, lo, up), want in zip(blocks(s), expected, strict=True):
+        assert (a, b) == want[:2]
+        assert (lo is None and want[2] is None) or (
+            lo.tobytes() == want[2].tobytes() and up.tobytes() == want[3].tobytes())
+
+
+def test_a_run_of_one_factor_object_is_added_once():
+    # the m node sets of a stacked problem: one bound tiling per run, not a
+    # piece per factor
+    with mock.patch.object(np, "tile", wraps=np.tile) as tile:
+        s = ProductSet([BOX] * 300 + [Simplex(2)] * 300)
+    assert tile.call_count == 2
+    assert [g[:5] for g in s._groups] == [("box", 0, 600, 2, 300),
+                                          ("simplex", 600, 1200, 2, 300)]
 
 
 def test_linear_min_is_the_best_vertex_of_the_product():

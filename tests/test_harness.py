@@ -29,6 +29,7 @@ from saddleslide import (
 )
 from saddleslide import harness
 from saddleslide.harness import CONSENSUS_CHUNK
+from saddleslide.network import MAX_NODES
 
 rng = np.random.default_rng(1207)
 
@@ -184,6 +185,17 @@ class TestRunExperiment:
         assert rep.final_gap <= rep.predicted_gap_bound
         assert len(rep.trace.inner_steps) == 12
         assert np.isfinite(rep.trace.gap_estimate).all()
+
+    def test_a_ring_of_the_largest_node_count_meets_its_bounds(self):
+        cfg = RunConfig(family="matrix_game_random", d_x=3, d_y=3, network_kind="ring",
+                        m=MAX_NODES, epsilon=0.05, N_override=3)
+        rep = run_experiment(cfg)
+        assert rep.m == MAX_NODES and rep.N == 3
+        assert rep.communication_rounds == rep.N
+        assert rep.H_calls_per_node == 2 * sum(rep.trace.inner_steps) <= rep.predicted_H_calls
+        assert rep.consensus_x <= rep.predicted_consensus_x
+        assert rep.consensus_y <= rep.predicted_consensus_y
+        assert rep.final_gap <= rep.predicted_gap_bound
 
     def test_single_node_matches_manual_centralized_run(self):
         cfg = RunConfig(family="matrix_game_random", d_x=3, d_y=2,

@@ -93,8 +93,10 @@ def lp_game_solution(A):
     lambda: make_l1_saddle([np.ones(2)] * 2, [np.zeros(2), np.zeros(3)],
                            [np.ones((2, 2))] * 2, 1.0),
     lambda: make_l1_saddle([np.ones(2)], [np.zeros(2)], [np.ones((2, 3))], 1.0),
+    lambda: make_matrix_game([[[1.0, 2.0], [3.0]]]),
+    lambda: make_l1_saddle([np.ones(2)], [np.zeros(2)], [[[1.0, 2.0], [3.0]]], 1.0),
 ], ids=["game-empty", "game-1d", "game-3d", "game-shapes", "l1-0d-b", "l1-2d-b", "l1-b-length",
-        "l1-B-shapes", "l1-c-shapes", "l1-C-columns"])
+        "l1-B-shapes", "l1-c-shapes", "l1-C-columns", "game-ragged-matrix", "l1-ragged-C"])
 def test_malformed_instance_data_raises_dimension_error(build):
     with pytest.raises(DimensionError):
         build()
@@ -107,6 +109,47 @@ def test_non_finite_l1_data_raises_domain_error(entry, bad):
     data[entry][0].flat[1] = bad
     with pytest.raises(DomainError):
         make_l1_saddle(*data, 1.0)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: make_matrix_game([[["a", 1.0], [0.0, 1.0]]]),
+    lambda: make_l1_saddle([np.ones(2)], [["x", 0.0]], [np.ones((3, 2))], 1.0),
+], ids=["game", "l1"])
+def test_entries_that_are_not_numbers_are_domain_errors_not_shape_errors(build):
+    with pytest.raises(DomainError, match="real numbers") as info:
+        build()
+    assert "could not convert" in str(info.value.__cause__)
+
+
+def instance_bytes(spp):
+    # every array of an instance as its dtype, shape, strides and bytes
+    def key(v):
+        return (v.dtype, v.shape, v.strides, v.tobytes()) if isinstance(v, np.ndarray) else v
+
+    return (spp.m, spp.d_x, spp.d_y, spp.subgrad_bound_x, spp.subgrad_bound_y,
+            spp.operator_bound, key(spp.linear_H),
+            sorted((k, key(v)) for k, v in spp.meta.items()))
+
+
+@settings(max_examples=30, deadline=None)
+@given(m=st.integers(1, 6), d_x=st.integers(1, 4), d_y=st.integers(1, 4),
+       seed=st.integers(0, 2 ** 16))
+def test_one_stacked_array_and_per_node_arrays_build_the_same_instance(m, d_x, d_y, seed):
+    r = np.random.default_rng(seed)
+    A = r.uniform(-1.0, 1.0, (m, d_y, d_x))
+    b, c = r.uniform(0.5, 1.5, (m, d_x)), r.uniform(-1.0, 1.0, (m, d_x))
+    C = r.uniform(-0.5, 0.5, (m, d_y, d_x))
+    pennies = np.broadcast_to(MATCHING_PENNIES, (m, 2, 2))
+    for stacked, per_node in (
+            (make_matrix_game(A), make_matrix_game(list(A))),
+            (make_matrix_game(A), make_matrix_game(A.tolist())),
+            (make_matrix_game(pennies), make_matrix_game([MATCHING_PENNIES.copy()] * m)),
+            (make_l1_saddle(b, c, C, 1.5), make_l1_saddle(list(b), list(c), list(C), 1.5))):
+        assert instance_bytes(stacked) == instance_bytes(per_node)
+        Z = stacked.stacked_set().sample(np.random.default_rng(seed), 4)
+        assert stacked.H(Z).tobytes() == per_node.H(Z).tobytes()
+        assert all(not np.shares_memory(v, given) for v in stacked.meta.values()
+                   if isinstance(v, np.ndarray) for given in (A, b, c, C, pennies))
 
 
 class TestMatrixGames:

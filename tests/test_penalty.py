@@ -568,6 +568,38 @@ class TestLocality:
             assert max(dist[i] for i in differ) <= k * vi.rounds_per_grad_G, (k, differ)
 
 
+class TestZeroOperator:
+    """An all-zero payoff game: H = 0, so L0 = M = 0 and both subgradient
+    bounds are 0. G then vanishes identically on every network, each outer
+    iteration takes one inner step and no round, and every prox returns its
+    anchor, so the method returns its start."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(kind=st.sampled_from(["single", "ring", "complete"]), m=st.integers(2, 8),
+           d_x=st.integers(1, 3), d_y=st.integers(1, 3), N=st.integers(1, 6),
+           seed=st.integers(0, 2 ** 16))
+    def test_zero_payoffs_return_the_start(self, kind, m, d_x, d_y, N, seed):
+        m = 1 if kind == "single" else m
+        spp = make_matrix_game(np.zeros((m, d_y, d_x)))
+        spp.operator_bound = operator_bound_L0(spp, samples=10, seed=seed)
+        net = build_topology(kind, m)
+        vi = build_penalized_vi(spp, net, penalty_coefficients(spp, net, 0.1))
+        assert spp.operator_bound == 0.0 and vi.M == 0.0
+        assert vi.L == 1.0 and vi.rounds_per_grad_G == 0
+        schedule = deterministic_schedule(vi.L, vi.M, N)
+        assert schedule.T.tolist() == [1] * N
+        calls = []
+
+        def counted_H(z):
+            calls.append(z.shape)
+            return vi.H(z)
+
+        z0 = spp.stacked_set().sample(np.random.default_rng(seed), 1)[0]
+        final = mps_run(replace(vi, H=counted_H), schedule, z0)
+        assert calls == [z0.shape] * (2 * N)
+        assert np.max(np.abs(final - z0)) <= 1e-12
+
+
 # sha256 of the (3, 64) float64 array of node-averaged gap, consensus_x and
 # consensus_y over 64 points sampled from the stacked set with
 # default_rng(1): a random game (m = 6, d_x = 3, d_y = 2) on ring-6 and an
